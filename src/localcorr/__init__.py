@@ -5,7 +5,7 @@ basket decoding, a one-parameter local correlation family and a Monte
 Carlo engine that reprices the index option market by construction.
 """
 from .copula import CopulaSpec, copula_basket_call, fit_flat_correlation, skew_comparison
-from .corrfam import CholeskyTable, CorrelationFamily, build_table
+from .corrfam import CorrelationFamily
 from .dupire import LocalVolSurface, calibrate_local_vol, inverse_cdf, local_vol
 from .errors import (
     BoundViolationError,
@@ -43,9 +43,7 @@ __all__ = [
     "copula_basket_call",
     "fit_flat_correlation",
     "skew_comparison",
-    "CholeskyTable",
     "CorrelationFamily",
-    "build_table",
     "LocalVolSurface",
     "calibrate_local_vol",
     "inverse_cdf",

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .copula import CopulaSpec, flat_correlation, skew_comparison
-from .corrfam import CorrelationFamily, build_table
-from .errors import LocalCorrError, RecipeError
+from .corrfam import CorrelationFamily
+from .errors import CorrelationError, LocalCorrError, RecipeError
 from .lcm.engine import (
     PayoffSpec,
     SimulationConfig,
@@ -295,15 +295,12 @@ def calibrate(state: CliState, horizon, times, spots):
     _write_manifest(state.output_dir, "calibrate", params, state.seed, path, started)
 
 
-def _build_config(state: CliState, paths, steps_per_year, seed, states, shift,
-                  bounds_policy) -> SimulationConfig:
+def _build_config(state: CliState, paths, steps_per_year, seed, bounds_policy) -> SimulationConfig:
     return SimulationConfig(
         n_paths=paths,
         steps_per_year=steps_per_year,
         seed=state.seed if seed is None else seed,
         n_threads=state.threads,
-        table_states=states,
-        table_shift=shift,
         bounds_policy=bounds_policy,
     )
 
@@ -314,12 +311,10 @@ _price_options = [
     click.option("--steps-per-year", type=int, default=100, help="Euler steps per year."),
     click.option("--seed", "seed_override", type=int, default=None,
                  help="Seed override for this run."),
-    click.option("--states", type=int, default=101, help="Correlation table size."),
-    click.option("--shift", type=float, default=None, help="Correlation table grid spacing."),
     click.option("--center", default="flat:0.5",
                  help="Center correlation: 'identity', 'flat:<rho>', or a JSON matrix file."),
     click.option("--bounds-policy", type=click.Choice(["clamp", "strict"]), default="clamp",
-                 help="Dispersion bound violations: clamp to the table edge, or abort."),
+                 help="Dispersion bound violations: pin the state at u_max, or abort."),
 ]
 
 
@@ -337,14 +332,13 @@ def _with_price_options(fn):
 @click.pass_obj
 @_guarded
 def price_cmd(state: CliState, payoff, strikes, maturity, paths, steps_per_year,
-              seed_override, states, shift, center, bounds_policy):
+              seed_override, center, bounds_policy):
     """Price European payoffs under the local correlation model."""
     started = time.perf_counter()
     path = state.require_input()
     snapshot = load_snapshot(path)
     family = CorrelationFamily(center=_parse_center(center, snapshot.n_assets))
-    config = _build_config(state, paths, steps_per_year, seed_override, states, shift,
-                           bounds_policy)
+    config = _build_config(state, paths, steps_per_year, seed_override, bounds_policy)
     kind = _PAYOFF_NAMES[payoff]
     moneyness = _parse_strikes(strikes)
     level = 1.0 if kind == "worst_of_put" else float(snapshot.index.spot)
@@ -376,8 +370,8 @@ def price_cmd(state: CliState, payoff, strikes, maturity, paths, steps_per_year,
     log.info("wrote %s", out)
     params = {"command": "price", "payoff": payoff, "strikes": moneyness,
               "maturity": maturity, "paths": paths, "steps_per_year": steps_per_year,
-              "seed": config.seed, "states": states, "shift": shift, "center": center,
-              "bounds_policy": bounds_policy, "threads": config.resolve_threads()}
+              "seed": config.seed, "center": center, "bounds_policy": bounds_policy,
+              "threads": config.resolve_threads()}
     _write_manifest(state.output_dir, "price", params, config.seed, path, started)
 
 
@@ -388,14 +382,13 @@ def price_cmd(state: CliState, payoff, strikes, maturity, paths, steps_per_year,
 @click.pass_obj
 @_guarded
 def diagnose(state: CliState, strikes, maturity, paths, steps_per_year, seed_override,
-             states, shift, center, bounds_policy):
+             center, bounds_policy):
     """Average path correlation conditioned on finishing in the money."""
     started = time.perf_counter()
     path = state.require_input()
     snapshot = load_snapshot(path)
     family = CorrelationFamily(center=_parse_center(center, snapshot.n_assets))
-    config = _build_config(state, paths, steps_per_year, seed_override, states, shift,
-                           bounds_policy)
+    config = _build_config(state, paths, steps_per_year, seed_override, bounds_policy)
     market = calibrate_market(snapshot, family, maturity, config)
     cube = simulate(market, config)
     moneyness = _parse_strikes(strikes)
@@ -409,29 +402,41 @@ def diagnose(state: CliState, strikes, maturity, paths, steps_per_year, seed_ove
     log.info("wrote %s", out)
     params = {"command": "diagnose", "strikes": moneyness, "maturity": maturity,
               "paths": paths, "steps_per_year": steps_per_year, "seed": config.seed,
-              "states": states, "shift": shift, "center": center,
-              "bounds_policy": bounds_policy}
+              "center": center, "bounds_policy": bounds_policy}
     _write_manifest(state.output_dir, "diagnose", params, config.seed, path, started)
 
 
 @main.command(name="dump-table")
-@click.option("--states", type=int, default=101, help="Correlation table size.")
-@click.option("--shift", type=float, default=None, help="Correlation table grid spacing.")
+@click.option("--states", type=int, default=101,
+              help="Number of swept states; an even count gains one.")
+@click.option("--shift", type=float, default=None,
+              help="State spacing; by default the end states reach a blend weight of 0.999.")
 @click.option("--center", default="flat:0.5",
               help="Center correlation: 'identity', 'flat:<rho>', or a JSON matrix file.")
 @click.pass_obj
 @_guarded
 def dump_table(state: CliState, states, shift, center):
-    """Write the precomputed correlation table with spectral diagnostics."""
+    """Write the smallest eigenvalue of the family along the signed state axis.
+
+    States are l * shift for l in [-m, m], m = states // 2: the raising
+    branch at positive states, the lowering branch at negative ones.
+    """
     started = time.perf_counter()
     path = state.require_input()
     snapshot = load_snapshot(path)
     family = CorrelationFamily(center=_parse_center(center, snapshot.n_assets))
-    table = build_table(family, states=states, shift=shift)
+    if states < 3:
+        raise CorrelationError("the sweep needs at least 3 states")
+    m = states // 2
+    # by default the end states reach the blend weight u^2 / (1 + u^2) = 0.999
+    step = float(np.sqrt(0.999 / (1.0 - 0.999)) / m) if shift is None else shift
+    if step <= 0.0:
+        raise CorrelationError("shift must be positive")
     rows = []
-    for entry in table.entries:
-        low = float(np.linalg.eigvalsh(entry.matrix)[0])
-        rows.append((entry.state, entry.kappa, low))
+    for l in range(-m, m + 1):
+        kappa = 1 if l >= 0 else 0
+        low = float(np.linalg.eigvalsh(family.evaluate(abs(l) * step, kappa))[0])
+        rows.append((l * step, kappa, low))
     out = state.output_dir / "table.csv"
     _write_csv(out, ["state", "kappa", "min_eigenvalue"], rows)
     log.info("wrote %s", out)

@@ -1,4 +1,4 @@
-"""One-parameter correlation families and precomputed Cholesky tables.
+"""One-parameter correlation families and their exact two-factor sampler.
 
 A family is anchored at a center correlation matrix and indexed by a
 scalar state u >= 0 together with a branch flag kappa in {0, 1}.  Both
@@ -20,10 +20,20 @@ u -> 1/u.
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
 normalisation is a congruence by a positive diagonal.
+
+The same structure samples every member exactly from fixed factors.  With
+L_C and L_D lower Cholesky factors of C and D, Xi = diag(xi),
+S(u) = diag(1 / sqrt(1 + xi_i^2 u^2)) and independent standard normal
+vectors z1, z2,
+
+    x = S(u) (L_C z1 + u Xi L_D z2)
+
+has covariance S (C + u^2 Xi D Xi) S = R(u, kappa), because Xi D Xi is
+the Schur product of xi xi' with D.  No state grid is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +45,7 @@ __all__ = [
     "repair_psd",
     "cholesky_lower",
     "CorrelationFamily",
-    "TableEntry",
-    "CholeskyTable",
-    "build_table",
-    "default_shift",
+    "FamilySampler",
 ]
 
 #: eigenvalues above this (negative) cutoff are treated as rounding noise
@@ -185,131 +192,32 @@ class CorrelationFamily:
         return out
 
 
-# ----------------------------------------------------------------------
-# precomputed tables
-
-
 @dataclass(frozen=True)
-class TableEntry:
-    """One tabulated state: signed state value, matrix, Cholesky factor."""
+class FamilySampler:
+    """Exact correlated normals at any state of a family.
 
-    state: float  # signed: positive raising, negative lowering
-    kappa: int
-    matrix: np.ndarray
-    chol: np.ndarray
-
-    @property
-    def u(self) -> float:
-        return abs(self.state)
-
-
-@dataclass(eq=False)
-class CholeskyTable:
-    """Signed-state grid of correlation matrices with Cholesky factors.
-
-    States live on a uniform grid s_l = l * shift for l in [-m, m]; the
-    raising branch sits at positive states with u = s, the lowering
-    branch at negative states with u = -s, and the middle entry is the
-    center matrix itself.  Lookup is nearest-state with ties rounded
-    toward the higher state.
+    Holds the Cholesky factors of the center and of both branch
+    directions, so a draw costs the same few matrix products whatever
+    the states are.
     """
 
-    family: CorrelationFamily
-    shift: float
-    entries: tuple[TableEntry, ...]
-    counters: dict = field(default_factory=dict)
+    mode: np.ndarray
+    chol_center: np.ndarray
+    chol_dirs: tuple  # (L_D(0), L_D(1)), indexed by kappa
 
-    @property
-    def n_states(self) -> int:
-        return len(self.entries)
-
-    @property
-    def center_index(self) -> int:
-        return (len(self.entries) - 1) // 2
-
-    @property
-    def max_state(self) -> float:
-        return self.center_index * self.shift
-
-    def states(self) -> np.ndarray:
-        return np.array([e.state for e in self.entries])
-
-    def lookup_index(self, u, kappa):
-        """Nearest table index for states ``u`` on branches ``kappa``.
-
-        Accepts arrays; out-of-range states clamp to the end entries.
-        """
-        s = np.where(np.asarray(kappa) > 0.5, u, -np.asarray(u, dtype=float))
-        raw = np.floor(s / self.shift + 0.5).astype(np.int64) + self.center_index
-        idx = np.clip(raw, 0, self.n_states - 1)
-        return int(idx) if np.ndim(u) == 0 and np.ndim(kappa) == 0 else idx
-
-    def lookup_state(self, signed_u: float) -> TableEntry:
-        """Entry nearest to a signed state; clamps count on ``counters``."""
-        raw = int(np.floor(signed_u / self.shift + 0.5)) + self.center_index
-        if raw < 0 or raw >= self.n_states:
-            self.counters["clamped"] = self.counters.get("clamped", 0) + 1
-            raw = min(max(raw, 0), self.n_states - 1)
-        return self.entries[raw]
-
-    def entry(self, index: int) -> TableEntry:
-        return self.entries[index]
-
-    def matrices(self) -> np.ndarray:
-        return np.stack([e.matrix for e in self.entries])
-
-    def chols(self) -> np.ndarray:
-        return np.stack([e.chol for e in self.entries])
-
-
-def default_shift(states: int, *, reach: float = 0.999) -> float:
-    """Grid spacing so the extreme entries cover ``reach`` of each branch.
-
-    The blending weight u^2 / (1 + u^2) at the extreme state equals
-    ``reach``, so the end-of-grid matrices sit within (1 - reach) of the
-    branch limits in flat mode.
-    """
-    if not 0.0 < reach < 1.0:
-        raise CorrelationError("reach must lie in (0, 1)")
-    m = max((states - 1) // 2, 1)
-    u_max = np.sqrt(reach / (1.0 - reach))
-    return float(u_max / m)
-
-
-def build_table(
-    family: CorrelationFamily,
-    *,
-    states: int = 101,
-    shift: float | None = None,
-) -> CholeskyTable:
-    """Precompute matrices and Cholesky factors on the signed-state grid.
-
-    ``states`` is bumped to the next odd count so a center entry exists;
-    the center entry holds the center matrix itself.  Every matrix is
-    checked PSD (with rounding-noise repair) before factorisation, so
-    lookup during simulation is branch-free.
-    """
-    if states < 3:
-        raise CorrelationError("table needs at least 3 states")
-    if states % 2 == 0:
-        states += 1
-    if shift is None:
-        shift = default_shift(states)
-    if shift <= 0.0:
-        raise CorrelationError("shift must be positive")
-    m = (states - 1) // 2
-    entries = []
-    repaired = 0
-    for l in range(-m, m + 1):
-        u = abs(l) * shift
-        kappa = 1 if l >= 0 else 0
-        mat = family.center.copy() if l == 0 else family.evaluate(u, kappa)
-        fixed = repair_psd(mat)
-        if fixed is not mat:
-            repaired += 1
-        entries.append(
-            TableEntry(state=l * shift, kappa=kappa, matrix=fixed, chol=cholesky_lower(fixed))
+    @classmethod
+    def from_family(cls, family: CorrelationFamily) -> "FamilySampler":
+        return cls(
+            mode=family.mode,
+            chol_center=cholesky_lower(family.center),
+            chol_dirs=(cholesky_lower(family.down), cholesky_lower(family.up)),
         )
-    table = CholeskyTable(family=family, shift=float(shift), entries=tuple(entries))
-    table.counters["repaired"] = repaired
-    return table
+
+    def draw(self, z: np.ndarray, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """Map normals ``z`` of shape (p, 2n) to rows with correlation R(u_p, kappa_p)."""
+        n = self.mode.size
+        z1, z2 = z[:, :n], z[:, n:]
+        down, up = self.chol_dirs
+        along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
+        xu = self.mode[None, :] * u[:, None]
+        return (z1 @ self.chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))

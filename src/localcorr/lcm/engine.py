@@ -1,11 +1,12 @@
 """Monte Carlo engine for the local correlation model.
 
 Constituents follow their own local volatility dynamics; at every step
-the correlation matrix is picked from a precomputed family table so that
-the instantaneous basket variance matches the index local variance at
-the current basket level.  Index vanillas are then repriced by
-construction, up to time discretisation, table quantisation and
-dispersion bound violations, all of which are surfaced in diagnostics.
+each path solves for the family state whose correlation matrix makes the
+instantaneous basket variance match the index local variance at the
+current basket level, and draws its normals exactly at that state from
+two fixed Cholesky factors.  Index vanillas are then repriced by
+construction, up to time discretisation and dispersion bound
+violations, both of which are surfaced in diagnostics.
 
 Paths run in fixed-size blocks, each with its own counter-based random
 substream, and block results are reduced in block order.  Prices are
@@ -16,16 +17,22 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..corrfam import CholeskyTable, CorrelationFamily, build_table
+from ..corrfam import CorrelationFamily, FamilySampler
 from ..dupire import LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
 from ..marketdata.snapshot import MarketSnapshot
 from ..rng import substream
-from .state import BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
+from .state import (
+    BoundsReport,
+    _cov_along,
+    check_dispersion_bounds,
+    covariance_terms,
+    solve_state,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -59,9 +66,9 @@ class SimulationConfig:
     """Knobs of one engine run; everything that affects the draw is here.
 
     ``bounds_policy`` decides what a dispersion bound violation does:
-    "clamp" pins the state to the table edge and counts it, "strict"
-    aborts the run.  ``forced_state`` is a test hook fixing (u, kappa)
-    for every step, bypassing the solver entirely.
+    "clamp" pins the state at ``u_max`` and counts it, "strict" aborts
+    the run.  ``forced_state`` is a test hook fixing (u, kappa) for every
+    step, bypassing the solver entirely.
     """
 
     n_paths: int = 100_000
@@ -69,13 +76,10 @@ class SimulationConfig:
     seed: int = 0
     block_size: int = 4096
     n_threads: int | None = None
-    table_states: int = 101
-    table_shift: float | None = None
     u_max: float = 1e3
     lv_times: int = 64
     lv_spots: int = 161
     bounds_policy: str = "clamp"
-    track_simplified: bool = False
     forced_state: tuple[float, int] | None = None
 
     def __post_init__(self):
@@ -85,6 +89,17 @@ class SimulationConfig:
             raise EngineError("steps_per_year must be positive")
         if self.bounds_policy not in ("clamp", "strict"):
             raise EngineError(f"unknown bounds policy {self.bounds_policy!r}")
+        if self.forced_state is not None:
+            try:
+                u0, k0 = self.forced_state
+                ok = bool(np.isfinite(u0)) and u0 >= 0.0 and k0 in (0, 1)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise EngineError(
+                    "forced_state must be (u, kappa) with finite u >= 0 and kappa 0 or 1, "
+                    f"got {self.forced_state!r}"
+                )
 
     def resolve_threads(self) -> int:
         if self.n_threads is not None:
@@ -143,7 +158,7 @@ class CalibratedMarket:
 
     snapshot: MarketSnapshot
     family: CorrelationFamily
-    table: CholeskyTable
+    sampler: FamilySampler
     horizon: float
     times: np.ndarray
     asset_ids: tuple
@@ -152,19 +167,6 @@ class CalibratedMarket:
     dlog_fwd: np.ndarray  # (n_steps, n) exact forward log increments
     local_vols: list[LocalVolSurface]
     index_local_vol: LocalVolSurface
-    matrices: np.ndarray = field(init=False)
-    chols: np.ndarray = field(init=False)
-    offdiag_mean: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.matrices = self.table.matrices()
-        self.chols = self.table.chols()
-        n = self.weights.size
-        if n > 1:
-            mask = ~np.eye(n, dtype=bool)
-            self.offdiag_mean = np.array([m[mask].mean() for m in self.matrices])
-        else:
-            self.offdiag_mean = np.zeros(self.table.n_states)
 
     @property
     def n_assets(self) -> int:
@@ -188,7 +190,7 @@ def calibrate_market(
     horizon: float,
     config: SimulationConfig | None = None,
 ) -> CalibratedMarket:
-    """Build local vol tables, the step grid and the correlation table."""
+    """Build local vol tables, the step grid and the correlation sampler."""
     config = config or SimulationConfig()
     if horizon <= 0.0:
         raise EngineError("horizon must be positive")
@@ -214,11 +216,10 @@ def calibrate_market(
         snapshot.call_surface(snapshot.index.asset_id), horizon,
         n_times=config.lv_times, n_spots=config.lv_spots,
     )
-    table = build_table(family, states=config.table_states, shift=config.table_shift)
     return CalibratedMarket(
         snapshot=snapshot,
         family=family,
-        table=table,
+        sampler=FamilySampler.from_family(family),
         horizon=float(horizon),
         times=times,
         asset_ids=ids,
@@ -237,21 +238,15 @@ def calibrate_market(
 class _BlockStats:
     """Mutable per-block accumulators; merged in block order."""
 
-    __slots__ = (
-        "n_solved", "kappa_up", "viol_high", "viol_low", "clamped",
-        "mismatch_sum", "simplified_sum", "simplified_n", "state_counts",
-    )
+    __slots__ = ("n_solved", "kappa_up", "viol_high", "viol_low", "clamped", "corr_sum")
 
-    def __init__(self, n_states: int):
+    def __init__(self):
         self.n_solved = 0
         self.kappa_up = 0
         self.viol_high = 0
         self.viol_low = 0
         self.clamped = 0
-        self.mismatch_sum = 0.0
-        self.simplified_sum = 0.0
-        self.simplified_n = 0
-        self.state_counts = np.zeros(n_states, dtype=np.int64)
+        self.corr_sum = 0.0
 
     def merge(self, other: "_BlockStats"):
         self.n_solved += other.n_solved
@@ -259,10 +254,7 @@ class _BlockStats:
         self.viol_high += other.viol_high
         self.viol_low += other.viol_low
         self.clamped += other.clamped
-        self.mismatch_sum += other.mismatch_sum
-        self.simplified_sum += other.simplified_sum
-        self.simplified_n += other.simplified_n
-        self.state_counts += other.state_counts
+        self.corr_sum += other.corr_sum
 
 
 @dataclass(frozen=True)
@@ -276,10 +268,7 @@ class SimDiagnostics:
     violation_high_fraction: float
     violation_low_fraction: float
     clamped_fraction: float
-    quantization_mismatch: float  # mean relative gap, solved target vs table matrix
-    simplified_state_gap: float  # mean |u - shortcut u| on the lowering branch
-    mean_correlation: float  # state-occupancy weighted mean pairwise level
-    state_counts: np.ndarray
+    mean_correlation: float  # mean pairwise level over solved path-steps
 
     @property
     def violation_fraction(self) -> float:
@@ -293,18 +282,12 @@ class SimDiagnostics:
             "violation_high_fraction": self.violation_high_fraction,
             "violation_low_fraction": self.violation_low_fraction,
             "clamped_fraction": self.clamped_fraction,
-            "quantization_mismatch": self.quantization_mismatch,
-            "simplified_state_gap": self.simplified_state_gap,
             "mean_correlation": self.mean_correlation,
         }
 
 
 def _finalize_diag(stats: _BlockStats, market: CalibratedMarket, n_paths: int) -> SimDiagnostics:
     n = max(stats.n_solved, 1)
-    occupancy = stats.state_counts.sum()
-    mean_corr = (
-        float(np.dot(stats.state_counts, market.offdiag_mean) / occupancy) if occupancy else 0.0
-    )
     return SimDiagnostics(
         n_paths=n_paths,
         n_steps=market.n_steps,
@@ -313,13 +296,22 @@ def _finalize_diag(stats: _BlockStats, market: CalibratedMarket, n_paths: int) -
         violation_high_fraction=stats.viol_high / n,
         violation_low_fraction=stats.viol_low / n,
         clamped_fraction=stats.clamped / n,
-        quantization_mismatch=stats.mismatch_sum / n,
-        simplified_state_gap=(
-            stats.simplified_sum / stats.simplified_n if stats.simplified_n else 0.0
-        ),
-        mean_correlation=mean_corr,
-        state_counts=stats.state_counts.copy(),
+        mean_correlation=stats.corr_sum / n,
     )
+
+
+def _mean_correlation(family: CorrelationFamily, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Mean off-diagonal entry of R(u, kappa) per path, (1'R1 - n) / (n (n - 1))."""
+    n = family.n_assets
+    if n == 1:
+        return np.zeros(u.size)
+    ones = np.ones((u.size, n))
+    total = np.where(
+        kappa > 0,
+        _cov_along(ones, family.center, family.up, family.mode, u),
+        _cov_along(ones, family.center, family.down, family.mode, u),
+    )
+    return (total - n) / (n * (n - 1))
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +336,7 @@ def _run_block(
     n = market.n_assets
     n_steps = market.n_steps
     weights = market.weights
-    table = market.table
-    stats = _BlockStats(table.n_states)
+    stats = _BlockStats()
     ln_s = np.tile(np.log(market.spots0), (n_block, 1))
     slice_pos = {step: j for j, step in enumerate(slice_steps)}
     spot_rec = np.empty((len(slice_steps), n_block, n))
@@ -354,16 +345,13 @@ def _run_block(
     viol_rec = np.zeros((len(slice_steps), n_block), dtype=bool)
     moff_sum = np.zeros(n_block)
 
-    forced_idx = None
-    if config.forced_state is not None:
+    forced = config.forced_state is not None
+    if forced:
         u0, k0 = config.forced_state
-        forced_idx = table.lookup_index(float(u0), int(k0))
-        forced_signed = float(u0) if int(k0) == 1 else -float(u0)
-
-    def record_state(j, signed, clamped, violated):
-        state_rec[j] = signed
-        clamp_rec[j] = clamped
-        viol_rec[j] = violated
+        u = np.full(n_block, float(u0))
+        kappa = np.full(n_block, int(k0))
+        signed = u if k0 == 1 else -u
+        clamped = violated = np.zeros(n_block, dtype=bool)
 
     for k in range(n_steps):
         t = float(market.times[k])
@@ -373,57 +361,39 @@ def _run_block(
         s = np.exp(ln_s)
         vols = market.local_vol_row(t, ln_s)
 
-        state_slots = [slice_pos[step] for step in (k, n_steps) if step in slice_pos and (
-            step == k or k == n_steps - 1)]
-        if forced_idx is not None:
-            idx = np.full(n_block, forced_idx, dtype=np.int64)
-            for j in state_slots:
-                record_state(j, forced_signed, False, False)
-        else:
+        if not forced:
             basket = s @ weights
             sigma_b = np.interp(
                 np.log(basket), market.index_local_vol.log_spots,
                 market.index_local_vol.time_slice(t),
             )
             terms = covariance_terms(s, vols, weights, sigma_b, market.family)
-            sol = solve_state(
-                terms, market.family,
-                u_max=config.u_max, track_simplified=config.track_simplified,
-            )
-            violated = sol.violated_high | sol.violated_low
+            sol = solve_state(terms, market.family, u_max=config.u_max)
             if config.bounds_policy == "strict" and sol.n_violations:
                 raise BoundViolationError(
                     f"{sol.n_violations} dispersion bound violations at t = {t:.4f}"
                 )
-            idx = table.lookup_index(sol.u, sol.kappa)
-            signed = sol.signed
-            clamped = np.abs(signed) > table.max_state + 0.5 * table.shift
-            for j in state_slots:
-                record_state(j, signed, clamped, violated)
+            u, kappa, signed = sol.u, sol.kappa, sol.signed
+            clamped = u >= config.u_max
+            violated = sol.violated_high | sol.violated_low
             stats.n_solved += n_block
-            stats.kappa_up += int(np.count_nonzero(sol.kappa))
+            stats.kappa_up += int(np.count_nonzero(kappa))
             stats.viol_high += int(np.count_nonzero(sol.violated_high))
             stats.viol_low += int(np.count_nonzero(sol.violated_low))
             stats.clamped += int(np.count_nonzero(clamped))
-            if sol.simplified_u is not None:
-                gaps = np.abs(sol.u - sol.simplified_u)
-                good = np.isfinite(gaps)
-                stats.simplified_sum += float(gaps[good].sum())
-                stats.simplified_n += int(np.count_nonzero(good))
-            stats.state_counts += np.bincount(idx, minlength=table.n_states)
+        for step in (k, n_steps):
+            if step in slice_pos and (step == k or k == n_steps - 1):
+                j = slice_pos[step]
+                state_rec[j] = signed
+                clamp_rec[j] = clamped
+                viol_rec[j] = violated
 
-        moff_sum += market.offdiag_mean[idx]
-        z = rng.standard_normal((n_block, n))
-        zc = np.empty_like(z)
-        for val in np.unique(idx):
-            rows = idx == val
-            zc[rows] = z[rows] @ market.chols[val].T
-            if forced_idx is None:
-                sub = terms.a[rows]
-                achieved = np.einsum("pi,pi->p", sub @ market.matrices[val], sub)
-                stats.mismatch_sum += float(
-                    np.abs(achieved / np.maximum(terms.target[rows], 1e-300) - 1.0).sum()
-                )
+        level = _mean_correlation(market.family, u, kappa)
+        moff_sum += level
+        if not forced:
+            stats.corr_sum += float(level.sum())
+        z = rng.standard_normal((n_block, 2 * n))
+        zc = market.sampler.draw(z, u, kappa)
         ln_s += market.dlog_fwd[k][None, :] - 0.5 * np.square(vols) * dt
         ln_s += np.sqrt(dt) * vols * zc
 
@@ -457,8 +427,8 @@ class PathCube:
     ``values`` is (n_paths, n_assets, n_dates).  ``state`` holds the
     signed correlation state in force on the step starting at each date
     (for the terminal date, the last step's state); ``clamped`` and
-    ``violated`` flag table clamping and dispersion bound violations of
-    that same step.
+    ``violated`` flag a state pinned at ``u_max`` and a dispersion bound
+    violation on that same step.
     """
 
     asset_ids: tuple
@@ -511,7 +481,7 @@ def simulate(
         lambda b: _run_block(market, config, b, sizes[b], slice_steps),
         len(sizes), config.resolve_threads(),
     )
-    stats = _BlockStats(market.table.n_states)
+    stats = _BlockStats()
     for r in results:
         stats.merge(r[5])
     values = np.concatenate([r[0] for r in results], axis=1)  # (dates, paths, assets)
@@ -581,7 +551,7 @@ def price_european(
         return sums, sumsq, stats
 
     outcomes = _map_blocks(worker, len(sizes), config.resolve_threads())
-    agg = _BlockStats(market.table.n_states)
+    agg = _BlockStats()
     total = np.zeros(n_pay)
     total_sq = np.zeros(n_pay)
     for sums, sumsq, stats in outcomes:

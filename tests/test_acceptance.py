@@ -242,9 +242,7 @@ def test_criterion_5_exact_roots(capsys):
 # 6 and 7 share one five-asset steepened market
 
 
-C6_CONFIG = SimulationConfig(
-    n_paths=100_000, steps_per_year=100, seed=17, table_states=1201, table_shift=0.03
-)
+C6_CONFIG = SimulationConfig(n_paths=100_000, steps_per_year=100, seed=17)
 
 
 @pytest.fixture(scope="module")
@@ -343,9 +341,7 @@ def test_criterion_7_correlation_skew_direction(capsys, steep_market):
 # 8. residual correlation risk on worst-of baskets
 
 
-C8_CONFIG = SimulationConfig(
-    n_paths=50_000, steps_per_year=100, seed=23, table_states=1201, table_shift=0.03
-)
+C8_CONFIG = SimulationConfig(n_paths=50_000, steps_per_year=100, seed=23)
 C8_STRIKES = (0.6, 0.7, 0.8, 0.9)
 
 

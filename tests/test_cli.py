@@ -187,6 +187,11 @@ def test_dump_table_spectral_floor(snapshot_path, tmp_path):
     states = np.array([float(r[0]) for r in rows])
     assert np.all(np.diff(states) > 0.0)
     assert np.all(np.array([float(r[2]) for r in rows]) >= -1e-10)
+    # a symmetric grid around the center, whose smallest eigenvalue is 1 - rho
+    assert abs(states[0] + states[-1]) < 1e-12
+    assert states[10] == 0.0 and abs(float(rows[10][2]) - 0.7) < 1e-12
+    # the top state pushes the blend weight u^2/(1+u^2) to the default reach
+    assert states[-1] ** 2 / (1.0 + states[-1] ** 2) > 0.998
 
 
 def test_decode_recovers_generator_correlation(snapshot_path, tmp_path):

@@ -1,19 +1,26 @@
-"""Tests for the correlation family, PSD helpers, and the state table."""
+"""Tests for the correlation family, PSD helpers, the state sweep, and the exact sampler."""
+
+import csv
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcorr.corrfam import (
-    CholeskyTable,
     CorrelationFamily,
-    build_table,
+    FamilySampler,
     cholesky_lower,
-    default_shift,
     repair_psd,
     validate_correlation,
     validate_psd,
 )
+from localcorr.cli import main
 from localcorr.errors import CorrelationError
+from localcorr.lcm.engine import SimulationConfig, _mean_correlation
+from localcorr.marketdata.snapshot import save_snapshot
+from localcorr.synth import AssetRecipe, SyntheticRecipe, build_snapshot
 
 from helpers import random_correlation
 
@@ -167,67 +174,87 @@ def test_non_flat_mode_detected():
 
 
 # ---------------------------------------------------------------------------
-# tables
+# the signed state sweep written by dump-table
 
 
-def test_build_table_shape_and_center():
+@pytest.fixture(scope="module")
+def two_asset_snapshot(tmp_path_factory):
+    recipe = SyntheticRecipe(
+        assets=(AssetRecipe("AAA"), AssetRecipe("BBB", base_vol=0.25)),
+        correlation=0.3,
+        maturities=(0.5, 1.0, 1.5),
+    )
+    path = tmp_path_factory.mktemp("sweep") / "snapshot.json"
+    save_snapshot(build_snapshot(recipe), path)
+    return path
+
+
+def _sweep(snapshot, out_dir, *args):
+    res = CliRunner().invoke(
+        main, ["--input", str(snapshot), "--output-dir", str(out_dir), "dump-table", *args],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 0, res.output
+    with open(out_dir / "table.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    states = np.array([float(r[0]) for r in rows])
+    kappas = np.array([int(r[1]) for r in rows])
+    lows = np.array([float(r[2]) for r in rows])
+    return states, kappas, lows
+
+
+def test_build_table_shape_and_center(two_asset_snapshot, tmp_path):
     fam = CorrelationFamily(center=np.array([[1.0, 0.4], [0.4, 1.0]]))
-    table = build_table(fam, states=101)
-    assert table.n_states == 101
-    assert table.center_index == 50
-    center_entry = table.entry(table.center_index)
-    assert center_entry.state == 0.0
-    assert np.allclose(center_entry.matrix, fam.center)
-    states = table.states()
+    states, kappas, lows = _sweep(two_asset_snapshot, tmp_path,
+                                  "--states", "101", "--center", "flat:0.4")
+    assert len(states) == 101
+    assert states[50] == 0.0 and kappas[50] == 1
+    assert abs(lows[50] - np.linalg.eigvalsh(fam.center)[0]) < 1e-12
     assert np.all(np.diff(states) > 0)
     assert abs(states[0] + states[-1]) < 1e-12  # symmetric grid
+    # raising branch at positive states, lowering branch at negative ones
+    assert np.all(kappas[states > 0] == 1) and np.all(kappas[states < 0] == 0)
+    for state, kappa, low in zip(states, kappas, lows):
+        assert abs(low - np.linalg.eigvalsh(fam.evaluate(abs(state), kappa))[0]) < 1e-12
 
 
-def test_build_table_bumps_even_to_odd():
-    fam = CorrelationFamily(center=np.array([[1.0, 0.4], [0.4, 1.0]]))
-    table = build_table(fam, states=100)
-    assert table.n_states == 101
-
-
-def test_table_entries_factorize():
-    fam = CorrelationFamily(center=np.array([[1.0, 0.4], [0.4, 1.0]]))
-    table = build_table(fam, states=21)
-    for entry in table.entries:
-        assert np.allclose(entry.chol @ entry.chol.T, entry.matrix, atol=1e-12)
-        branch = 1 if entry.state > 0 else (0 if entry.state < 0 else entry.kappa)
-        assert np.allclose(entry.matrix, fam.evaluate(abs(entry.state), branch))
-
-
-def test_table_lookup_rounding_and_clamping():
-    fam = CorrelationFamily(center=np.array([[1.0, 0.4], [0.4, 1.0]]))
-    table = build_table(fam, states=11, shift=0.5)
-    # nearest-state rounding
-    assert table.lookup_index(0.2, 1) == table.center_index
-    assert table.lookup_index(0.3, 1) == table.center_index + 1
-    assert table.lookup_index(0.2, 0) == table.center_index
-    assert table.lookup_index(0.3, 0) == table.center_index - 1
-    # a tie sits exactly between states and rounds toward the higher state
-    assert table.lookup_index(0.25, 1) == table.center_index + 1
-    # far beyond the grid clamps to the edge
-    assert table.lookup_index(99.0, 1) == table.n_states - 1
-    assert table.lookup_index(99.0, 0) == 0
-
-
-def test_table_lookup_vectorized_matches_scalar():
-    fam = CorrelationFamily(center=np.array([[1.0, 0.4], [0.4, 1.0]]))
-    table = build_table(fam, states=31)
-    us = np.linspace(0.0, 3.0, 17)
-    vec_up = table.lookup_index(us, 1)
-    for u, idx in zip(us, vec_up):
-        assert table.lookup_index(float(u), 1) == idx
-
-
-def test_default_shift_covers_reach():
-    states = 101
-    shift = default_shift(states)
-    fam = CorrelationFamily(center=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    table = build_table(fam, states=states, shift=shift)
+def test_default_shift_covers_reach(two_asset_snapshot, tmp_path):
+    states, _, _ = _sweep(two_asset_snapshot, tmp_path, "--states", "101", "--center", "identity")
     # the top state pushes the blend weight u^2/(1+u^2) to the reach level
-    top = table.entry(table.n_states - 1)
-    weight = top.u ** 2 / (1.0 + top.u ** 2)
-    assert weight > 0.998
+    top = states[-1]
+    assert top ** 2 / (1.0 + top ** 2) > 0.998
+
+
+# ---------------------------------------------------------------------------
+# exact sampling
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    custom_up=st.booleans(),
+    custom_down=st.booleans(),
+    kappa=st.sampled_from((0, 1)),
+    u=st.floats(0.0, SimulationConfig().u_max),
+)
+def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kappa, u):
+    """The draw's linear map M = [S L_C, u S Xi L_D] has M M' = R(u, kappa)."""
+    gen = np.random.default_rng(seed)
+    fam = CorrelationFamily(
+        center=random_correlation(gen, n),
+        mode=gen.uniform(0.2, 5.0, size=n),
+        up=random_correlation(gen, n) if custom_up else None,
+        down=random_correlation(gen, n) if custom_down else None,
+    )
+    sampler = FamilySampler.from_family(fam)
+    # feeding the unit vectors of R^2n returns the columns of the linear map
+    us = np.full(2 * n, u)
+    kappas = np.full(2 * n, kappa)
+    lin = sampler.draw(np.eye(2 * n), us, kappas).T
+    assert lin.shape == (n, 2 * n)
+    mat = fam.evaluate(u, kappa)
+    assert np.max(np.abs(lin @ lin.T - mat)) < 1e-12
+    level = _mean_correlation(fam, us[:1], kappas[:1])[0]
+    expected = mat[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
+    assert abs(level - expected) < 1e-12

@@ -159,7 +159,6 @@ def test_comonotone_center_keeps_twin_assets_identical():
     assert np.array_equal(cube.values[:, 0, :], cube.values[:, 1, :])
     assert cube.diagnostics.violation_fraction == 0.0
     assert cube.diagnostics.clamped_fraction == 0.0
-    assert cube.diagnostics.quantization_mismatch < 1e-12
     assert cube.diagnostics.mean_correlation == 1.0
     assert average_correlation(cube) == 100.0
 
@@ -228,7 +227,6 @@ def test_thread_count_does_not_change_results():
         assert a.price == b.price
         assert a.stderr == b.stderr
     assert diag1.as_dict() == diag4.as_dict()
-    assert np.array_equal(diag1.state_counts, diag4.state_counts)
     cube1 = simulate(market, cfg1)
     cube4 = simulate(market, cfg4)
     assert np.array_equal(cube1.values, cube4.values)
@@ -348,6 +346,10 @@ def test_config_validation():
         SimulationConfig(steps_per_year=0)
     with pytest.raises(EngineError):
         SimulationConfig(bounds_policy="retry")
+    # a forced state needs a finite u >= 0 and a branch flag of 0 or 1
+    for forced in [(np.nan, 1), (np.inf, 0), (-0.5, 1), (1.0, 2), (1.0, -1), (1.0,), "up"]:
+        with pytest.raises(EngineError):
+            SimulationConfig(forced_state=forced)
 
 
 def test_thread_resolution(monkeypatch):

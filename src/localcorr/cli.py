@@ -314,7 +314,7 @@ _price_options = [
     click.option("--center", default="flat:0.5",
                  help="Center correlation: 'identity', 'flat:<rho>', or a JSON matrix file."),
     click.option("--bounds-policy", type=click.Choice(["clamp", "strict"]), default="clamp",
-                 help="Dispersion bound violations: pin the state at u_max, or abort."),
+                 help="Dispersion bound violations: pin the state at the cap, or abort."),
 ]
 
 

@@ -185,6 +185,33 @@ class CorrelationFamily:
         np.fill_diagonal(out, 1.0)
         return out
 
+    def quad_form(self, a: np.ndarray, u: np.ndarray, kappa) -> np.ndarray:
+        """Per-row a_p' R(u_p, kappa_p) a_p for loadings ``a`` of shape (p, n).
+
+        S(u) and the center term are shared by both branches; only the
+        direction term depends on ``kappa``.  A scalar ``kappa`` evaluates
+        that one branch, a per-row array selects between both.
+        """
+        scale = 1.0 / np.sqrt(1.0 + np.square(self.mode)[None, :] * np.square(u)[:, None])
+        b = a * scale
+        c = b * self.mode[None, :]
+
+        def form(x, mat):
+            return np.einsum("pi,pi->p", x @ mat, x)
+
+        if np.ndim(kappa) == 0:
+            along = form(c, self.direction(kappa))
+        else:
+            along = np.where(kappa > 0, form(c, self.up), form(c, self.down))
+        return form(b, self.center) + np.square(u) * along
+
+    def mean_correlation(self, u: np.ndarray, kappa) -> np.ndarray:
+        """Mean off-diagonal entry of R(u_p, kappa_p) per row, (1'R1 - n) / (n (n - 1))."""
+        n = self.n_assets
+        if n == 1:
+            return np.zeros(u.size)
+        return (self.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
+
     def limit(self, kappa: int) -> np.ndarray:
         """Correlation matrix in the u -> infinity limit of a branch."""
         out = self.direction(kappa).copy()

@@ -176,7 +176,7 @@ def local_vol(cs: CallSurface, t: float, spot, *, floors=None):
 
 @dataclass(eq=False)
 class LocalVolSurface:
-    """Tabulated local volatility with cached time slices.
+    """Tabulated local volatility on a (time, log spot) grid.
 
     The grid is rectangular in (time, log spot); evaluation is bilinear and
     queries outside the grid are clamped to the edge, which matches the flat
@@ -194,27 +194,18 @@ class LocalVolSurface:
             raise SurfaceError("local vol grid shape mismatch")
         if np.any(np.diff(self.times) <= 0) or np.any(np.diff(self.log_spots) <= 0):
             raise SurfaceError("local vol grid axes must be strictly increasing")
-        self._slice_cache: dict[float, np.ndarray] = {}
 
     def time_slice(self, t: float) -> np.ndarray:
         """Vol row at time ``t``; linear blend of the bracketing grid rows."""
-        key = float(t)
-        row = self._slice_cache.get(key)
-        if row is not None:
-            return row
+        t = float(t)
         times = self.times
-        if key <= times[0]:
-            row = self.values[0]
-        elif key >= times[-1]:
-            row = self.values[-1]
-        else:
-            j = int(np.searchsorted(times, key, side="right") - 1)
-            lam = (key - times[j]) / (times[j + 1] - times[j])
-            row = (1.0 - lam) * self.values[j] + lam * self.values[j + 1]
-        if len(self._slice_cache) > 4096:
-            self._slice_cache.clear()
-        self._slice_cache[key] = row
-        return row
+        if t <= times[0]:
+            return self.values[0]
+        if t >= times[-1]:
+            return self.values[-1]
+        j = int(np.searchsorted(times, t, side="right") - 1)
+        lam = (t - times[j]) / (times[j + 1] - times[j])
+        return (1.0 - lam) * self.values[j] + lam * self.values[j + 1]
 
     def __call__(self, t: float, spot):
         row = self.time_slice(t)

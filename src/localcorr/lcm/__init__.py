@@ -19,7 +19,6 @@ from .state import (
     StateSolution,
     check_dispersion_bounds,
     covariance_terms,
-    evaluate_covariance,
     solve_state,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "StateSolution",
     "check_dispersion_bounds",
     "covariance_terms",
-    "evaluate_covariance",
     "solve_state",
 ]

@@ -26,13 +26,7 @@ from ..dupire import LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
 from ..marketdata.snapshot import MarketSnapshot
 from ..rng import substream
-from .state import (
-    BoundsReport,
-    _cov_along,
-    check_dispersion_bounds,
-    covariance_terms,
-    solve_state,
-)
+from .state import U_MAX, BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
 
 __all__ = [
     "SimulationConfig",
@@ -66,9 +60,9 @@ class SimulationConfig:
     """Knobs of one engine run; everything that affects the draw is here.
 
     ``bounds_policy`` decides what a dispersion bound violation does:
-    "clamp" pins the state at ``u_max`` and counts it, "strict" aborts
-    the run.  ``forced_state`` is a test hook fixing (u, kappa) for every
-    step, bypassing the solver entirely.
+    "clamp" pins the state at the cap ``state.U_MAX`` and counts it,
+    "strict" aborts the run.  ``forced_state`` is a test hook fixing
+    (u, kappa) for every step, bypassing the solver entirely.
     """
 
     n_paths: int = 100_000
@@ -76,7 +70,6 @@ class SimulationConfig:
     seed: int = 0
     block_size: int = 4096
     n_threads: int | None = None
-    u_max: float = 1e3
     lv_times: int = 64
     lv_spots: int = 161
     bounds_policy: str = "clamp"
@@ -300,20 +293,6 @@ def _finalize_diag(stats: _BlockStats, market: CalibratedMarket, n_paths: int) -
     )
 
 
-def _mean_correlation(family: CorrelationFamily, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """Mean off-diagonal entry of R(u, kappa) per path, (1'R1 - n) / (n (n - 1))."""
-    n = family.n_assets
-    if n == 1:
-        return np.zeros(u.size)
-    ones = np.ones((u.size, n))
-    total = np.where(
-        kappa > 0,
-        _cov_along(ones, family.center, family.up, family.mode, u),
-        _cov_along(ones, family.center, family.down, family.mode, u),
-    )
-    return (total - n) / (n * (n - 1))
-
-
 # ----------------------------------------------------------------------
 # the core block loop
 
@@ -341,8 +320,6 @@ def _run_block(
     slice_pos = {step: j for j, step in enumerate(slice_steps)}
     spot_rec = np.empty((len(slice_steps), n_block, n))
     state_rec = np.zeros((len(slice_steps), n_block))
-    clamp_rec = np.zeros((len(slice_steps), n_block), dtype=bool)
-    viol_rec = np.zeros((len(slice_steps), n_block), dtype=bool)
     moff_sum = np.zeros(n_block)
 
     forced = config.forced_state is not None
@@ -351,7 +328,7 @@ def _run_block(
         u = np.full(n_block, float(u0))
         kappa = np.full(n_block, int(k0))
         signed = u if k0 == 1 else -u
-        clamped = violated = np.zeros(n_block, dtype=bool)
+        level = market.family.mean_correlation(u, kappa)
 
     for k in range(n_steps):
         t = float(market.times[k])
@@ -362,36 +339,26 @@ def _run_block(
         vols = market.local_vol_row(t, ln_s)
 
         if not forced:
-            basket = s @ weights
-            sigma_b = np.interp(
-                np.log(basket), market.index_local_vol.log_spots,
-                market.index_local_vol.time_slice(t),
-            )
+            sigma_b = market.index_local_vol(t, s @ weights)
             terms = covariance_terms(s, vols, weights, sigma_b, market.family)
-            sol = solve_state(terms, market.family, u_max=config.u_max)
+            sol = solve_state(terms, market.family)
             if config.bounds_policy == "strict" and sol.n_violations:
                 raise BoundViolationError(
                     f"{sol.n_violations} dispersion bound violations at t = {t:.4f}"
                 )
             u, kappa, signed = sol.u, sol.kappa, sol.signed
-            clamped = u >= config.u_max
-            violated = sol.violated_high | sol.violated_low
+            level = market.family.mean_correlation(u, kappa)
             stats.n_solved += n_block
             stats.kappa_up += int(np.count_nonzero(kappa))
             stats.viol_high += int(np.count_nonzero(sol.violated_high))
             stats.viol_low += int(np.count_nonzero(sol.violated_low))
-            stats.clamped += int(np.count_nonzero(clamped))
+            stats.clamped += int(np.count_nonzero(u >= U_MAX))
+            stats.corr_sum += float(level.sum())
         for step in (k, n_steps):
             if step in slice_pos and (step == k or k == n_steps - 1):
-                j = slice_pos[step]
-                state_rec[j] = signed
-                clamp_rec[j] = clamped
-                viol_rec[j] = violated
+                state_rec[slice_pos[step]] = signed
 
-        level = _mean_correlation(market.family, u, kappa)
         moff_sum += level
-        if not forced:
-            stats.corr_sum += float(level.sum())
         z = rng.standard_normal((n_block, 2 * n))
         zc = market.sampler.draw(z, u, kappa)
         ln_s += market.dlog_fwd[k][None, :] - 0.5 * np.square(vols) * dt
@@ -399,7 +366,7 @@ def _run_block(
 
     if n_steps in slice_pos:
         spot_rec[slice_pos[n_steps]] = np.exp(ln_s)
-    return spot_rec, state_rec, clamp_rec, viol_rec, moff_sum, stats
+    return spot_rec, state_rec, moff_sum, stats
 
 
 def _block_plan(config: SimulationConfig) -> list[int]:
@@ -426,9 +393,7 @@ class PathCube:
 
     ``values`` is (n_paths, n_assets, n_dates).  ``state`` holds the
     signed correlation state in force on the step starting at each date
-    (for the terminal date, the last step's state); ``clamped`` and
-    ``violated`` flag a state pinned at ``u_max`` and a dispersion bound
-    violation on that same step.
+    (for the terminal date, the last step's state).
     """
 
     asset_ids: tuple
@@ -437,8 +402,6 @@ class PathCube:
     dates: tuple
     values: np.ndarray
     state: np.ndarray  # (n_paths, n_dates) signed
-    clamped: np.ndarray
-    violated: np.ndarray
     path_mean_correlation: np.ndarray  # (n_paths,) trajectory average
     diagnostics: SimDiagnostics
 
@@ -483,12 +446,10 @@ def simulate(
     )
     stats = _BlockStats()
     for r in results:
-        stats.merge(r[5])
+        stats.merge(r[3])
     values = np.concatenate([r[0] for r in results], axis=1)  # (dates, paths, assets)
     state = np.concatenate([r[1] for r in results], axis=1)
-    clamped = np.concatenate([r[2] for r in results], axis=1)
-    violated = np.concatenate([r[3] for r in results], axis=1)
-    moff = np.concatenate([r[4] for r in results])
+    moff = np.concatenate([r[2] for r in results])
     return PathCube(
         asset_ids=market.asset_ids,
         weights=market.weights,
@@ -496,8 +457,6 @@ def simulate(
         dates=tuple(snapped),
         values=np.moveaxis(values, 0, 2),
         state=state.T,
-        clamped=clamped.T,
-        violated=violated.T,
         path_mean_correlation=moff / market.n_steps,
         diagnostics=_finalize_diag(stats, market, config.n_paths),
     )
@@ -540,7 +499,7 @@ def price_european(
     n_pay = len(payoffs)
 
     def worker(b: int):
-        spot_rec, _, _, _, _, stats = _run_block(market, config, b, sizes[b], [market.n_steps])
+        spot_rec, _, _, stats = _run_block(market, config, b, sizes[b], [market.n_steps])
         spots = spot_rec[0]
         sums = np.empty(n_pay)
         sumsq = np.empty(n_pay)
@@ -650,11 +609,7 @@ def probe_bounds(
         spots = moneyness[:, None] * fwds[None, :]
         ln_spots = np.log(spots)
         vols = market.local_vol_row(float(t), ln_spots)
-        basket = spots @ weights
-        sigma_b = np.interp(
-            np.log(basket), market.index_local_vol.log_spots,
-            market.index_local_vol.time_slice(float(t)),
-        )
+        sigma_b = market.index_local_vol(float(t), spots @ weights)
         terms = covariance_terms(spots, vols, weights, sigma_b, market.family)
         reports.append(check_dispersion_bounds(terms))
     return BoundsReport(

@@ -35,12 +35,14 @@ __all__ = [
     "covariance_terms",
     "StateSolution",
     "solve_state",
-    "evaluate_covariance",
     "BoundsReport",
     "check_dispersion_bounds",
 ]
 
 _REL_EPS = 1e-14
+
+#: state cap: out-of-band targets pin here, and a path at it counts as clamped
+U_MAX = 1e3
 
 
 def _quad_form(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -129,36 +131,20 @@ class StateSolution:
         return int(np.count_nonzero(self.violated_high) + np.count_nonzero(self.violated_low))
 
 
-def _cov_along(
-    a: np.ndarray,
-    center: np.ndarray,
-    direction: np.ndarray,
-    mode: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """a' R(u) a with a per-path state vector ``u``."""
-    scale = 1.0 / np.sqrt(1.0 + np.square(mode)[None, :] * np.square(u)[:, None])
-    b = a * scale
-    c = b * mode[None, :]
-    return _quad_form(b, center) + np.square(u) * _quad_form(c, direction)
-
-
 def _bisect_branch(
     a: np.ndarray,
-    center: np.ndarray,
-    direction: np.ndarray,
-    mode: np.ndarray,
+    family: CorrelationFamily,
+    branch: int,
     target: np.ndarray,
     u_max: float,
-    rising: bool,
     iters: int = 64,
 ) -> np.ndarray:
     lo = np.zeros(target.size)
     hi = np.full(target.size, u_max)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        val = _cov_along(a, center, direction, mode, mid)
-        go_up = (val < target) if rising else (val > target)
+        val = family.quad_form(a, mid, branch)
+        go_up = (val < target) if branch else (val > target)
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)
     return 0.5 * (lo + hi)
@@ -168,7 +154,7 @@ def solve_state(
     terms: CovarianceTerms,
     family: CorrelationFamily,
     *,
-    u_max: float = 1e3,
+    u_max: float = U_MAX,
     track_simplified: bool = False,
 ) -> StateSolution:
     """Invert the family so each path's basket variance hits its target.
@@ -199,10 +185,7 @@ def solve_state(
             rows = np.flatnonzero(mask)
             if rows.size == 0:
                 continue
-            u[rows] = _bisect_branch(
-                terms.a[rows], family.center, family.direction(branch), family.mode,
-                target[rows], u_max, rising=bool(branch),
-            )
+            u[rows] = _bisect_branch(terms.a[rows], family, branch, target[rows], u_max)
     u = np.where(violated_high | violated_low, u_max, u)
     kappa = raising.astype(np.int64)
 
@@ -218,25 +201,6 @@ def solve_state(
         violated_low=violated_low,
         simplified_u=simplified,
     )
-
-
-def evaluate_covariance(
-    terms: CovarianceTerms,
-    family: CorrelationFamily,
-    u: np.ndarray,
-    kappa: np.ndarray,
-) -> np.ndarray:
-    """Basket variance a' R(u, kappa) a per path; verification helper."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    kappa = np.atleast_1d(np.asarray(kappa))
-    out = np.empty(u.size)
-    for branch in (0, 1):
-        mask = kappa == branch
-        if np.any(mask):
-            out[mask] = _cov_along(
-                terms.a[mask], family.center, family.direction(branch), family.mode, u[mask]
-            )
-    return out
 
 
 # ----------------------------------------------------------------------

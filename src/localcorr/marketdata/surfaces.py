@@ -131,6 +131,15 @@ class VarianceView:
     extrapolated: np.ndarray
 
 
+def _convexity(x, w, wx, wxx):
+    """Convexity factor g with d2C/dK2 = DF·n(d2)·g/(K·sqrt(w))."""
+    return (
+        np.square(1.0 - x * wx / (2.0 * w))
+        - 0.25 * np.square(wx) * (1.0 / w + 0.25)
+        + 0.5 * wxx
+    )
+
+
 class _Profile:
     """Cached per-maturity slice: splines of w and dw/dT over moneyness."""
 
@@ -266,11 +275,7 @@ class CallSurface:
         pdf_d2 = norm_pdf(d2)
         price = prof.df * (prof.forward * n_d1 - k * n_d2)
         d_strike = prof.df * (-n_d2 + pdf_d2 * wx / (2.0 * s))
-        g = (
-            np.square(1.0 - x * wx / (2.0 * w))
-            - 0.25 * np.square(wx) * (1.0 / w + 0.25)
-            + 0.5 * wxx
-        )
+        g = _convexity(x, w, wx, wxx)
         d2_strike = prof.df * pdf_d2 * g / (k * s)
         neg = int(np.count_nonzero(d2_strike < 0.0))
         if neg:
@@ -307,11 +312,7 @@ class CallSurface:
             raise SurfaceError("strikes must be positive and finite")
         x = np.log(k / prof.forward)
         w, wx, wxx, wt, extrap = self._variance_terms(prof, x)
-        g = (
-            np.square(1.0 - x * wx / (2.0 * w))
-            - 0.25 * np.square(wx) * (1.0 / w + 0.25)
-            + 0.5 * wxx
-        )
+        g = _convexity(x, w, wx, wxx)
         return VarianceView(
             expiry=prof.expiry,
             strike=k,

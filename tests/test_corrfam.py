@@ -18,7 +18,7 @@ from localcorr.corrfam import (
 )
 from localcorr.cli import main
 from localcorr.errors import CorrelationError
-from localcorr.lcm.engine import SimulationConfig, _mean_correlation
+from localcorr.lcm.state import U_MAX
 from localcorr.marketdata.snapshot import save_snapshot
 from localcorr.synth import AssetRecipe, SyntheticRecipe, build_snapshot
 
@@ -236,7 +236,7 @@ def test_default_shift_covers_reach(two_asset_snapshot, tmp_path):
     custom_up=st.booleans(),
     custom_down=st.booleans(),
     kappa=st.sampled_from((0, 1)),
-    u=st.floats(0.0, SimulationConfig().u_max),
+    u=st.floats(0.0, U_MAX),
 )
 def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kappa, u):
     """The draw's linear map M = [S L_C, u S Xi L_D] has M M' = R(u, kappa)."""
@@ -255,6 +255,16 @@ def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kapp
     assert lin.shape == (n, 2 * n)
     mat = fam.evaluate(u, kappa)
     assert np.max(np.abs(lin @ lin.T - mat)) < 1e-12
-    level = _mean_correlation(fam, us[:1], kappas[:1])[0]
+    level = fam.mean_correlation(us[:1], kappas[:1])[0]
     expected = mat[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
     assert abs(level - expected) < 1e-12
+    # quadratic forms of loading rows, one branch for all rows and mixed per row
+    loads = gen.standard_normal((4, n))
+    size = np.square(np.abs(loads).sum(axis=1))
+    one = fam.quad_form(loads, np.full(4, u), kappa)
+    assert np.all(np.abs(one - np.einsum("pi,ij,pj->p", loads, mat, loads)) < 1e-12 * size)
+    mixed = np.array([0, 1, 1, 0])
+    both = fam.quad_form(loads, np.full(4, u), mixed)
+    for p, k in enumerate(mixed):
+        assert abs(both[p] - loads[p] @ fam.evaluate(u, k) @ loads[p]) < 1e-12 * size[p]
+    assert np.array_equal(both[mixed == kappa], one[mixed == kappa])

@@ -1,5 +1,7 @@
 """Tests for local vol extraction, implied densities, and inverse CDF tables."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import lognorm
@@ -242,6 +244,7 @@ def test_calibrated_surface_interpolates_pointwise_values():
     cs, fc = _skew_surface()
     lvs = calibrate_local_vol(cs, horizon=2.0, n_times=32, n_spots=81)
     assert isinstance(lvs, LocalVolSurface)
+    before = copy.deepcopy(vars(lvs))
     for i, t in enumerate(lvs.times):
         np.testing.assert_allclose(lvs.time_slice(t), lvs.values[i], rtol=0, atol=1e-14)
     # at the grid nodes the table returns the tabulated values exactly
@@ -256,6 +259,14 @@ def test_calibrated_surface_interpolates_pointwise_values():
             direct = local_vol(cs, t, k)
             interp = lvs(t, k)
             assert abs(direct - interp) < 5e-3
+    # lookups are pure: they add or change no attribute of the surface
+    after = vars(lvs)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(after[key], value)
+        else:
+            assert after[key] == value
 
 
 def test_calibrated_surface_respects_vol_bounds():

@@ -186,6 +186,8 @@ def test_forced_state_pins_correlation():
     level = cube_dn.path_mean_correlation
     assert np.all(level == level[0])
     assert level[0] < 0.5
+    member = market.family.evaluate(2.0, 0)
+    assert abs(level[0] - member[~np.eye(2, dtype=bool)].mean()) < 1e-15
 
 
 def test_downside_states_raise_correlation():

@@ -8,7 +8,6 @@ from localcorr.errors import CorrelationError
 from localcorr.lcm.state import (
     check_dispersion_bounds,
     covariance_terms,
-    evaluate_covariance,
     solve_state,
 )
 
@@ -99,7 +98,7 @@ def test_exact_root_reprices_target_flat_mode(rng):
         terms = _random_terms(rng, 4000, fam)
         sol = solve_state(terms, fam)
         assert sol.n_violations == 0
-        cov = evaluate_covariance(terms, fam, sol.u, sol.kappa)
+        cov = fam.quad_form(terms.a, sol.u, sol.kappa)
         rel = np.abs(cov - terms.target) / terms.target
         assert np.max(rel) < 1e-10
         total += terms.target.size
@@ -110,7 +109,7 @@ def test_exact_root_reprices_target_structured_center(rng):
     fam = CorrelationFamily(center=random_correlation(rng, 6))
     terms = _random_terms(rng, 2000, fam)
     sol = solve_state(terms, fam)
-    cov = evaluate_covariance(terms, fam, sol.u, sol.kappa)
+    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - terms.target) / terms.target
     assert np.max(rel) < 1e-10
 
@@ -166,7 +165,7 @@ def test_non_flat_mode_roots_reprice(rng):
     )
     terms = _random_terms(rng, 800, fam)
     sol = solve_state(terms, fam, u_max=100.0)
-    cov = evaluate_covariance(terms, fam, sol.u, sol.kappa)
+    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - terms.target) / terms.target
     assert np.max(rel) < 1e-8
 
@@ -181,8 +180,8 @@ def test_covariance_monotone_along_branches():
         family=fam,
     )
     us = np.linspace(0.0, 10.0, 50)
-    up_vals = [evaluate_covariance(terms, fam, np.array([u]), np.array([1]))[0] for u in us]
-    dn_vals = [evaluate_covariance(terms, fam, np.array([u]), np.array([0]))[0] for u in us]
+    up_vals = [fam.quad_form(terms.a, np.array([u]), 1)[0] for u in us]
+    dn_vals = [fam.quad_form(terms.a, np.array([u]), 0)[0] for u in us]
     assert np.all(np.diff(up_vals) > 0)
     assert np.all(np.diff(dn_vals) < 0)
 

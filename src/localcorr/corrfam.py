@@ -131,9 +131,9 @@ class CorrelationFamily:
     """State-indexed correlation family around a center matrix.
 
     The default is flat mode (unit mode vector), under which portfolio
-    covariance along either branch is a rational function of u^2 with a
-    closed-form inverse; non-flat modes fall back to bisection in the
-    state solver.
+    covariance along either branch is linear in lambda = u^2 / (1 + u^2)
+    with a closed-form inverse; for non-flat modes the state solver runs
+    a safeguarded Newton iteration in lambda on ``quad_form_slope``.
     """
 
     center: np.ndarray
@@ -192,9 +192,7 @@ class CorrelationFamily:
         direction term depends on ``kappa``.  A scalar ``kappa`` evaluates
         that one branch, a per-row array selects between both.
         """
-        scale = 1.0 / np.sqrt(1.0 + np.square(self.mode)[None, :] * np.square(u)[:, None])
-        b = a * scale
-        c = b * self.mode[None, :]
+        _, b, c = self._scaled(a, u)
 
         def form(x, mat):
             return np.einsum("pi,pi->p", x @ mat, x)
@@ -204,6 +202,33 @@ class CorrelationFamily:
         else:
             along = np.where(kappa > 0, form(c, self.up), form(c, self.down))
         return form(b, self.center) + np.square(u) * along
+
+    def quad_form_slope(self, a: np.ndarray, u: np.ndarray, kappa: int):
+        """``quad_form`` on one branch and its derivative in lambda = u^2 / (1 + u^2).
+
+        With s_i = 1 / sqrt(1 + xi_i^2 u^2), b = s a, c = xi b and
+        w = (xi s)^2 the form is f = b'Cb + u^2 c'Dc, and
+
+            df/dlambda = [-(Cb).(w b) + c'Dc - u^2 (Dc).(w c)] (1 + u^2)^2
+
+        since d(u^2)/dlambda = (1 + u^2)^2.  The derivative reuses the two
+        matrix products of the value; the value has ``quad_form``'s bits.
+        """
+        scale, b, c = self._scaled(a, u)
+        cb = b @ self.center
+        dc = c @ self.direction(kappa)
+        along = np.einsum("pi,pi->p", dc, c)
+        u2 = np.square(u)
+        value = np.einsum("pi,pi->p", cb, b) + u2 * along
+        w = np.square(self.mode[None, :] * scale)
+        slope = along - np.einsum("pi,pi->p", cb, w * b) - u2 * np.einsum("pi,pi->p", dc, w * c)
+        return value, slope * np.square(1.0 + u2)
+
+    def _scaled(self, a: np.ndarray, u: np.ndarray):
+        """S(u) per row, and the loadings b = S(u) a and c = Xi b."""
+        scale = 1.0 / np.sqrt(1.0 + np.square(self.mode)[None, :] * np.square(u)[:, None])
+        b = a * scale
+        return scale, b, b * self.mode[None, :]
 
     def mean_correlation(self, u: np.ndarray, kappa) -> np.ndarray:
         """Mean off-diagonal entry of R(u_p, kappa_p) per row, (1'R1 - n) / (n (n - 1))."""

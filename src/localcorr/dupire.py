@@ -113,11 +113,6 @@ class InverseCdfTable:
         out = np.exp(x)
         return float(out[0]) if np.ndim(p) == 0 else out
 
-    def cdf_at(self, strike):
-        k = np.atleast_1d(np.asarray(strike, float))
-        out = np.interp(np.log(k), self.log_strikes, self._cdf_strict)
-        return float(out[0]) if np.ndim(strike) == 0 else out
-
 
 def inverse_cdf(cs: CallSurface, expiry: float, n_points: int | None = None) -> InverseCdfTable:
     """Build the monotone inverse-CDF table of ``cs`` at ``expiry``."""

@@ -9,12 +9,15 @@ market means solving
 
     a' R(u, kappa) a = target
 
-inside the one-parameter family.  In flat mode both branches are Moebius
-in u^2 and invert in closed form; for non-flat modes a monotone bisection
-takes over.  The reachable band is [cov_down, cov_up] from the two branch
-limits; targets outside it are clamped to the extreme state and flagged
-as dispersion bound violations rather than raised, so long simulations
-can report a violation fraction instead of dying on one bad step.
+inside the one-parameter family.  In flat mode both branches are linear
+in lambda = u^2 / (1 + u^2) and invert in closed form; for non-flat modes
+a safeguarded Newton iteration in lambda (rtsafe, Numerical Recipes 9.4)
+starts from that closed-form ratio.  The reachable band is
+[cov_down, cov_up] from the two branch limits; targets outside it are
+clamped to the extreme state and flagged as dispersion bound violations
+rather than raised, so long simulations can report a violation fraction
+instead of dying on one bad step.  The solver and the preflight
+``check_dispersion_bounds`` share one band test.
 
 The closed-form lowering root divides by (target - diag), honoring the
 unit diagonal of the family members.  A widely quoted shortcut divides by
@@ -41,6 +44,9 @@ __all__ = [
 
 _REL_EPS = 1e-14
 
+#: iteration cap of the non-flat state solve
+_MAX_ITERS = 64
+
 #: state cap: out-of-band targets pin here, and a path at it counts as clamped
 U_MAX = 1e3
 
@@ -54,17 +60,15 @@ def _quad_form(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
 class CovarianceTerms:
     """Quadratic forms of the loading vectors against the family anchors.
 
-    All entries are in price^2 per year.  ``cov_ones`` is the quadratic
-    form against the all-ones matrix, i.e. (sum a_i)^2; ``diag`` is
-    sum a_i^2.  ``cov_up`` and ``cov_down`` are the branch limits of the
-    configured family and coincide with ``cov_ones`` and ``diag`` under
-    the default raising and lowering directions.
+    All entries are in price^2 per year.  ``diag`` is sum a_i^2.
+    ``cov_up`` and ``cov_down`` are the branch limits of the configured
+    family; under the default raising and lowering directions they are
+    (sum a_i)^2 and ``diag``.
     """
 
     a: np.ndarray  # (paths, n) dollar vol loadings
     target: np.ndarray  # (paths,) index local variance times basket^2
     cov_center: np.ndarray
-    cov_ones: np.ndarray
     diag: np.ndarray
     cov_up: np.ndarray
     cov_down: np.ndarray
@@ -93,18 +97,15 @@ def covariance_terms(
     a = spots * vols * weights[None, :]
     basket = spots @ weights
     target = np.square(np.atleast_1d(np.asarray(index_vol, dtype=float))) * np.square(basket)
-    row_sums = a.sum(axis=1)
-    cov_ones = np.square(row_sums)
     diag = np.einsum("pi,pi->p", a, a)
     cov_center = _quad_form(a, family.center)
     up, down = family.limit(1), family.limit(0)
-    cov_up = cov_ones if np.all(up == 1.0) else _quad_form(a, up)
+    cov_up = np.square(a.sum(axis=1)) if np.all(up == 1.0) else _quad_form(a, up)
     cov_down = diag if np.array_equal(down, np.eye(down.shape[0])) else _quad_form(a, down)
     return CovarianceTerms(
         a=a,
         target=target,
         cov_center=cov_center,
-        cov_ones=cov_ones,
         diag=diag,
         cov_up=cov_up,
         cov_down=cov_down,
@@ -131,23 +132,68 @@ class StateSolution:
         return int(np.count_nonzero(self.violated_high) + np.count_nonzero(self.violated_low))
 
 
-def _bisect_branch(
+def _band(terms: CovarianceTerms):
+    """Scale, branch choice and band-violation flags of every target.
+
+    Returns ``(scale, raising, violated_high, violated_low)``.  A target
+    on the band edge counts as violating; a branch whose limit does not
+    move away from the center flags nothing.
+    """
+    target = terms.target
+    c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
+    scale = np.maximum(np.abs(c_up), 1e-300)
+    raising = target >= c0
+    violated_high = raising & (target >= c_up - scale * _REL_EPS) & (c_up - c0 > scale * _REL_EPS)
+    violated_low = ~raising & (target <= c_dn + scale * _REL_EPS) & (c0 - c_dn > scale * _REL_EPS)
+    return scale, raising, violated_high, violated_low
+
+
+def _newton_branch(
     a: np.ndarray,
     family: CorrelationFamily,
     branch: int,
     target: np.ndarray,
-    u_max: float,
-    iters: int = 64,
+    c0: np.ndarray,
+    c_lim: np.ndarray,
+    lam_max: float,
 ) -> np.ndarray:
+    """Safeguarded Newton in lambda on one branch; returns u per row.
+
+    Starts from the flat-mode root (target - c0) / (c_lim - c0).  The
+    sign bracket [lo, hi] keeps the residual below the target at lo and
+    above it at hi (mirrored on the lowering branch), so it holds a root
+    even where the branch is not monotone.  A Newton step strictly
+    outside the bracket is replaced by one bisection step.  A step onto a
+    bracket end is kept: near the root a step rounds onto the point just
+    evaluated, which is a bracket end.  A row stops once its residual is
+    within ``_REL_EPS`` of ``c_lim`` and leaves the active set; a step of
+    a few ulp is no stop signal, because converged rows keep swinging by
+    that much.
+    """
+    sign = 1.0 if branch else -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (target - c0) / (c_lim - c0)
+    lam = np.where(np.isfinite(lam), np.clip(lam, 0.0, lam_max), 0.5 * lam_max)
+    tol = _REL_EPS * np.abs(c_lim)
     lo = np.zeros(target.size)
-    hi = np.full(target.size, u_max)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val = family.quad_form(a, mid, branch)
-        go_up = (val < target) if branch else (val > target)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    return 0.5 * (lo + hi)
+    hi = np.full(target.size, lam_max)
+    rows = np.arange(target.size)
+    for _ in range(_MAX_ITERS):
+        x = lam[rows]
+        val, slope = family.quad_form_slope(a[rows], np.sqrt(x / (1.0 - x)), branch)
+        resid = val - target[rows]
+        below = sign * resid < 0.0
+        lo_r = np.where(below, x, lo[rows])
+        hi_r = np.where(below, hi[rows], x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - resid / slope
+        step = np.where((step >= lo_r) & (step <= hi_r), step, 0.5 * (lo_r + hi_r))
+        live = np.abs(resid) > tol[rows]
+        rows = rows[live]
+        lam[rows], lo[rows], hi[rows] = step[live], lo_r[live], hi_r[live]
+        if rows.size == 0:
+            break
+    return np.sqrt(lam / (1.0 - lam))
 
 
 def solve_state(
@@ -159,16 +205,15 @@ def solve_state(
 ) -> StateSolution:
     """Invert the family so each path's basket variance hits its target.
 
-    Closed form in flat mode, per-path bisection otherwise.  Targets
-    outside the reachable band clamp to ``u_max`` on the relevant branch
-    and are flagged; callers decide how much violation to tolerate.
+    Closed form in flat mode, safeguarded Newton in lambda = u^2 / (1 + u^2)
+    otherwise, at most ``_MAX_ITERS`` iterations per row.  Targets outside
+    the reachable band clamp to ``u_max`` on the relevant branch and are
+    flagged; callers decide how much violation to tolerate.
     """
     target = terms.target
     c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
-    scale = np.maximum(np.abs(c_up), 1e-300)
-    raising = target >= c0
-    violated_high = raising & (target >= c_up - scale * _REL_EPS) & (c_up - c0 > scale * _REL_EPS)
-    violated_low = ~raising & (target <= c_dn + scale * _REL_EPS) & (c0 - c_dn > scale * _REL_EPS)
+    scale, raising, violated_high, violated_low = _band(terms)
+    violated = violated_high | violated_low
 
     if family.flat_mode:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -181,12 +226,15 @@ def solve_state(
         u = np.minimum(np.sqrt(u2), u_max)
     else:
         u = np.zeros(target.size)
-        for branch, mask in ((1, raising), (0, ~raising)):
-            rows = np.flatnonzero(mask)
-            if rows.size == 0:
-                continue
-            u[rows] = _bisect_branch(terms.a[rows], family, branch, target[rows], u_max)
-    u = np.where(violated_high | violated_low, u_max, u)
+        lam_max = u_max**2 / (1.0 + u_max**2)
+        for branch, c_lim, mask in ((1, c_up, raising), (0, c_dn, ~raising)):
+            rows = np.flatnonzero(mask & ~violated)
+            if rows.size:
+                u[rows] = _newton_branch(
+                    terms.a[rows], family, branch, target[rows], c0[rows], c_lim[rows], lam_max
+                )
+        u = np.minimum(u, u_max)
+    u = np.where(violated, u_max, u)
     kappa = raising.astype(np.int64)
 
     simplified = None
@@ -237,14 +285,14 @@ class BoundsReport:
 def check_dispersion_bounds(terms: CovarianceTerms) -> BoundsReport:
     """Count targets escaping the reachable band [cov_down, cov_up].
 
-    Under default directions the band is [diag, cov_ones], the no-arbitrage
-    corridor between fully independent and comonotone constituents.
+    Under default directions the band is [diag, (sum a_i)^2], the
+    no-arbitrage corridor between fully independent and comonotone
+    constituents.  The counts are the flags ``solve_state`` raises on the
+    same terms.
     """
     target = terms.target
-    scale = np.maximum(np.abs(terms.cov_up), 1e-300)
+    scale, _, high, low = _band(terms)
     lower = terms.cov_down
-    low = target < lower - scale * 1e-12
-    high = target > terms.cov_up + scale * 1e-12
     worst_low = float(np.max((lower - target) / scale, initial=0.0))
     worst_high = float(np.max((target - terms.cov_up) / scale, initial=0.0))
     return BoundsReport(

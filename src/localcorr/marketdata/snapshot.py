@@ -204,7 +204,6 @@ class MarketSnapshot:
         if gap > 0.0:
             scaled = self.composition.weights * (self.index.spot / basket)
             self.composition = IndexComposition(self.composition.ids, scaled)
-        self._ordered_assets = tuple(order)
 
         self._forwards = {
             q.asset_id: ForwardCurve(q.spot, self.discount_curve, q.dividend_curve)
@@ -230,11 +229,6 @@ class MarketSnapshot:
     @property
     def weights(self) -> np.ndarray:
         return self.composition.weights
-
-    @property
-    def basket_assets(self) -> tuple:
-        """Constituent quotes in composition order."""
-        return self._ordered_assets
 
     def asset(self, asset_id: str) -> AssetQuote:
         if asset_id == self.index.asset_id:

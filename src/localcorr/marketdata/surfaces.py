@@ -84,10 +84,6 @@ class VolSurface:
         object.__setattr__(self, "vols", vols)
 
     @property
-    def n_maturities(self) -> int:
-        return int(self.maturities.size)
-
-    @property
     def max_maturity(self) -> float:
         return float(self.maturities[-1])
 
@@ -350,8 +346,3 @@ class CallSurface:
 
     def discount(self, expiry: float) -> float:
         return self._profile(expiry).df
-
-    def strike_span(self, expiry: float):
-        """Quoted moneyness span mapped to strikes at ``expiry``."""
-        prof = self._profile(expiry)
-        return prof.forward * np.exp(prof.x_lo), prof.forward * np.exp(prof.x_hi)

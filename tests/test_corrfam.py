@@ -268,3 +268,34 @@ def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kapp
     for p, k in enumerate(mixed):
         assert abs(both[p] - loads[p] @ fam.evaluate(u, k) @ loads[p]) < 1e-12 * size[p]
     assert np.array_equal(both[mixed == kappa], one[mixed == kappa])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    custom_up=st.booleans(),
+    custom_down=st.booleans(),
+    kappa=st.sampled_from((0, 1)),
+    lam=st.floats(0.01, 0.99),
+)
+def test_quad_form_slope_is_the_lambda_derivative(seed, n, custom_up, custom_down, kappa, lam):
+    """quad_form_slope returns quad_form's bits and its derivative in lambda = u^2/(1+u^2)."""
+    gen = np.random.default_rng(seed)
+    fam = CorrelationFamily(
+        center=random_correlation(gen, n),
+        mode=gen.uniform(0.2, 5.0, size=n),
+        up=random_correlation(gen, n) if custom_up else None,
+        down=random_correlation(gen, n) if custom_down else None,
+    )
+    loads = gen.standard_normal((4, n))
+
+    def at(x):
+        return np.full(4, np.sqrt(x / (1.0 - x)))
+
+    value, slope = fam.quad_form_slope(loads, at(lam), kappa)
+    assert np.array_equal(value, fam.quad_form(loads, at(lam), kappa))
+    h = 1e-6
+    central = (fam.quad_form(loads, at(lam + h), kappa) - fam.quad_form(loads, at(lam - h), kappa)) / (2 * h)
+    size = np.square(np.abs(loads).sum(axis=1))
+    assert np.all(np.abs(slope - central) < 1e-6 * size)

@@ -1,11 +1,17 @@
 """Tests for the per-path correlation state inversion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcorr.corrfam import CorrelationFamily
 from localcorr.errors import CorrelationError
 from localcorr.lcm.state import (
+    U_MAX,
+    _band,
     check_dispersion_bounds,
     covariance_terms,
     solve_state,
@@ -32,7 +38,6 @@ def test_hand_worked_quadratic_forms():
     fam, terms = _two_equal_terms(index_vol=np.sqrt(350.0) / 100.0)
     assert np.allclose(terms.a, 10.0)
     assert abs(terms.cov_center[0] - 300.0) < 1e-10
-    assert abs(terms.cov_ones[0] - 400.0) < 1e-10
     assert abs(terms.diag[0] - 200.0) < 1e-10
     assert abs(terms.cov_up[0] - 400.0) < 1e-10
     assert abs(terms.cov_down[0] - 200.0) < 1e-10
@@ -154,7 +159,7 @@ def test_bisection_agrees_with_closed_form(rng):
     terms = _random_terms(rng, 500, fam_flat)
     sol_flat = solve_state(terms, fam_flat)
     sol_near = solve_state(terms, fam_near, u_max=100.0)
-    # bisection carries ~1e-13 absolute resolution after 64 halvings of [0, 100]
+    # the Newton solve stops at a residual within 1e-14 of the branch limit
     assert np.max(np.abs(sol_flat.u - sol_near.u)) < 1e-8
     assert np.array_equal(sol_flat.kappa, sol_near.kappa)
 
@@ -168,6 +173,87 @@ def test_non_flat_mode_roots_reprice(rng):
     cov = fam.quad_form(terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - terms.target) / terms.target
     assert np.max(rel) < 1e-8
+
+
+def _random_family(gen, n, flat, custom_up, custom_down):
+    return CorrelationFamily(
+        center=random_correlation(gen, n),
+        mode=None if flat else gen.uniform(0.2, 5.0, size=n),
+        up=random_correlation(gen, n) if custom_up else None,
+        down=random_correlation(gen, n) if custom_down else None,
+    )
+
+
+def _random_loadings(gen, n_paths, n):
+    spots = gen.uniform(20.0, 200.0, size=(n_paths, n))
+    vols = gen.uniform(0.1, 0.5, size=(n_paths, n))
+    weights = gen.uniform(0.2, 1.5, size=n)
+    return spots, vols, weights / weights.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    custom_up=st.booleans(),
+    custom_down=st.booleans(),
+    kappa=st.sampled_from((0, 1)),
+)
+def test_non_flat_root_reprices_reachable_targets(seed, n, custom_up, custom_down, kappa):
+    """Targets f(u*) on a branch, u* in [0, 50], are solved to 1e-12 relative.
+
+    A branch of a center with negative entries need not be monotone, so the
+    root found may differ from u*.  A target is reachable when it selects
+    the drawn branch and lies between the center and that branch's limit,
+    inside the band; then the branch's two ends bracket it.
+    """
+    gen = np.random.default_rng(seed)
+    fam = _random_family(gen, n, False, custom_up, custom_down)
+    spots, vols, weights = _random_loadings(gen, 32, n)
+    u_star = gen.uniform(0.0, 50.0, size=32)
+    target = fam.quad_form(spots * vols * weights[None, :], u_star, kappa)
+    terms = covariance_terms(spots, vols, weights, np.sqrt(target) / (spots @ weights), fam)
+    sol = solve_state(terms, fam)
+    assert np.all((sol.u >= 0.0) & (sol.u <= U_MAX))
+    _, raising, high, low = _band(terms)
+    c_lim = terms.cov_up if kappa else terms.cov_down
+    between = (terms.target - terms.cov_center) * (c_lim - terms.target) >= 0.0
+    reachable = (raising == bool(kappa)) & between & ~high & ~low
+    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+    rel = np.abs(cov - terms.target) / terms.target
+    assert np.all(rel[reachable] < 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    flat=st.booleans(),
+    custom_up=st.booleans(),
+    custom_down=st.booleans(),
+)
+def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down):
+    """solve_state flags exactly the band helper's targets, and the preflight counts them."""
+    gen = np.random.default_rng(seed)
+    fam = _random_family(gen, n, flat, custom_up, custom_down)
+    spots, vols, weights = _random_loadings(gen, 24, n)
+    terms = covariance_terms(spots, vols, weights, 0.2, fam)
+    c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
+    # across and beyond the band, with rows exactly on both edges and on the center
+    target = c_dn + gen.uniform(-0.3, 1.3, size=24) * (c_up - c_dn)
+    target[:3], target[3:6], target[6:9] = c_up[:3], c_dn[3:6], c0[6:9]
+    terms = dataclasses.replace(terms, target=target)
+    sol = solve_state(terms, fam)
+    _, raising, high, low = _band(terms)
+    assert np.array_equal(sol.violated_high, high)
+    assert np.array_equal(sol.violated_low, low)
+    assert np.array_equal(sol.kappa, raising.astype(int))
+    assert np.all(sol.u[high | low] == U_MAX)
+    report = check_dispersion_bounds(terms)
+    assert (report.n_high, report.n_low) == (np.count_nonzero(high), np.count_nonzero(low))
+    # a target on the edge a branch moves toward counts as violating
+    assert np.all(high[:3][c_up[:3] - c0[:3] > 1e-12 * c_up[:3]])
+    assert np.all(low[3:6][c0[3:6] - c_dn[3:6] > 1e-12 * c_up[3:6]])
 
 
 def test_covariance_monotone_along_branches():

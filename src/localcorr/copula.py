@@ -40,6 +40,9 @@ __all__ = [
 _UNIFORM_EPS = 1e-12
 MIN_SAMPLES = 1000
 
+#: independent sampling partitions; their spread gives the standard error
+_PARTITIONS = 16
+
 
 @dataclass(frozen=True)
 class CopulaSpec:
@@ -52,13 +55,10 @@ class CopulaSpec:
     n_samples: int = 1 << 16
     sampler: str = "sobol"
     seed: int = 0
-    n_partitions: int = 16
 
     def __post_init__(self):
         if self.n_samples < MIN_SAMPLES:
             raise PricingError(f"need at least {MIN_SAMPLES} samples")
-        if self.n_partitions < 2 or self.n_samples < self.n_partitions:
-            raise PricingError("need at least 2 partitions and 1 sample per partition")
         if self.sampler not in ("sobol", "pseudo"):
             raise PricingError(f"unknown sampler {self.sampler!r}")
         if self.correlation is not None:
@@ -69,14 +69,14 @@ class CopulaSpec:
     @property
     def partition_size(self) -> int:
         """Samples per partition; rounded up to a power of 2 for Sobol."""
-        base = -(-self.n_samples // self.n_partitions)
+        base = -(-self.n_samples // _PARTITIONS)
         if self.sampler == "pseudo":
             return base
         return 1 << max(0, int(np.ceil(np.log2(base))))
 
     @property
     def total_samples(self) -> int:
-        return self.n_partitions * self.partition_size
+        return _PARTITIONS * self.partition_size
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,12 @@ def _basket_forward(snapshot: MarketSnapshot, expiry: float) -> float:
 def _normal_cube(spec: CopulaSpec, dim: int) -> np.ndarray:
     """Independent standard normals, shaped (partitions, block, dim)."""
     n_p = spec.partition_size
-    cube = np.empty((spec.n_partitions, n_p, dim))
+    cube = np.empty((_PARTITIONS, n_p, dim))
     if spec.sampler == "pseudo":
-        for p in range(spec.n_partitions):
+        for p in range(_PARTITIONS):
             cube[p] = substream(spec.seed, p).standard_normal((n_p, dim))
         return cube
-    for p in range(spec.n_partitions):
+    for p in range(_PARTITIONS):
         eng = qmc.Sobol(d=dim, scramble=True, seed=sobol_seed(spec.seed, p))
         u = eng.random_base2(int(np.log2(n_p))) if n_p > 1 else eng.random(1)
         cube[p] = ndtri(np.clip(u, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS))
@@ -223,26 +223,26 @@ def copula_basket_call(
     )
 
 
+#: absolute tolerance of the fitted correlation level
+_RHO_XTOL = 1e-10
+
+
 def fit_flat_correlation(
     snapshot: MarketSnapshot,
     spec: CopulaSpec,
     expiry: float,
-    *,
-    strike: float | None = None,
-    tol: float = 1e-10,
 ) -> float:
-    """Flat copula correlation level matching one index option price.
+    """Flat copula correlation level matching the at-the-money index price.
 
-    Solves for the equicorrelation whose copula basket price equals the
-    market index price at ``strike`` (at-the-money forward by default).
-    Common random numbers across evaluations make the objective smooth
-    and increasing in the correlation level.
+    Solves for the equicorrelation whose copula basket call price equals
+    the market index call price struck at the index forward.  Common
+    random numbers across evaluations make the objective smooth and
+    increasing in the correlation level.
     """
     weights = snapshot.weights
     n = weights.size
     index_cs = snapshot.call_surface(snapshot.index.asset_id)
-    if strike is None:
-        strike = index_cs.forward(expiry)
+    strike = index_cs.forward(expiry)
     target = index_cs.price(expiry, strike)
     tables = marginal_tables(snapshot, expiry)
     cube = _normal_cube(spec, n)
@@ -264,7 +264,7 @@ def fit_flat_correlation(
             "index price outside the reachable copula range: "
             f"gap({lo:.4f}) = {g_lo:.3e}, gap({hi:.4f}) = {g_hi:.3e}"
         )
-    return float(brentq(gap, lo, hi, xtol=tol))
+    return float(brentq(gap, lo, hi, xtol=_RHO_XTOL))
 
 
 @dataclass(frozen=True)

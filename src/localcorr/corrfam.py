@@ -45,23 +45,28 @@ __all__ = [
     "repair_psd",
     "cholesky_lower",
     "CorrelationFamily",
-    "FamilySampler",
 ]
+
+#: absolute tolerance of the symmetry, diagonal and entry-bound checks
+_ENTRY_TOL = 1e-10
 
 #: eigenvalues above this (negative) cutoff are treated as rounding noise
 REPAIR_TOL = -1e-8
 
+#: Cholesky pivots below this magnitude are flushed to zero
+_PIVOT_TOL = 1e-12
 
-def validate_correlation(mat: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
+
+def validate_correlation(mat: np.ndarray) -> np.ndarray:
     """Check symmetry, unit diagonal and entry bounds; return a float copy."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise CorrelationError("correlation matrix must be square")
-    if not np.allclose(a, a.T, atol=tol):
+    if not np.allclose(a, a.T, atol=_ENTRY_TOL):
         raise CorrelationError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(a), 1.0, atol=tol):
+    if not np.allclose(np.diag(a), 1.0, atol=_ENTRY_TOL):
         raise CorrelationError("correlation matrix must have unit diagonal")
-    if np.any(np.abs(a) > 1.0 + tol):
+    if np.any(np.abs(a) > 1.0 + _ENTRY_TOL):
         raise CorrelationError("correlation entries must lie in [-1, 1]")
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, 1.0)
@@ -78,19 +83,19 @@ def validate_psd(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def repair_psd(mat: np.ndarray, *, repair_tol: float = REPAIR_TOL) -> np.ndarray:
+def repair_psd(mat: np.ndarray) -> np.ndarray:
     """Return ``mat`` or an eigenvalue-clipped repair of it.
 
-    Minimum eigenvalues in (repair_tol, 0) count as rounding noise: the
+    Minimum eigenvalues in (REPAIR_TOL, 0) count as rounding noise: the
     spectrum is clipped at zero and the diagonal renormalised back to
-    one.  Anything below ``repair_tol`` raises.
+    one.  Anything below ``REPAIR_TOL`` raises.
     """
     a = np.asarray(mat, dtype=float)
     vals, vecs = np.linalg.eigh(a)
     lo = float(vals[0])
     if lo >= 0.0:
         return a
-    if lo < repair_tol:
+    if lo < REPAIR_TOL:
         raise CorrelationError(f"matrix is not positive semidefinite, min eigenvalue {lo:.3e}")
     repaired = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     d = np.sqrt(np.diag(repaired))
@@ -99,22 +104,22 @@ def repair_psd(mat: np.ndarray, *, repair_tol: float = REPAIR_TOL) -> np.ndarray
     return 0.5 * (repaired + repaired.T)
 
 
-def cholesky_lower(mat: np.ndarray, *, pivot_tol: float = 1e-12) -> np.ndarray:
+def cholesky_lower(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, tolerating semidefinite matrices.
 
     Standard library routines reject singular PSD inputs such as the
     all-ones matrix, which this family reaches in its comonotone limit.
-    Pivots in (-pivot_tol, pivot_tol) are flushed to zero and their
-    columns zeroed below the diagonal; a pivot below -pivot_tol raises.
+    Pivots in (-_PIVOT_TOL, _PIVOT_TOL) are flushed to zero and their
+    columns zeroed below the diagonal; a pivot below -_PIVOT_TOL raises.
     """
     a = np.asarray(mat, dtype=float)
     n = a.shape[0]
     low = np.zeros((n, n))
     for j in range(n):
         d = a[j, j] - np.dot(low[j, :j], low[j, :j])
-        if d < -pivot_tol:
+        if d < -_PIVOT_TOL:
             raise CorrelationError(f"negative pivot {d:.3e} at column {j}")
-        if d <= pivot_tol:
+        if d <= _PIVOT_TOL:
             continue
         root = np.sqrt(d)
         low[j, j] = root
@@ -134,6 +139,8 @@ class CorrelationFamily:
     covariance along either branch is linear in lambda = u^2 / (1 + u^2)
     with a closed-form inverse; for non-flat modes the state solver runs
     a safeguarded Newton iteration in lambda on ``quad_form_slope``.
+    ``draw`` samples any member exactly from the Cholesky factors of the
+    center and both directions, computed once at construction.
     """
 
     center: np.ndarray
@@ -158,6 +165,9 @@ class CorrelationFamily:
             self.down = np.eye(n)
         else:
             self.down = repair_psd(validate_correlation(self.down))
+        # built once and only read afterwards, so worker threads share them safely
+        self._chol_center = cholesky_lower(self.center)
+        self._chol_dirs = (cholesky_lower(self.down), cholesky_lower(self.up))  # by kappa
 
     @property
     def n_assets(self) -> int:
@@ -237,39 +247,22 @@ class CorrelationFamily:
             return np.zeros(u.size)
         return (self.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
 
+    def draw(self, z: np.ndarray, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """Map normals ``z`` of shape (p, 2n) to rows with correlation R(u_p, kappa_p).
+
+        The map is S(u) (L_C z1 + u Xi L_D z2) from the Cholesky factors of
+        the center and of both branch directions, so a draw costs the same
+        few matrix products whatever the states are.
+        """
+        n = self.mode.size
+        z1, z2 = z[:, :n], z[:, n:]
+        down, up = self._chol_dirs
+        along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
+        xu = self.mode[None, :] * u[:, None]
+        return (z1 @ self._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
+
     def limit(self, kappa: int) -> np.ndarray:
         """Correlation matrix in the u -> infinity limit of a branch."""
         out = self.direction(kappa).copy()
         np.fill_diagonal(out, 1.0)
         return out
-
-
-@dataclass(frozen=True)
-class FamilySampler:
-    """Exact correlated normals at any state of a family.
-
-    Holds the Cholesky factors of the center and of both branch
-    directions, so a draw costs the same few matrix products whatever
-    the states are.
-    """
-
-    mode: np.ndarray
-    chol_center: np.ndarray
-    chol_dirs: tuple  # (L_D(0), L_D(1)), indexed by kappa
-
-    @classmethod
-    def from_family(cls, family: CorrelationFamily) -> "FamilySampler":
-        return cls(
-            mode=family.mode,
-            chol_center=cholesky_lower(family.center),
-            chol_dirs=(cholesky_lower(family.down), cholesky_lower(family.up)),
-        )
-
-    def draw(self, z: np.ndarray, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """Map normals ``z`` of shape (p, 2n) to rows with correlation R(u_p, kappa_p)."""
-        n = self.mode.size
-        z1, z2 = z[:, :n], z[:, n:]
-        down, up = self.chol_dirs
-        along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
-        xu = self.mode[None, :] * u[:, None]
-        return (z1 @ self.chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))

@@ -114,17 +114,20 @@ class InverseCdfTable:
         return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def inverse_cdf(cs: CallSurface, expiry: float, n_points: int | None = None) -> InverseCdfTable:
+#: log-strike points of an inverse-CDF table
+CDF_GRID_POINTS = 2001
+#: table reach beyond the quoted moneyness span, in total standard deviations
+TAIL_WIDTH = 10.0
+
+
+def inverse_cdf(cs: CallSurface, expiry: float) -> InverseCdfTable:
     """Build the monotone inverse-CDF table of ``cs`` at ``expiry``."""
-    smoothing = cs.surface.smoothing
-    n = n_points or smoothing.cdf_grid_points
     prof_forward = cs.forward(expiry)
     w_lo = cs.total_variance(expiry, prof_forward * np.exp(cs.x_lo))
     w_hi = cs.total_variance(expiry, prof_forward * np.exp(cs.x_hi))
-    tail = smoothing.tail_width
-    x_min = cs.x_lo - tail * np.sqrt(w_lo) - 0.5
-    x_max = cs.x_hi + tail * np.sqrt(w_hi) + 0.5
-    x_grid = np.linspace(x_min, x_max, n)
+    x_min = cs.x_lo - TAIL_WIDTH * np.sqrt(w_lo) - 0.5
+    x_max = cs.x_hi + TAIL_WIDTH * np.sqrt(w_hi) + 0.5
+    x_grid = np.linspace(x_min, x_max, CDF_GRID_POINTS)
     strikes = prof_forward * np.exp(x_grid)
     raw = cumulative(cs, expiry, strikes)
     mono = _monotone_projection(np.asarray(raw))
@@ -215,28 +218,27 @@ def calibrate_local_vol(
     *,
     n_times: int = 64,
     n_spots: int = 161,
-    spot_width: float | None = None,
-    floors=None,
 ) -> LocalVolSurface:
     """Tabulate :func:`local_vol` of ``cs`` on a (time, log spot) grid.
 
-    ``spot_width`` is the half-width of the log-spot grid; the default covers
-    six total standard deviations at the horizon plus the quoted span.
+    The log-spot grid is centred on the spot.  Its half-width is six
+    total standard deviations of the at-the-money variance at the horizon
+    (scaled linearly in time past the last quote), and at least the quoted
+    moneyness span plus 0.5.  Local vols use the default floors and cap.
     """
     if horizon <= 0.0:
         raise SurfaceError("calibration horizon must be positive")
     f0 = cs.forward_curve.forward(0.0)
-    if spot_width is None:
-        w_ref = cs.total_variance(min(horizon, cs.expiry_max), f0)
-        spot_width = 6.0 * np.sqrt(max(w_ref, 1e-4) * max(1.0, horizon / min(horizon, cs.expiry_max)))
-        spot_width = float(max(spot_width, cs.x_hi - cs.x_lo + 0.5))
+    w_ref = cs.total_variance(min(horizon, cs.expiry_max), f0)
+    half_width = 6.0 * np.sqrt(max(w_ref, 1e-4) * max(1.0, horizon / min(horizon, cs.expiry_max)))
+    half_width = float(max(half_width, cs.x_hi - cs.x_lo + 0.5))
     times = np.linspace(1e-3, horizon, n_times)
-    log_spots = np.log(f0) + np.linspace(-spot_width, spot_width, n_spots)
+    log_spots = np.log(f0) + np.linspace(-half_width, half_width, n_spots)
     grid = np.empty((n_times, n_spots))
     spots = np.exp(log_spots)
     before = dict(cs.counters)
     for i, t in enumerate(times):
-        grid[i] = local_vol(cs, float(t), spots, floors=floors)
+        grid[i] = local_vol(cs, float(t), spots)
     lv = LocalVolSurface(
         asset_id=cs.asset_id,
         times=times,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corrfam import CorrelationFamily, FamilySampler
+from ..corrfam import CorrelationFamily
 from ..dupire import LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
 from ..marketdata.snapshot import MarketSnapshot
@@ -80,6 +80,8 @@ class SimulationConfig:
             raise EngineError("n_paths and block_size must be positive")
         if self.steps_per_year < 1:
             raise EngineError("steps_per_year must be positive")
+        if self.lv_times < 1 or self.lv_spots < 1:
+            raise EngineError("lv_times and lv_spots must be positive")
         if self.bounds_policy not in ("clamp", "strict"):
             raise EngineError(f"unknown bounds policy {self.bounds_policy!r}")
         if self.forced_state is not None:
@@ -151,7 +153,6 @@ class CalibratedMarket:
 
     snapshot: MarketSnapshot
     family: CorrelationFamily
-    sampler: FamilySampler
     horizon: float
     times: np.ndarray
     asset_ids: tuple
@@ -183,7 +184,7 @@ def calibrate_market(
     horizon: float,
     config: SimulationConfig | None = None,
 ) -> CalibratedMarket:
-    """Build local vol tables, the step grid and the correlation sampler."""
+    """Build local vol tables, the step grid and the forward increments."""
     config = config or SimulationConfig()
     if horizon <= 0.0:
         raise EngineError("horizon must be positive")
@@ -212,7 +213,6 @@ def calibrate_market(
     return CalibratedMarket(
         snapshot=snapshot,
         family=family,
-        sampler=FamilySampler.from_family(family),
         horizon=float(horizon),
         times=times,
         asset_ids=ids,
@@ -360,7 +360,7 @@ def _run_block(
 
         moff_sum += level
         z = rng.standard_normal((n_block, 2 * n))
-        zc = market.sampler.draw(z, u, kappa)
+        zc = market.family.draw(z, u, kappa)
         ln_s += market.dlog_fwd[k][None, :] - 0.5 * np.square(vols) * dt
         ln_s += np.sqrt(dt) * vols * zc
 
@@ -581,32 +581,29 @@ def average_correlation(
     return float(per_path[in_money].mean() * 100.0)
 
 
-def probe_bounds(
-    market: CalibratedMarket,
-    *,
-    moneyness=None,
-    times=None,
-) -> BoundsReport:
+#: homothetic rays of the bounds preflight, as multiples of the forwards
+_PROBE_MONEYNESS = np.linspace(0.5, 1.5, 21)
+#: dates of the bounds preflight, evenly spaced up to the horizon
+_PROBE_DATES = 20
+
+
+def probe_bounds(market: CalibratedMarket) -> BoundsReport:
     """Dispersion bound check along deterministic homothetic rays.
 
-    Scales every constituent to m times its forward at a grid of times
+    Scales every constituent to m times its forward, for m from 0.5 to
+    1.5 in steps of 0.05, at 20 evenly spaced dates up to the horizon,
     and tests whether the index local variance target stays inside the
     reachable covariance band.  A cheap preflight before long runs; the
     per-step violation fraction in simulation diagnostics is the
     authoritative in-sample measure.
     """
-    if moneyness is None:
-        moneyness = np.linspace(0.5, 1.5, 21)
-    moneyness = np.asarray(moneyness, dtype=float)
-    if times is None:
-        times = np.linspace(market.horizon / 20.0, market.horizon, 20)
     reports = []
     weights = market.weights
-    for t in np.asarray(times, dtype=float):
+    for t in np.linspace(market.horizon / _PROBE_DATES, market.horizon, _PROBE_DATES):
         fwds = np.array([
             market.snapshot.forward_curve(a).forward(float(t)) for a in market.asset_ids
         ])
-        spots = moneyness[:, None] * fwds[None, :]
+        spots = _PROBE_MONEYNESS[:, None] * fwds[None, :]
         ln_spots = np.log(spots)
         vols = market.local_vol_row(float(t), ln_spots)
         sigma_b = market.index_local_vol(float(t), spots @ weights)

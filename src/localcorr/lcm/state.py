@@ -49,6 +49,7 @@ _MAX_ITERS = 64
 
 #: state cap: out-of-band targets pin here, and a path at it counts as clamped
 U_MAX = 1e3
+_LAM_MAX = U_MAX**2 / (1.0 + U_MAX**2)  # the cap in lambda = u^2 / (1 + u^2)
 
 
 def _quad_form(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -155,7 +156,6 @@ def _newton_branch(
     target: np.ndarray,
     c0: np.ndarray,
     c_lim: np.ndarray,
-    lam_max: float,
 ) -> np.ndarray:
     """Safeguarded Newton in lambda on one branch; returns u per row.
 
@@ -173,10 +173,10 @@ def _newton_branch(
     sign = 1.0 if branch else -1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = (target - c0) / (c_lim - c0)
-    lam = np.where(np.isfinite(lam), np.clip(lam, 0.0, lam_max), 0.5 * lam_max)
+    lam = np.where(np.isfinite(lam), np.clip(lam, 0.0, _LAM_MAX), 0.5 * _LAM_MAX)
     tol = _REL_EPS * np.abs(c_lim)
     lo = np.zeros(target.size)
-    hi = np.full(target.size, lam_max)
+    hi = np.full(target.size, _LAM_MAX)
     rows = np.arange(target.size)
     for _ in range(_MAX_ITERS):
         x = lam[rows]
@@ -200,15 +200,16 @@ def solve_state(
     terms: CovarianceTerms,
     family: CorrelationFamily,
     *,
-    u_max: float = U_MAX,
     track_simplified: bool = False,
 ) -> StateSolution:
     """Invert the family so each path's basket variance hits its target.
 
     Closed form in flat mode, safeguarded Newton in lambda = u^2 / (1 + u^2)
-    otherwise, at most ``_MAX_ITERS`` iterations per row.  Targets outside
-    the reachable band clamp to ``u_max`` on the relevant branch and are
-    flagged; callers decide how much violation to tolerate.
+    otherwise, at most ``_MAX_ITERS`` iterations per row.  Every state lies
+    in [0, ``U_MAX``]; targets outside the reachable band clamp to ``U_MAX``
+    on the relevant branch and are flagged, and callers decide how much
+    violation to tolerate.  ``track_simplified`` also returns the lowering
+    branch's shortcut root as ``simplified_u``.
     """
     target = terms.target
     c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
@@ -222,19 +223,18 @@ def solve_state(
             num_dn = c0 - target
             u2_dn = np.where(num_dn <= scale * _REL_EPS, 0.0, num_dn / (target - c_dn))
         u2 = np.where(raising, u2_up, u2_dn)
-        u2 = np.where(np.isfinite(u2) & (u2 >= 0.0), u2, u_max**2)
-        u = np.minimum(np.sqrt(u2), u_max)
+        u2 = np.where(np.isfinite(u2) & (u2 >= 0.0), u2, U_MAX**2)
+        u = np.minimum(np.sqrt(u2), U_MAX)
     else:
         u = np.zeros(target.size)
-        lam_max = u_max**2 / (1.0 + u_max**2)
         for branch, c_lim, mask in ((1, c_up, raising), (0, c_dn, ~raising)):
             rows = np.flatnonzero(mask & ~violated)
             if rows.size:
                 u[rows] = _newton_branch(
-                    terms.a[rows], family, branch, target[rows], c0[rows], c_lim[rows], lam_max
+                    terms.a[rows], family, branch, target[rows], c0[rows], c_lim[rows]
                 )
-        u = np.minimum(u, u_max)
-    u = np.where(violated, u_max, u)
+        u = np.minimum(u, U_MAX)
+    u = np.where(violated, U_MAX, u)
     kappa = raising.astype(np.int64)
 
     simplified = None

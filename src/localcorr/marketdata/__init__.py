@@ -12,7 +12,7 @@ from .snapshot import (
     snapshot_from_dict,
     snapshot_to_dict,
 )
-from .surfaces import CallEval, CallSurface, SmoothingParams, VolSurface
+from .surfaces import CallEval, CallSurface, VolSurface
 
 __all__ = [
     "black_call",
@@ -24,7 +24,6 @@ __all__ = [
     "ForwardCurve",
     "BlendedYieldCurve",
     "VolSurface",
-    "SmoothingParams",
     "CallSurface",
     "CallEval",
     "AssetQuote",

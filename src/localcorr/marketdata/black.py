@@ -64,7 +64,11 @@ def black_vega(forward, strike, expiry, vol, df=1.0):
     return np.where(total_sd > 0.0, out, 0.0)
 
 
-def implied_vol(price, forward, strike, expiry, df=1.0, *, tol=1e-14) -> float:
+#: absolute vol tolerance of the implied vol root search
+_VOL_XTOL = 1e-14
+
+
+def implied_vol(price, forward, strike, expiry, df=1.0) -> float:
     """Invert ``black_call`` for the volatility of a single option.
 
     The price must lie in ``[df*(F-K)+, df*F)``; a price at or above the
@@ -98,4 +102,4 @@ def implied_vol(price, forward, strike, expiry, df=1.0, *, tol=1e-14) -> float:
     f_hi = objective(hi)
     if f_hi < 0.0:
         raise PricingError("implied vol exceeds the search cap of 2000%")
-    return float(brentq(objective, lo, hi, xtol=tol, rtol=8.9e-16, maxiter=200))
+    return float(brentq(objective, lo, hi, xtol=_VOL_XTOL, rtol=8.9e-16, maxiter=200))

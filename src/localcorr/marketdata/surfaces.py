@@ -29,24 +29,7 @@ from ..errors import SurfaceError
 from .black import norm_pdf
 from .curves import ForwardCurve
 
-__all__ = ["SmoothingParams", "VolSurface", "CallEval", "CallSurface"]
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Knobs of the surface smoother and of CDF inversion built on it."""
-
-    moneyness_grid_points: int = 121
-    cdf_grid_points: int = 2001
-    tail_width: float = 10.0  # tail half-width in units of total stdev
-
-    def __post_init__(self):
-        if self.moneyness_grid_points < 11:
-            raise SurfaceError("moneyness grid needs at least 11 points")
-        if self.cdf_grid_points < 101:
-            raise SurfaceError("cdf grid needs at least 101 points")
-        if self.tail_width <= 1.0:
-            raise SurfaceError("tail width must exceed one total stdev")
+__all__ = ["VolSurface", "CallEval", "CallSurface"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +39,6 @@ class VolSurface:
     maturities: np.ndarray
     strikes: tuple  # tuple of 1-d arrays, one per maturity
     vols: tuple  # tuple of 1-d arrays matching ``strikes``
-    smoothing: SmoothingParams = SmoothingParams()
 
     def __post_init__(self):
         mats = np.asarray(self.maturities, dtype=float)
@@ -153,6 +135,10 @@ class _Profile:
         self.x_hi = x_hi
 
 
+#: points of the common moneyness grid the maturity slices are resampled on
+MONEYNESS_GRID_POINTS = 121
+
+
 class CallSurface:
     """Smooth call-price surface of one asset with analytic derivatives.
 
@@ -184,7 +170,7 @@ class CallSurface:
             x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
         self.x_lo = x_lo
         self.x_hi = x_hi
-        self.x_grid = np.linspace(x_lo, x_hi, surface.smoothing.moneyness_grid_points)
+        self.x_grid = np.linspace(x_lo, x_hi, MONEYNESS_GRID_POINTS)
 
         # resample each maturity's variance spline onto the common grid,
         # flat in vol beyond that maturity's own quoted span
@@ -239,8 +225,17 @@ class CallSurface:
         self._profiles[expiry] = prof
         return prof
 
-    def _variance_terms(self, prof: _Profile, x: np.ndarray):
-        """w, dw/dx, d2w/dx2, dw/dT at ``x`` with flat-vol tails."""
+    def _query(self, expiry: float, strike):
+        """Profile, strikes, log-moneyness and variance terms of one query.
+
+        The variance terms are w, dw/dx, d2w/dx2, dw/dT at x with flat-vol
+        tails, and the mask of strikes outside the quoted moneyness span.
+        """
+        prof = self._profile(expiry)
+        k = np.atleast_1d(np.asarray(strike, dtype=float))
+        if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
+            raise SurfaceError("strikes must be positive and finite")
+        x = np.log(k / prof.forward)
         inside = (x >= prof.x_lo) & (x <= prof.x_hi)
         xc = np.clip(x, prof.x_lo, prof.x_hi)
         w = prof.w_spline(xc)
@@ -250,19 +245,14 @@ class CallSurface:
         n_out = int(np.count_nonzero(~inside))
         if n_out:
             self.counters["strike_extrapolated"] += n_out
-        return np.maximum(w, 1e-14), wx, wxx, wt, ~inside
+        return prof, k, x, np.maximum(w, 1e-14), wx, wxx, wt, ~inside
 
     # ------------------------------------------------------------------
     # queries
 
     def evaluate(self, expiry: float, strike) -> CallEval:
         """Price and analytic derivatives for strikes at one expiry."""
-        prof = self._profile(expiry)
-        k = np.atleast_1d(np.asarray(strike, dtype=float))
-        if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-            raise SurfaceError("strikes must be positive and finite")
-        x = np.log(k / prof.forward)
-        w, wx, wxx, wt, extrap = self._variance_terms(prof, x)
+        prof, k, x, w, wx, wxx, wt, extrap = self._query(expiry, strike)
         s = np.sqrt(w)
         d1 = -x / s + 0.5 * s
         d2 = d1 - s
@@ -302,12 +292,7 @@ class CallSurface:
         with the Gaussian prefactor cancelled, which stays well behaved
         arbitrarily far from the money.
         """
-        prof = self._profile(expiry)
-        k = np.atleast_1d(np.asarray(strike, dtype=float))
-        if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-            raise SurfaceError("strikes must be positive and finite")
-        x = np.log(k / prof.forward)
-        w, wx, wxx, wt, extrap = self._variance_terms(prof, x)
+        prof, k, x, w, wx, wxx, wt, extrap = self._query(expiry, strike)
         g = _convexity(x, w, wx, wxx)
         return VarianceView(
             expiry=prof.expiry,
@@ -328,17 +313,12 @@ class CallSurface:
         return float(out[0]) if np.ndim(strike) == 0 else out
 
     def implied_vol(self, expiry: float, strike):
-        prof = self._profile(expiry)
-        k = np.atleast_1d(np.asarray(strike, dtype=float))
-        x = np.log(k / prof.forward)
-        w, _, _, _, _ = self._variance_terms(prof, x)
+        prof, _, _, w, *_ = self._query(expiry, strike)
         out = np.sqrt(w / prof.expiry)
         return float(out[0]) if np.ndim(strike) == 0 else out
 
     def total_variance(self, expiry: float, strike):
-        prof = self._profile(expiry)
-        k = np.atleast_1d(np.asarray(strike, dtype=float))
-        w, _, _, _, _ = self._variance_terms(prof, np.log(k / prof.forward))
+        _, _, _, w, *_ = self._query(expiry, strike)
         return float(w[0]) if np.ndim(strike) == 0 else w
 
     def forward(self, expiry: float) -> float:

@@ -251,17 +251,13 @@ def test_spec_validation():
     with pytest.raises(PricingError):
         CopulaSpec(n_samples=500)
     with pytest.raises(PricingError):
-        CopulaSpec(n_partitions=1)
-    with pytest.raises(PricingError):
-        CopulaSpec(n_samples=1000, n_partitions=2000)
-    with pytest.raises(PricingError):
         CopulaSpec(sampler="quasi")
     with pytest.raises(CorrelationError):
         CopulaSpec(correlation=np.array([[1.0, 0.9], [0.9, 0.5]]))
-    spec = CopulaSpec(n_samples=1000, n_partitions=16)
+    spec = CopulaSpec(n_samples=1000)
     assert spec.partition_size == 64  # next power of 2 above 63
     assert spec.total_samples == 1024
-    pseudo = CopulaSpec(n_samples=1000, n_partitions=16, sampler="pseudo")
+    pseudo = CopulaSpec(n_samples=1000, sampler="pseudo")
     assert pseudo.partition_size == 63
     assert pseudo.total_samples == 1008
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from localcorr.corrfam import (
     CorrelationFamily,
-    FamilySampler,
     cholesky_lower,
     repair_psd,
     validate_correlation,
@@ -247,11 +246,10 @@ def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kapp
         up=random_correlation(gen, n) if custom_up else None,
         down=random_correlation(gen, n) if custom_down else None,
     )
-    sampler = FamilySampler.from_family(fam)
     # feeding the unit vectors of R^2n returns the columns of the linear map
     us = np.full(2 * n, u)
     kappas = np.full(2 * n, kappa)
-    lin = sampler.draw(np.eye(2 * n), us, kappas).T
+    lin = fam.draw(np.eye(2 * n), us, kappas).T
     assert lin.shape == (n, 2 * n)
     mat = fam.evaluate(u, kappa)
     assert np.max(np.abs(lin @ lin.T - mat)) < 1e-12

@@ -348,6 +348,10 @@ def test_config_validation():
         SimulationConfig(steps_per_year=0)
     with pytest.raises(EngineError):
         SimulationConfig(bounds_policy="retry")
+    # local vol grids need at least one time and one spot
+    for grid in [{"lv_times": 0}, {"lv_times": -3}, {"lv_spots": 0}, {"lv_spots": -1}]:
+        with pytest.raises(EngineError, match="lv_times and lv_spots"):
+            SimulationConfig(**grid)
     # a forced state needs a finite u >= 0 and a branch flag of 0 or 1
     for forced in [(np.nan, 1), (np.inf, 0), (-0.5, 1), (1.0, 2), (1.0, -1), (1.0,), "up"]:
         with pytest.raises(EngineError):

@@ -158,7 +158,7 @@ def test_bisection_agrees_with_closed_form(rng):
     assert not fam_near.flat_mode
     terms = _random_terms(rng, 500, fam_flat)
     sol_flat = solve_state(terms, fam_flat)
-    sol_near = solve_state(terms, fam_near, u_max=100.0)
+    sol_near = solve_state(terms, fam_near)
     # the Newton solve stops at a residual within 1e-14 of the branch limit
     assert np.max(np.abs(sol_flat.u - sol_near.u)) < 1e-8
     assert np.array_equal(sol_flat.kappa, sol_near.kappa)
@@ -169,7 +169,7 @@ def test_non_flat_mode_roots_reprice(rng):
         center=random_correlation(rng, 4), mode=np.array([0.5, 1.0, 1.5, 2.0])
     )
     terms = _random_terms(rng, 800, fam)
-    sol = solve_state(terms, fam, u_max=100.0)
+    sol = solve_state(terms, fam)
     cov = fam.quad_form(terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - terms.target) / terms.target
     assert np.max(rel) < 1e-8
@@ -278,17 +278,17 @@ def test_violations_clamp_to_max_state():
         spots=np.array([[100.0, 100.0]]), vols=np.array([[0.2, 0.2]]),
         weights=np.array([0.5, 0.5]), index_vol=np.sqrt(450.0) / 100.0, family=fam,
     )
-    sol = solve_state(high, fam, u_max=50.0)
+    sol = solve_state(high, fam)
     assert sol.violated_high[0] and not sol.violated_low[0]
-    assert sol.u[0] == 50.0 and sol.kappa[0] == 1
+    assert sol.u[0] == U_MAX and sol.kappa[0] == 1
 
     low = covariance_terms(
         spots=np.array([[100.0, 100.0]]), vols=np.array([[0.2, 0.2]]),
         weights=np.array([0.5, 0.5]), index_vol=np.sqrt(150.0) / 100.0, family=fam,
     )
-    sol = solve_state(low, fam, u_max=50.0)
+    sol = solve_state(low, fam)
     assert sol.violated_low[0] and not sol.violated_high[0]
-    assert sol.u[0] == 50.0 and sol.kappa[0] == 0
+    assert sol.u[0] == U_MAX and sol.kappa[0] == 0
 
 
 def test_check_dispersion_bounds_reporting():

@@ -154,6 +154,20 @@ def test_surface_rejects_bad_quotes():
         )
 
 
+def test_every_query_rejects_bad_strikes():
+    """Price, variance, vol and derivative queries share one strike check."""
+    cs, fc = _surface()
+    f = fc.forward(1.0)
+    queries = (cs.evaluate, cs.variance_view, cs.price, cs.implied_vol, cs.total_variance)
+    for query in queries:
+        for bad in (-5.0, 0.0, np.nan, np.inf, np.array([f, -f]), np.array([f, np.nan])):
+            with pytest.raises(SurfaceError, match="strikes"):
+                query(1.0, bad)
+    assert not cs.counters
+    assert cs.implied_vol(1.0, f) == cs.evaluate(1.0, f).implied_vol[0]
+    assert cs.total_variance(1.0, f) == cs.variance_view(1.0, f).w[0]
+
+
 def test_quote_helper_round_trip():
     quote = flat_quote("ZZZ", 50.0, 0.3, RATE)
     fc = ForwardCurve(50.0, RATE, quote.dividend_curve)

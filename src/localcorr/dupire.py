@@ -19,6 +19,7 @@ and every floored evaluation is counted.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "inverse_cdf",
     "local_vol",
     "LocalVolSurface",
+    "LocalVolGather",
     "calibrate_local_vol",
 ]
 
@@ -172,6 +174,18 @@ def local_vol(cs: CallSurface, t: float, spot, *, floors=None):
     return float(out[0]) if np.ndim(spot) == 0 else out
 
 
+def _blend_rows(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """``values[k]`` belongs to ``times[k]``; linear in time, flat past either end."""
+    t = float(t)
+    if t <= times[0]:
+        return values[0]
+    if t >= times[-1]:
+        return values[-1]
+    j = int(np.searchsorted(times, t, side="right") - 1)
+    lam = (t - times[j]) / (times[j + 1] - times[j])
+    return (1.0 - lam) * values[j] + lam * values[j + 1]
+
+
 @dataclass(eq=False)
 class LocalVolSurface:
     """Tabulated local volatility on a (time, log spot) grid.
@@ -195,21 +209,85 @@ class LocalVolSurface:
 
     def time_slice(self, t: float) -> np.ndarray:
         """Vol row at time ``t``; linear blend of the bracketing grid rows."""
-        t = float(t)
-        times = self.times
-        if t <= times[0]:
-            return self.values[0]
-        if t >= times[-1]:
-            return self.values[-1]
-        j = int(np.searchsorted(times, t, side="right") - 1)
-        lam = (t - times[j]) / (times[j + 1] - times[j])
-        return (1.0 - lam) * self.values[j] + lam * self.values[j + 1]
+        return _blend_rows(self.times, self.values, t)
 
     def __call__(self, t: float, spot):
         row = self.time_slice(t)
         s = np.atleast_1d(np.asarray(spot, dtype=float))
         out = np.interp(np.log(s), self.log_spots, row)
         return float(out[0]) if np.ndim(spot) == 0 else out
+
+
+class LocalVolGather:
+    """Local vols of several surfaces read in one pass over uniform log-spot grids.
+
+    Column c of a (paths, columns) query of log spots reads surface c, so a
+    query covers any leading run of the surfaces.  Each value equals
+    ``np.interp(x[:, c], lv.log_spots, lv.time_slice(t))`` bit for bit.
+    The query is clipped into the grid; a cell index estimated from the
+    uniform spacing is corrected to numpy's bracket
+    log_spots[j] <= x < log_spots[j + 1]; and the value is numpy's
+    (x - xp[j]) * slope[j] + fp[j] with the same precomputed slopes.  Each
+    grid gets one more node at +inf that repeats the last vol with slope 0,
+    so the last node needs no special case.  The surfaces are flattened
+    into one table, surface c starting at offset c (m + 1), and their rows
+    are blended in time per call exactly as ``time_slice`` does.
+    """
+
+    def __init__(self, surfaces: Sequence[LocalVolSurface]):
+        times = surfaces[0].times
+        m = surfaces[0].log_spots.size
+        for lv in surfaces:
+            if not np.array_equal(lv.times, times) or lv.log_spots.size != m:
+                raise SurfaceError("gathered local vol surfaces must share one time grid "
+                                   "and one spot grid size")
+        n = len(surfaces)
+        xp = np.array([lv.log_spots for lv in surfaces])
+        lo, hi = xp[:, :1], xp[:, -1:]
+        inv_h = (m - 1) / (hi - lo) if m > 1 else np.zeros_like(lo)
+        offsets = np.arange(n)[:, None] * (m + 1.0)
+        shift = offsets - lo * inv_h
+        # Every node's estimate within half a cell of its index keeps the
+        # estimate of a clipped query within one cell of its bracket and inside
+        # its own surface's table; two corrections then give the bracket.
+        if np.any(np.abs(xp * inv_h + shift - (offsets + np.arange(m))) >= 0.5):
+            raise SurfaceError("gathered local vol log-spot grids must be uniform")
+        self._times = times
+        self._m = m
+        self._lo, self._hi, self._inv_h = lo, hi, inv_h
+        self._offsets, self._shift = offsets, shift
+        self._xp = np.concatenate([xp, np.full((n, 1), np.inf)], axis=1).ravel()
+        self._xp_next = np.append(self._xp[1:], np.inf)
+        # +inf spacings past the last node give the padded slopes 0
+        self._dx = np.concatenate([np.diff(xp, axis=1), np.full((n, 2), np.inf)], axis=1)
+        self._values = np.empty((times.size, n, m + 1))
+        for c, lv in enumerate(surfaces):
+            self._values[:, c, :m] = lv.values
+        self._values[:, :, m] = self._values[:, :, m - 1]
+
+    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Local vols at time ``t`` of log spots ``x`` (paths, columns).
+
+        Any memory layout works; a column-major ``x`` is read fastest.
+        """
+        p, c = x.shape
+        fp = _blend_rows(self._times, self._values[:, :c], t)
+        if self._m == 1:  # np.interp's one-node rule: every query, NaN included, reads fp0
+            return np.broadcast_to(fp[:, 0], (p, c)).copy()
+        slope = np.diff(fp, axis=1, append=fp[:, -1:]) / self._dx[:c]
+        # one row per surface, so the per-surface constants broadcast along rows
+        xc = np.clip(x.T, self._lo[:c], self._hi[:c], out=np.empty((c, p)))
+        f = np.multiply(xc, self._inv_h[:c])
+        f += self._shift[:c]
+        np.fmax(f, self._offsets[:c], out=f)  # no lower than node 0, where NaN goes too
+        j = f.astype(np.intp)
+        j -= xc < self._xp.take(j, mode="clip", out=f)
+        j += xc >= self._xp_next.take(j, mode="clip", out=f)
+        xc -= self._xp.take(j, mode="clip", out=f)
+        xc *= slope.ravel().take(j, mode="clip", out=f)
+        out = np.empty((p, c))
+        np.add(xc, fp.ravel().take(j, mode="clip", out=f), out=out.T)
+        return out
 
 
 def calibrate_local_vol(
@@ -228,6 +306,10 @@ def calibrate_local_vol(
     """
     if horizon <= 0.0:
         raise SurfaceError("calibration horizon must be positive")
+    if n_times < 1 or n_spots < 1:
+        raise SurfaceError(
+            f"local vol grid sizes must be positive, got {n_times} times and {n_spots} spots"
+        )
     f0 = cs.forward_curve.forward(0.0)
     w_ref = cs.total_variance(min(horizon, cs.expiry_max), f0)
     half_width = 6.0 * np.sqrt(max(w_ref, 1e-4) * max(1.0, horizon / min(horizon, cs.expiry_max)))

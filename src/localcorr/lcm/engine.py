@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..corrfam import CorrelationFamily
-from ..dupire import LocalVolSurface, calibrate_local_vol
+from ..dupire import LocalVolGather, LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
 from ..marketdata.snapshot import MarketSnapshot
 from ..rng import substream
@@ -161,6 +161,10 @@ class CalibratedMarket:
     dlog_fwd: np.ndarray  # (n_steps, n) exact forward log increments
     local_vols: list[LocalVolSurface]
     index_local_vol: LocalVolSurface
+    _gather: LocalVolGather = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._gather = LocalVolGather([*self.local_vols, self.index_local_vol])
 
     @property
     def n_assets(self) -> int:
@@ -170,12 +174,13 @@ class CalibratedMarket:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    def local_vol_row(self, t: float, ln_spots: np.ndarray) -> np.ndarray:
-        """Constituent local vols at time ``t``, ln_spots of shape (p, n)."""
-        out = np.empty_like(ln_spots)
-        for i, lv in enumerate(self.local_vols):
-            out[:, i] = np.interp(ln_spots[:, i], lv.log_spots, lv.time_slice(t))
-        return out
+    def local_vol_row(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Local vols at time ``t`` of the columns of ``x``, shape (p, n) or (p, n + 1).
+
+        The columns are the constituent log spots, optionally followed by
+        the log basket level, which reads the index surface.
+        """
+        return self._gather(t, x)
 
 
 def calibrate_market(
@@ -297,6 +302,14 @@ def _finalize_diag(stats: _BlockStats, market: CalibratedMarket, n_paths: int) -
 # the core block loop
 
 
+def _with_log_basket(ln_spots: np.ndarray, spots: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Local-vol query: the log spots and then the log basket level, column-major."""
+    x = np.empty((ln_spots.shape[1] + 1, ln_spots.shape[0])).T
+    x[:, :-1] = ln_spots
+    np.log(spots @ weights, out=x[:, -1])
+    return x
+
+
 def _run_block(
     market: CalibratedMarket,
     config: SimulationConfig,
@@ -335,11 +348,12 @@ def _run_block(
         dt = float(market.times[k + 1] - market.times[k])
         if k in slice_pos:
             spot_rec[slice_pos[k]] = np.exp(ln_s)
-        s = np.exp(ln_s)
-        vols = market.local_vol_row(t, ln_s)
-
-        if not forced:
-            sigma_b = market.index_local_vol(t, s @ weights)
+        if forced:
+            vols = market.local_vol_row(t, ln_s)
+        else:
+            s = np.exp(ln_s)
+            vols = market.local_vol_row(t, _with_log_basket(ln_s, s, weights))
+            vols, sigma_b = vols[:, :n], vols[:, n]
             terms = covariance_terms(s, vols, weights, sigma_b, market.family)
             sol = solve_state(terms, market.family)
             if config.bounds_policy == "strict" and sol.n_violations:
@@ -604,10 +618,8 @@ def probe_bounds(market: CalibratedMarket) -> BoundsReport:
             market.snapshot.forward_curve(a).forward(float(t)) for a in market.asset_ids
         ])
         spots = _PROBE_MONEYNESS[:, None] * fwds[None, :]
-        ln_spots = np.log(spots)
-        vols = market.local_vol_row(float(t), ln_spots)
-        sigma_b = market.index_local_vol(float(t), spots @ weights)
-        terms = covariance_terms(spots, vols, weights, sigma_b, market.family)
+        vols = market.local_vol_row(float(t), _with_log_basket(np.log(spots), spots, weights))
+        terms = covariance_terms(spots, vols[:, :-1], weights, vols[:, -1], market.family)
         reports.append(check_dispersion_bounds(terms))
     return BoundsReport(
         n_checked=sum(r.n_checked for r in reports),

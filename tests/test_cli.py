@@ -100,6 +100,15 @@ def test_calibrate_writes_local_vol_grids(snapshot_path, tmp_path):
     assert np.max(np.abs(aaa - 0.2)) < 1e-6
 
 
+@pytest.mark.parametrize("grid", [["--times", "-3"], ["--times", "0"], ["--spots", "-3"],
+                                  ["--spots", "0"]])
+def test_calibrate_rejects_empty_grids(snapshot_path, tmp_path, grid):
+    res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path), "calibrate", *grid])
+    assert res.exit_code == 1
+    assert _error_payload(res)["error"]["type"] == "SurfaceError"
+    assert not list(tmp_path.glob("localvol_*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # price
 

@@ -1,12 +1,16 @@
 """Tests for local vol extraction, implied densities, and inverse CDF tables."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import lognorm
 
 from localcorr.dupire import (
+    LocalVolGather,
     LocalVolSurface,
     calibrate_local_vol,
     cumulative,
@@ -14,7 +18,7 @@ from localcorr.dupire import (
     inverse_cdf,
     local_vol,
 )
-from localcorr.errors import PricingError
+from localcorr.errors import PricingError, SurfaceError
 from localcorr.marketdata.curves import ForwardCurve, RateCurve
 from localcorr.marketdata.surfaces import CallSurface, VolSurface
 
@@ -275,3 +279,88 @@ def test_calibrated_surface_respects_vol_bounds():
     assert np.all(lvs.values >= 0.01 - 1e-15)
     assert np.all(lvs.values <= 5.0 + 1e-15)
     assert np.all(np.isfinite(lvs.values))
+
+
+def test_calibration_rejects_empty_grids():
+    cs, _ = _flat_surface()
+    for sizes in [{"n_times": 0}, {"n_times": -3}, {"n_spots": 0}, {"n_spots": -3}]:
+        with pytest.raises(SurfaceError, match="grid sizes must be positive"):
+            calibrate_local_vol(cs, horizon=1.0, **sizes)
+
+
+# ---------------------------------------------------------------------------
+# one-pass gather over several surfaces
+
+
+def _uniform_lv(asset_id, f0, half_width, times, values):
+    log_spots = np.log(f0) + np.linspace(-half_width, half_width, values.shape[1])
+    return LocalVolSurface(asset_id, times, log_spots, values)
+
+
+def _queries(lv):
+    """Every node, both float neighbours of each, and points beyond both edges."""
+    xp = lv.log_spots
+    lo, hi = xp[0], xp[-1]
+    extra = [lo - 1.0, hi + 1.0, lo - 1e-9, hi + 1e-9, -1e300, 1e300, -np.inf, np.inf, np.nan,
+             0.5 * (lo + hi), 0.75 * lo + 0.25 * hi]
+    return np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf), extra])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from((1, 2, 3, 161)),
+    grids=st.lists(
+        st.tuples(st.floats(1.0, 1000.0), st.floats(1e-3, 8.0)), min_size=1, max_size=4
+    ),
+    n_times=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_is_np_interp_bit_for_bit(m, grids, n_times, seed):
+    """Column c of the gather equals np.interp on surface c, to the last bit, warning-free."""
+    gen = np.random.default_rng(seed)
+    times = np.linspace(1e-3, 2.0, n_times)
+    surfaces = [
+        _uniform_lv(f"S{c}", f0, hw, times, gen.uniform(0.01, 5.0, (n_times, m)))
+        for c, (f0, hw) in enumerate(grids)
+    ]
+    gather = LocalVolGather(surfaces)
+    x = np.vstack([
+        np.column_stack([_queries(lv) for lv in surfaces]),
+        np.log([f0 for f0, _ in grids]) + gen.uniform(-10.0, 10.0, (64, len(grids))),
+    ])
+    nodes = slice(0, m)
+    # before the first grid time, on every grid time, between them and past the last
+    for t in [0.0, *times, *gen.uniform(0.0, 2.0, 3), 2.5]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gather(t, x)
+            lead = gather(t, np.asfortranarray(x[:, :1]))
+        for c, lv in enumerate(surfaces):
+            row = lv.time_slice(t)
+            want = np.interp(x[:, c], lv.log_spots, row)
+            assert np.array_equal(got[:, c].view(np.int64), want.view(np.int64))
+            # the rows the gather blends are time_slice's rows, bit for bit
+            assert np.array_equal(got[nodes, c].view(np.int64), row.view(np.int64))
+        assert np.array_equal(lead.view(np.int64), got[:, :1].view(np.int64))
+        nan = np.isnan(x)
+        assert np.all(np.isnan(got[nan])) if m > 1 else np.all(np.isfinite(got))
+
+
+def test_gather_rejects_grids_it_cannot_bracket():
+    times = np.linspace(1e-3, 1.0, 4)
+    values = np.full((4, 21), 0.2)
+    good = _uniform_lv("A", 100.0, 2.0, times, values)
+    LocalVolGather([good, good])
+    # one node moved by 0.6 of a cell: the uniform bracket estimate could miss by two cells
+    bent = good.log_spots.copy()
+    bent[10] += 0.6 * (bent[1] - bent[0])
+    geometric = np.log(100.0) + np.geomspace(1.0, 5.0, 21) - 3.0
+    for log_spots in (bent, geometric):
+        with pytest.raises(SurfaceError, match="uniform"):
+            LocalVolGather([good, LocalVolSurface("B", times, log_spots, values)])
+    # surfaces must share the time grid and the spot count
+    other_times = _uniform_lv("C", 90.0, 2.0, times * 2.0, values)
+    fewer_spots = _uniform_lv("D", 90.0, 2.0, times, values[:, :20])
+    for bad in (other_times, fewer_spots):
+        with pytest.raises(SurfaceError, match="share one time grid"):
+            LocalVolGather([good, bad])

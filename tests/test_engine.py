@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from localcorr.copula import flat_correlation
 from localcorr.corrfam import CorrelationFamily
 from localcorr.errors import BoundViolationError, EngineError, PricingError
 from localcorr.lcm.engine import (
@@ -21,6 +22,7 @@ from localcorr.lcm.engine import (
 from localcorr.marketdata.snapshot import IndexComposition, MarketSnapshot
 
 from localcorr.marketdata.curves import RateCurve
+from localcorr.synth import AssetRecipe, SyntheticRecipe, build_snapshot
 
 from helpers import AS_OF, bisect_implied_vol, flat_quote, flat_snapshot, index_quote
 
@@ -378,3 +380,50 @@ def test_calibration_validation():
     fam3 = CorrelationFamily(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
     with pytest.raises(EngineError):
         calibrate_market(snap, fam3, 1.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# local vol lookup
+
+
+def test_local_vol_row_is_np_interp_bit_for_bit():
+    """On a steepened five-asset market, every step reads np.interp's exact bits."""
+    recipe = SyntheticRecipe(
+        assets=(
+            AssetRecipe("AAA", spot=100.0, base_vol=0.20, skew=0.05),
+            AssetRecipe("BBB", spot=80.0, base_vol=0.26, skew=0.06),
+            AssetRecipe("CCC", spot=120.0, base_vol=0.23, skew=0.04),
+            AssetRecipe("DDD", spot=95.0, base_vol=0.30, skew=0.07),
+            AssetRecipe("EEE", spot=105.0, base_vol=0.22, skew=0.05),
+        ),
+        correlation=0.45, generator="steepened", steepen=0.06, seed=9,
+    )
+    snap = build_snapshot(recipe)
+    cfg = SimulationConfig(n_paths=1000, steps_per_year=100, seed=3)
+    market = calibrate_market(snap, CorrelationFamily(center=flat_correlation(5, 0.45)), 1.0, cfg)
+    surfaces = [*market.local_vols, market.index_local_vol]
+    gen = np.random.default_rng(5)
+    spots = market.spots0 * np.exp(gen.normal(0.0, 0.6, (256, 5)))
+    spots[:4] *= np.array([[1e-9], [1e9], [0.02], [50.0]])  # beyond both grid edges
+    ln_spots = np.log(spots)
+    x = np.column_stack([ln_spots, np.log(spots @ market.weights)])
+    for t in market.times:
+        got = market.local_vol_row(t, x)
+        assert np.array_equal(market.local_vol_row(t, ln_spots), got[:, :5])
+        for c, lv in enumerate(surfaces):
+            want = np.interp(x[:, c], lv.log_spots, lv.time_slice(t))
+            assert np.array_equal(got[:, c].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("grid", [{"lv_spots": 1}, {"lv_times": 1}])
+def test_single_node_local_vol_grids_price(grid):
+    cfg1 = SimulationConfig(n_paths=2000, steps_per_year=20, seed=41, block_size=500, **grid)
+    cfg2 = dataclasses.replace(cfg1, n_threads=2)
+    market = _two_asset_market(cfg1)
+    payoffs = [PayoffSpec("index_call", 110.0), PayoffSpec("worst_of_put", 0.9)]
+    res1, diag1 = price_european(market, payoffs, cfg1)
+    res2, diag2 = price_european(market, payoffs, cfg2)
+    for a, b in zip(res1, res2):
+        assert np.isfinite(a.price) and a.price > 0.0
+        assert (a.price, a.stderr) == (b.price, b.stderr)
+    assert diag1.as_dict() == diag2.as_dict()

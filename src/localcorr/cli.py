@@ -282,7 +282,8 @@ def calibrate(state: CliState, horizon, times, spots):
     ids = list(snapshot.composition.ids) + [snapshot.index.asset_id]
     for asset_id in ids:
         cs = snapshot.call_surface(asset_id)
-        h = horizon or float(snapshot.asset(asset_id).vol_surface.max_maturity)
+        h = horizon if horizon is not None else float(
+            snapshot.asset(asset_id).vol_surface.max_maturity)
         lv = calibrate_local_vol(cs, h, n_times=times, n_spots=spots)
         rows = []
         for i, t in enumerate(lv.times):

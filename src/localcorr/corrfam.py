@@ -128,6 +128,11 @@ def cholesky_lower(mat: np.ndarray) -> np.ndarray:
     return low
 
 
+def _form(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Per-row quadratic form a_p' M a_p for a of shape (p, n)."""
+    return np.einsum("pi,pi->p", a @ mat, a)
+
+
 # ----------------------------------------------------------------------
 
 
@@ -168,15 +173,15 @@ class CorrelationFamily:
         # built once and only read afterwards, so worker threads share them safely
         self._chol_center = cholesky_lower(self.center)
         self._chol_dirs = (cholesky_lower(self.down), cholesky_lower(self.up))  # by kappa
+        #: True when every mode entry is one; enables closed-form inversion
+        self.flat_mode = bool(np.all(self.mode == 1.0))
+        # the default directions, whose limit forms need no matrix product
+        self._ones_up = bool(np.all(self.up == 1.0))
+        self._eye_down = bool(np.array_equal(self.down, np.eye(n)))
 
     @property
     def n_assets(self) -> int:
         return self.center.shape[0]
-
-    @property
-    def flat_mode(self) -> bool:
-        """True when every mode entry is one; enables closed-form inversion."""
-        return bool(np.all(self.mode == 1.0))
 
     def direction(self, kappa: int) -> np.ndarray:
         return self.up if kappa else self.down
@@ -203,15 +208,11 @@ class CorrelationFamily:
         that one branch, a per-row array selects between both.
         """
         _, b, c = self._scaled(a, u)
-
-        def form(x, mat):
-            return np.einsum("pi,pi->p", x @ mat, x)
-
         if np.ndim(kappa) == 0:
-            along = form(c, self.direction(kappa))
+            along = _form(c, self.direction(kappa))
         else:
-            along = np.where(kappa > 0, form(c, self.up), form(c, self.down))
-        return form(b, self.center) + np.square(u) * along
+            along = np.where(kappa > 0, _form(c, self.up), _form(c, self.down))
+        return _form(b, self.center) + np.square(u) * along
 
     def quad_form_slope(self, a: np.ndarray, u: np.ndarray, kappa: int):
         """``quad_form`` on one branch and its derivative in lambda = u^2 / (1 + u^2).
@@ -260,6 +261,16 @@ class CorrelationFamily:
         along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
         xu = self.mode[None, :] * u[:, None]
         return (z1 @ self._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
+
+    def limit_forms(self, a: np.ndarray, diag: np.ndarray):
+        """Per-row a_p' L a_p at the raising and the lowering limit L.
+
+        ``diag`` is sum a_i^2, which is the lowering form under the identity
+        direction; the all-ones direction gives (sum a_i)^2.
+        """
+        up = np.square(a.sum(axis=1)) if self._ones_up else _form(a, self.up)
+        down = diag if self._eye_down else _form(a, self.down)
+        return up, down
 
     def limit(self, kappa: int) -> np.ndarray:
         """Correlation matrix in the u -> infinity limit of a branch."""

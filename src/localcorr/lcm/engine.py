@@ -360,7 +360,7 @@ def _run_block(
                 raise BoundViolationError(
                     f"{sol.n_violations} dispersion bound violations at t = {t:.4f}"
                 )
-            u, kappa, signed = sol.u, sol.kappa, sol.signed
+            u, kappa = sol.u, sol.kappa
             level = market.family.mean_correlation(u, kappa)
             stats.n_solved += n_block
             stats.kappa_up += int(np.count_nonzero(kappa))
@@ -370,7 +370,7 @@ def _run_block(
             stats.corr_sum += float(level.sum())
         for step in (k, n_steps):
             if step in slice_pos and (step == k or k == n_steps - 1):
-                state_rec[slice_pos[step]] = signed
+                state_rec[slice_pos[step]] = signed if forced else sol.signed
 
         moff_sum += level
         z = rng.standard_normal((n_block, 2 * n))
@@ -503,49 +503,57 @@ def price_european(
 ) -> tuple[list[PriceResult], SimDiagnostics]:
     """Price European payoffs at the calibration horizon, streaming blocks.
 
-    Per-block payoff sums are reduced in block order, so results do not
-    depend on the thread count.
+    Every payoff y is averaged against one control, x = B_T / E[B_T] - 1
+    with B_T the terminal basket: the log-Euler step adds the exact
+    forward increment, so E[B_T] is known exactly and E[x] = 0.  With
+    beta = Cov(x, y) / Var(x) from the same paths, the price is
+    df (mean(y) - beta mean(x)) and the stderr is
+    df sqrt((Var(y) - beta Cov(x, y)) / N) (Glasserman, *Monte Carlo
+    Methods in Financial Engineering*, 4.1).  Per-block sums of y, y^2,
+    x, x^2 and xy are reduced in block order, so results do not depend
+    on the thread count.
     """
     config = config or SimulationConfig()
     if not payoffs:
         raise PricingError("no payoffs given")
     sizes = _block_plan(config)
-    n_pay = len(payoffs)
+    basket_mean = float(market.weights @ (market.spots0 * np.exp(market.dlog_fwd.sum(axis=0))))
 
     def worker(b: int):
         spot_rec, _, _, stats = _run_block(market, config, b, sizes[b], [market.n_steps])
         spots = spot_rec[0]
-        sums = np.empty(n_pay)
-        sumsq = np.empty(n_pay)
-        for j, spec in enumerate(payoffs):
-            vals = _payoff_values(spec, spots, market)
-            sums[j] = vals.sum()
-            sumsq[j] = np.square(vals).sum()
-        return sums, sumsq, stats
+        x = spots @ market.weights / basket_mean - 1.0
+        x_sum, x_sq = x.sum(), np.square(x).sum()
+        rows = []
+        for spec in payoffs:
+            y = _payoff_values(spec, spots, market)
+            rows.append((y.sum(), np.square(y).sum(), x_sum, x_sq, (x * y).sum()))
+        return np.array(rows), stats
 
     outcomes = _map_blocks(worker, len(sizes), config.resolve_threads())
     agg = _BlockStats()
-    total = np.zeros(n_pay)
-    total_sq = np.zeros(n_pay)
-    for sums, sumsq, stats in outcomes:
+    total = np.zeros((len(payoffs), 5))
+    for sums, stats in outcomes:
         total += sums
-        total_sq += sumsq
         agg.merge(stats)
     n_paths = config.n_paths
+    my, myy, mx, mxx, mxy = (total / n_paths).T
+    var_x = mxx - mx * mx
+    cov = mxy - mx * my
+    beta = np.divide(cov, var_x, out=np.zeros_like(cov), where=var_x > 0.0)  # 0 at one path
+    mean = my - beta * mx
+    var = np.maximum(myy - my * my - beta * cov, 0.0)
     df = market.snapshot.discount_curve.discount(market.horizon)
-    results = []
-    for j, spec in enumerate(payoffs):
-        mean = total[j] / n_paths
-        var = max(total_sq[j] / n_paths - mean * mean, 0.0)
-        results.append(
-            PriceResult(
-                payoff=spec,
-                price=float(df * mean),
-                stderr=float(df * np.sqrt(var / n_paths)),
-                n_paths=n_paths,
-                df=float(df),
-            )
+    results = [
+        PriceResult(
+            payoff=spec,
+            price=float(df * mean[j]),
+            stderr=float(df * np.sqrt(var[j] / n_paths)),
+            n_paths=n_paths,
+            df=float(df),
         )
+        for j, spec in enumerate(payoffs)
+    ]
     return results, _finalize_diag(agg, market, n_paths)
 
 

@@ -100,9 +100,7 @@ def covariance_terms(
     target = np.square(np.atleast_1d(np.asarray(index_vol, dtype=float))) * np.square(basket)
     diag = np.einsum("pi,pi->p", a, a)
     cov_center = _quad_form(a, family.center)
-    up, down = family.limit(1), family.limit(0)
-    cov_up = np.square(a.sum(axis=1)) if np.all(up == 1.0) else _quad_form(a, up)
-    cov_down = diag if np.array_equal(down, np.eye(down.shape[0])) else _quad_form(a, down)
+    cov_up, cov_down = family.limit_forms(a, diag)
     return CovarianceTerms(
         a=a,
         target=target,

@@ -109,6 +109,15 @@ def test_calibrate_rejects_empty_grids(snapshot_path, tmp_path, grid):
     assert not list(tmp_path.glob("localvol_*.csv"))
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_calibrate_rejects_non_positive_horizon(snapshot_path, tmp_path, horizon):
+    res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path), "calibrate",
+                "--horizon", horizon, "--times", "3", "--spots", "3"])
+    assert res.exit_code == 1
+    assert _error_payload(res)["error"]["type"] == "SurfaceError"
+    assert not list(tmp_path.glob("localvol_*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # price
 

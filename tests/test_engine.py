@@ -120,6 +120,23 @@ def test_worst_of_collapses_to_vanilla_for_one_asset():
     assert res[2].price == pytest.approx(res[3].price / 100.0, rel=1e-12)
 
 
+def _basket_forward(market):
+    """E[B_T] from the snapshot's forward curves."""
+    snap = market.snapshot
+    fwds = [snap.forward_curve(a).forward(market.horizon) for a in market.asset_ids]
+    return float(np.dot(market.weights, fwds))
+
+
+def _cv_estimate(vals, cube, market, df):
+    """Control-variate price and stderr of payoff values on a cube, two-pass."""
+    x = cube.basket(-1) / _basket_forward(market) - 1.0
+    dx, dy = x - x.mean(), vals - vals.mean()
+    var_x, cov = np.mean(dx * dx), np.mean(dx * dy)
+    beta = cov / var_x
+    resid = np.mean(dy * dy) - beta * cov
+    return df * (vals.mean() - beta * x.mean()), df * np.sqrt(resid / vals.size)
+
+
 def test_price_matches_cube_payoff_average():
     cfg = SimulationConfig(n_paths=6000, steps_per_year=25, seed=7)
     market = _two_asset_market(cfg)
@@ -128,10 +145,87 @@ def test_price_matches_cube_payoff_average():
     cube = simulate(market, cfg)
     vals = np.maximum(cube.basket(-1) - 110.0, 0.0)
     df = res[0].df
-    assert res[0].price == pytest.approx(df * vals.mean(), rel=1e-12)
-    assert res[0].stderr == pytest.approx(
-        df * vals.std() / np.sqrt(cfg.n_paths), rel=1e-10
-    )
+    want_price, want_stderr = _cv_estimate(vals, cube, market, df)
+    assert res[0].price == pytest.approx(want_price, rel=1e-12)
+    assert res[0].stderr == pytest.approx(want_stderr, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# basket-forward control variate
+
+
+_ALL_KINDS = [
+    PayoffSpec("index_call", 110.0),
+    PayoffSpec("index_put", 105.0),
+    PayoffSpec("asset_call", 125.0, asset_id="BBB"),
+    PayoffSpec("asset_put", 95.0, asset_id="AAA"),
+    PayoffSpec("worst_of_put", 0.9),
+    PayoffSpec("best_of_call", 1.1),
+]
+
+
+def test_control_variate_prices_affine_payoff_exactly():
+    """A deep in-the-money index call is affine in the control, so the estimate
+    is df (E[B_T] - K) and only rounding is left of its variance."""
+    cfg = SimulationConfig(n_paths=6000, steps_per_year=25, seed=7)
+    market = _two_asset_market(cfg)
+    basket_fwd = _basket_forward(market)
+    strike = 1e-6 * basket_fwd
+    res, _ = price_european(market, [PayoffSpec("index_call", strike)], cfg)
+    want = res[0].df * (basket_fwd - strike)
+    assert res[0].price == pytest.approx(want, rel=1e-12)
+    # Var(y) - beta Cov(x, y) cancels two moments of size mean(y)^2, so a few
+    # ulp of that survive; the plain stderr is about 2.6e-3 of the price
+    eps = np.finfo(float).eps
+    assert res[0].stderr <= 8.0 * np.sqrt(eps / cfg.n_paths) * res[0].price
+
+
+def test_control_variate_never_widens_the_plain_stderr():
+    cfg = SimulationConfig(n_paths=6000, steps_per_year=25, seed=19)
+    market = _two_asset_market(cfg)
+    res, _ = price_european(market, _ALL_KINDS, cfg)
+    cube = simulate(market, cfg)
+    spots = cube.values[:, :, -1]
+    perf = spots / market.spots0
+    basket = cube.basket(-1)
+    plain_vals = [
+        np.maximum(basket - 110.0, 0.0),
+        np.maximum(105.0 - basket, 0.0),
+        np.maximum(spots[:, 1] - 125.0, 0.0),
+        np.maximum(95.0 - spots[:, 0], 0.0),
+        np.maximum(0.9 - perf.min(axis=1), 0.0),
+        np.maximum(perf.max(axis=1) - 1.1, 0.0),
+    ]
+    for r, vals in zip(res, plain_vals):
+        plain = r.df * vals.std() / np.sqrt(cfg.n_paths)
+        assert 0.0 < r.stderr <= plain, r.payoff.label()
+        want_price, want_stderr = _cv_estimate(vals, cube, market, r.df)
+        assert r.price == pytest.approx(want_price, rel=1e-12)
+        assert r.stderr == pytest.approx(want_stderr, rel=1e-10)
+
+
+def test_control_variate_with_one_path():
+    cfg = SimulationConfig(n_paths=1, steps_per_year=10, seed=3)
+    market = _two_asset_market(cfg)
+    res, _ = price_european(market, _ALL_KINDS, cfg)
+    cube = simulate(market, cfg)
+    assert res[0].price == res[0].df * max(cube.basket(-1)[0] - 110.0, 0.0)
+    for r in res:
+        assert np.isfinite(r.price)
+        assert r.stderr == 0.0
+
+
+@pytest.mark.parametrize("n_paths", [4500, 1000])
+def test_control_variate_is_thread_invariant(n_paths):
+    """Three blocks, then one block, at 1, 2 and 4 threads: fewer blocks than threads."""
+    cfg = SimulationConfig(n_paths=n_paths, steps_per_year=20, seed=43, block_size=1500)
+    market = _two_asset_market(cfg)
+    runs = [price_european(market, _ALL_KINDS, dataclasses.replace(cfg, n_threads=t))
+            for t in (1, 2, 4)]
+    first = [(r.price, r.stderr) for r in runs[0][0]]
+    for res, diag in runs[1:]:
+        assert [(r.price, r.stderr) for r in res] == first
+        assert diag.as_dict() == runs[0][1].as_dict()
 
 
 def test_price_wrapper_equals_two_step():

@@ -29,7 +29,17 @@ vectors z1, z2,
     x = S(u) (L_C z1 + u Xi L_D z2)
 
 has covariance S (C + u^2 Xi D Xi) S = R(u, kappa), because Xi D Xi is
-the Schur product of xi xi' with D.  No state grid is needed.
+the Schur product of xi xi' with D.  No state grid is needed.  Under the
+default directions L_D is a unit first column (raising) or the identity
+(lowering), so the direction term needs no matrix product.
+
+In flat mode (xi = 1) every member is (C + u^2 D) / (1 + u^2), so the sum
+of its entries is
+
+    1'R1 = (sum C + u^2 sum D) / (1 + u^2)
+
+from two sums fixed per family and branch, which gives the mean pairwise
+correlation in O(1) per path.
 """
 from __future__ import annotations
 
@@ -175,6 +185,9 @@ class CorrelationFamily:
         self._chol_dirs = (cholesky_lower(self.down), cholesky_lower(self.up))  # by kappa
         #: True when every mode entry is one; enables closed-form inversion
         self.flat_mode = bool(np.all(self.mode == 1.0))
+        # entry sums of C and of the directions (by kappa): flat-mode 1'R1
+        self._sum_center = float(self.center.sum())
+        self._sum_dirs = (float(self.down.sum()), float(self.up.sum()))
         # the default directions, whose limit forms need no matrix product
         self._ones_up = bool(np.all(self.up == 1.0))
         self._eye_down = bool(np.array_equal(self.down, np.eye(n)))
@@ -242,24 +255,42 @@ class CorrelationFamily:
         return scale, b, b * self.mode[None, :]
 
     def mean_correlation(self, u: np.ndarray, kappa) -> np.ndarray:
-        """Mean off-diagonal entry of R(u_p, kappa_p) per row, (1'R1 - n) / (n (n - 1))."""
+        """Mean off-diagonal entry of R(u_p, kappa_p) per row, (1'R1 - n) / (n (n - 1)).
+
+        In flat mode 1'R1 = (sum C + u^2 sum D_kappa) / (1 + u^2) from the
+        entry sums taken at construction; other modes evaluate ``quad_form``
+        with all-ones loadings.
+        """
         n = self.n_assets
         if n == 1:
             return np.zeros(u.size)
-        return (self.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
+        if self.flat_mode:
+            down, up = self._sum_dirs
+            along = np.where(kappa > 0, up, down)
+            u2 = np.square(u)
+            total = (self._sum_center + u2 * along) / (1.0 + u2)
+        else:
+            total = self.quad_form(np.ones((u.size, n)), u, kappa)
+        return (total - n) / (n * (n - 1))
 
     def draw(self, z: np.ndarray, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         """Map normals ``z`` of shape (p, 2n) to rows with correlation R(u_p, kappa_p).
 
         The map is S(u) (L_C z1 + u Xi L_D z2) from the Cholesky factors of
         the center and of both branch directions, so a draw costs the same
-        few matrix products whatever the states are.
+        few matrix products whatever the states are.  Under the default
+        directions L_D z2 is z2's first entry (raising) or z2 itself
+        (lowering), and in flat mode S(u) is one scale per row; both
+        shortcuts give the general map's bits.
         """
         n = self.mode.size
         z1, z2 = z[:, :n], z[:, n:]
-        down, up = self._chol_dirs
-        along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
-        xu = self.mode[None, :] * u[:, None]
+        if self._ones_up and self._eye_down:
+            along = np.where(kappa[:, None] > 0, z2[:, :1], z2)
+        else:
+            down, up = self._chol_dirs
+            along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
+        xu = u[:, None] if self.flat_mode else self.mode[None, :] * u[:, None]
         return (z1 @ self._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
 
     def limit_forms(self, a: np.ndarray, diag: np.ndarray):

@@ -334,6 +334,8 @@ def _run_block(
     spot_rec = np.empty((len(slice_steps), n_block, n))
     state_rec = np.zeros((len(slice_steps), n_block))
     moff_sum = np.zeros(n_block)
+    z = np.empty((n_block, 2 * n))  # step buffers, refilled in place
+    inc = np.empty((n_block, n))
 
     forced = config.forced_state is not None
     if forced:
@@ -373,10 +375,17 @@ def _run_block(
                 state_rec[slice_pos[step]] = signed if forced else sol.signed
 
         moff_sum += level
-        z = rng.standard_normal((n_block, 2 * n))
+        rng.standard_normal(out=z)
         zc = market.family.draw(z, u, kappa)
-        ln_s += market.dlog_fwd[k][None, :] - 0.5 * np.square(vols) * dt
-        ln_s += np.sqrt(dt) * vols * zc
+        # ln_s += dlog_fwd - 0.5 vols^2 dt, then sqrt(dt) vols zc, in that rounding order
+        np.square(vols, out=inc)
+        inc *= 0.5
+        inc *= dt
+        np.subtract(market.dlog_fwd[k], inc, out=inc)
+        ln_s += inc
+        np.multiply(np.sqrt(dt), vols, out=inc)
+        inc *= zc
+        ln_s += inc
 
     if n_steps in slice_pos:
         spot_rec[slice_pos[n_steps]] = np.exp(ln_s)
@@ -391,10 +400,18 @@ def _block_plan(config: SimulationConfig) -> list[int]:
 
 
 def _map_blocks(worker, n_blocks: int, threads: int):
+    """``worker(b)`` for every block, in block order.
+
+    When a block raises, the blocks not yet started are cancelled before
+    the error propagates, so a failing run stops after those in flight.
+    """
     if threads == 1:
         return [worker(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
         return [f.result() for f in [pool.submit(worker, b) for b in range(n_blocks)]]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corrfam import CorrelationFamily
+from ..corrfam import CorrelationFamily, _form
 from ..errors import BoundViolationError, CorrelationError
 
 __all__ = [
@@ -50,11 +50,6 @@ _MAX_ITERS = 64
 #: state cap: out-of-band targets pin here, and a path at it counts as clamped
 U_MAX = 1e3
 _LAM_MAX = U_MAX**2 / (1.0 + U_MAX**2)  # the cap in lambda = u^2 / (1 + u^2)
-
-
-def _quad_form(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Per-row quadratic form a_p' M a_p for a of shape (paths, n)."""
-    return np.einsum("pi,pi->p", a @ mat, a)
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ def covariance_terms(
     basket = spots @ weights
     target = np.square(np.atleast_1d(np.asarray(index_vol, dtype=float))) * np.square(basket)
     diag = np.einsum("pi,pi->p", a, a)
-    cov_center = _quad_form(a, family.center)
+    cov_center = _form(a, family.center)
     cov_up, cov_down = family.limit_forms(a, diag)
     return CovarianceTerms(
         a=a,

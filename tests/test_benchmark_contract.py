@@ -12,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from localcorr.corrfam import CorrelationFamily
 from localcorr.lcm.engine import CalibratedMarket
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -42,3 +43,9 @@ def test_required_trace_targets_resolve(monkeypatch):
 def test_calibrated_market_keeps_the_surfaces_the_benchmark_reads():
     fields = {f.name for f in dataclasses.fields(CalibratedMarket)}
     assert {"local_vols", "index_local_vol"} <= fields
+
+
+def test_correlation_family_keeps_the_step_kernel_spans():
+    """The draw and the mean-correlation level are the engine step's family calls."""
+    for attr in ("draw", "mean_correlation"):
+        assert callable(CorrelationFamily.__dict__.get(attr)), attr

@@ -297,3 +297,58 @@ def test_quad_form_slope_is_the_lambda_derivative(seed, n, custom_up, custom_dow
     central = (fam.quad_form(loads, at(lam + h), kappa) - fam.quad_form(loads, at(lam - h), kappa)) / (2 * h)
     size = np.square(np.abs(loads).sum(axis=1))
     assert np.all(np.abs(slope - central) < 1e-6 * size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    custom_up=st.booleans(),
+    custom_down=st.booleans(),
+    per_row=st.booleans(),
+    us=st.lists(st.floats(0.0, U_MAX), min_size=1, max_size=6),
+)
+def test_flat_mean_correlation_matches_quad_form(seed, n, custom_up, custom_down, per_row, us):
+    """Flat mode's (sum C + u^2 sum D) / (1 + u^2) is 1'R1 from quad_form with unit loadings."""
+    gen = np.random.default_rng(seed)
+    fam = CorrelationFamily(
+        center=random_correlation(gen, n),
+        up=random_correlation(gen, n) if custom_up else None,
+        down=random_correlation(gen, n) if custom_down else None,
+    )
+    assert fam.flat_mode
+    u = np.array([0.0, U_MAX, *us])
+    kappas = [gen.integers(0, 2, size=u.size)] if per_row else [0, 1]
+    for kappa in kappas:
+        level = fam.mean_correlation(u, kappa)
+        if n == 1:
+            assert np.array_equal(level, np.zeros(u.size))
+            continue
+        oracle = (fam.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
+        # a mean correlation lies in [-1, 1], so 1e-13 absolute is 1e-13 of its range
+        assert np.all(np.abs(level - oracle) <= 1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    flat=st.booleans(),
+    us=st.lists(st.floats(0.0, U_MAX), min_size=1, max_size=8),
+)
+def test_default_direction_draw_is_the_matrix_map_bit_for_bit(seed, n, flat, us):
+    """Without products, draw still returns S(u) (L_C z1 + u Xi L_D z2)'s exact bits."""
+    gen = np.random.default_rng(seed)
+    fam = CorrelationFamily(
+        center=random_correlation(gen, n),
+        mode=None if flat else gen.uniform(0.2, 5.0, size=n),
+    )
+    u = np.array([0.0, U_MAX, *us])
+    kappa = gen.integers(0, 2, size=u.size)
+    z = gen.standard_normal((u.size, 2 * n))
+    z1, z2 = z[:, :n], z[:, n:]
+    down, up = fam._chol_dirs
+    along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
+    xu = fam.mode[None, :] * u[:, None]
+    expected = (z1 @ fam._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
+    assert np.array_equal(fam.draw(z, u, kappa), expected)

@@ -1,6 +1,8 @@
 """Monte Carlo engine tests: calibration, simulation, pricing, diagnostics."""
 
 import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from localcorr.copula import flat_correlation
 from localcorr.corrfam import CorrelationFamily
 from localcorr.errors import BoundViolationError, EngineError, PricingError
+from localcorr.lcm import engine
 from localcorr.lcm.engine import (
     THREADS_ENV,
     PayoffSpec,
@@ -384,6 +387,35 @@ def test_strict_bounds_policy_aborts():
     assert not report.ok
     with pytest.raises(BoundViolationError):
         report.require()
+
+
+def test_failing_block_cancels_the_blocks_not_started(monkeypatch):
+    """Block 0 raises; only the blocks already in flight may start after it."""
+    n_blocks, threads = 64, 2
+    started, lock = [], threading.Lock()
+    released = threading.Event()
+
+    class HoldingPool(ThreadPoolExecutor):
+        """Holds running blocks until the pool has dropped what it will not run."""
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            released.set()
+            super().shutdown(wait=wait)
+
+    def worker(b):
+        with lock:
+            started.append(b)
+        if b == 0:
+            raise BoundViolationError("block 0")
+        assert released.wait(timeout=60.0)
+        return b
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", HoldingPool)
+    with pytest.raises(BoundViolationError, match="block 0"):
+        engine._map_blocks(worker, n_blocks, threads)
+    # each worker thread can start one more block before block 0's error is read
+    assert 0 in started and len(started) <= threads + 1
 
 
 def test_low_side_bound_violation_is_counted():

@@ -143,20 +143,37 @@ def _normal_cube(spec: CopulaSpec, dim: int) -> np.ndarray:
     return cube
 
 
-def _partition_baskets(
-    cube: np.ndarray,
-    chol: np.ndarray,
-    tables: list[InverseCdfTable],
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Basket samples per partition from pre-drawn independent normals."""
-    n_part, n_p, _ = cube.shape
-    baskets = np.zeros((n_part, n_p))
-    for p in range(n_part):
-        z = cube[p] @ chol.T
-        u = np.clip(ndtr(z), _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
-        for i, table in enumerate(tables):
-            baskets[p] += weights[i] * table.invert(u[:, i])
+def _uniforms(cube: np.ndarray, chol: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Clipped copula uniforms of independent normals, filled into ``out`` by partition.
+
+    ``out`` may be ``cube`` itself.
+    """
+    for p in range(cube.shape[0]):
+        out[p] = np.clip(ndtr(cube[p] @ chol.T), _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
+    return out
+
+
+def _spec_uniforms(spec: CopulaSpec) -> np.ndarray:
+    """Copula uniforms of ``spec``, drawn on first use and kept on the spec.
+
+    The spec is frozen, so every maturity priced with it reads the same
+    draw.  The uniforms overwrite the normals they come from, and the
+    kept array is read-only.
+    """
+    cached = spec.__dict__.get("_uniforms")
+    if cached is None:
+        cube = _normal_cube(spec, spec.correlation.shape[0])
+        cached = _uniforms(cube, cholesky_lower(spec.correlation), out=cube)
+        cached.flags.writeable = False
+        object.__setattr__(spec, "_uniforms", cached)
+    return cached
+
+
+def _baskets(u: np.ndarray, tables: list[InverseCdfTable], weights: np.ndarray) -> np.ndarray:
+    """Basket samples per partition; one inversion per asset covers every partition."""
+    baskets = np.zeros(u.shape[:2])
+    for i, table in enumerate(tables):
+        baskets += weights[i] * table.invert(u[:, :, i])
     return baskets
 
 
@@ -203,10 +220,8 @@ def copula_basket_call(
     n = weights.size
     if spec.correlation.shape != (n, n):
         raise CorrelationError("correlation size does not match the basket")
-    chol = cholesky_lower(spec.correlation)
     tables = marginal_tables(snapshot, expiry)
-    cube = _normal_cube(spec, n)
-    baskets = _partition_baskets(cube, chol, tables, weights)
+    baskets = _baskets(_spec_uniforms(spec), tables, weights)
     fwd = _basket_forward(snapshot, expiry)
     df = snapshot.discount_curve.discount(expiry)
     prices, errs = _prices_from_baskets(baskets, strikes, fwd, df)
@@ -246,13 +261,14 @@ def fit_flat_correlation(
     target = index_cs.price(expiry, strike)
     tables = marginal_tables(snapshot, expiry)
     cube = _normal_cube(spec, n)
+    u = np.empty_like(cube)
     fwd = _basket_forward(snapshot, expiry)
     df = snapshot.discount_curve.discount(expiry)
     k_arr = np.array([float(strike)])
 
     def gap(rho: float) -> float:
-        chol = cholesky_lower(flat_correlation(n, rho))
-        baskets = _partition_baskets(cube, chol, tables, weights)
+        _uniforms(cube, cholesky_lower(flat_correlation(n, rho)), out=u)
+        baskets = _baskets(u, tables, weights)
         prices, _ = _prices_from_baskets(baskets, k_arr, fwd, df)
         return float(prices[0] - target)
 

@@ -15,6 +15,11 @@ The drift adjustment multiplies the price by the dividend yield alone; using
 the full carry there is a classic transcription error that feeds a biased
 numerator.  Floors and caps below keep the division usable in the far wings,
 and every floored evaluation is counted.
+
+Pointwise queries (:func:`local_vol`) and the tabulated grid
+(:func:`calibrate_local_vol`) share one floored ratio; the grid reads the
+variance terms of all its times from one surface call, so a grid row equals
+the pointwise vols at its time bit for bit.
 """
 from __future__ import annotations
 
@@ -42,6 +47,8 @@ __all__ = [
 VOL_FLOOR = 0.01
 VOL_CAP = 5.0
 CONVEXITY_FLOOR = 1e-12  # dimensionless butterfly factor floor
+#: first time of every calibrated local vol grid; the horizon must lie past it
+FIRST_GRID_TIME = 1e-3
 
 
 def implied_density(cs: CallSurface, expiry: float, strike):
@@ -155,23 +162,29 @@ def local_vol(cs: CallSurface, t: float, spot, *, floors=None):
     zero), floored denominators (butterfly factor below its floor) and
     clipped variances are counted on ``cs.counters``.
     """
-    vol_floor, vol_cap, g_floor = floors or (VOL_FLOOR, VOL_CAP, CONVEXITY_FLOOR)
     view = cs.variance_view(t, spot)
-    numerator = view.w_t
-    denominator = view.convexity
+    out = _floored_vol(cs.counters, view.w_t, view.convexity, floors)
+    return float(out[0]) if np.ndim(spot) == 0 else out
+
+
+def _floored_vol(counters: Counter, numerator, denominator, floors=None) -> np.ndarray:
+    """Local vol from the cancelled ratio (dw/dT) / convexity, floored and clipped.
+
+    Any array shape works; the floor and clip counts go to ``counters``.
+    """
+    vol_floor, vol_cap, g_floor = floors or (VOL_FLOOR, VOL_CAP, CONVEXITY_FLOOR)
     n_num = int(np.count_nonzero(numerator < 0.0))
     n_den = int(np.count_nonzero(denominator < g_floor))
     if n_num:
-        cs.counters["numerator_floored"] += n_num
+        counters["numerator_floored"] += n_num
     if n_den:
-        cs.counters["denominator_floored"] += n_den
+        counters["denominator_floored"] += n_den
     variance = np.maximum(numerator, 0.0) / np.maximum(denominator, g_floor)
     clipped = np.clip(variance, vol_floor**2, vol_cap**2)
     n_clip = int(np.count_nonzero(clipped != variance))
     if n_clip:
-        cs.counters["variance_clipped"] += n_clip
-    out = np.sqrt(clipped)
-    return float(out[0]) if np.ndim(spot) == 0 else out
+        counters["variance_clipped"] += n_clip
+    return np.sqrt(clipped)
 
 
 def _blend_rows(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
@@ -303,9 +316,14 @@ def calibrate_local_vol(
     total standard deviations of the at-the-money variance at the horizon
     (scaled linearly in time past the last quote), and at least the quoted
     moneyness span plus 0.5.  Local vols use the default floors and cap.
+    The time grid runs from ``FIRST_GRID_TIME`` to the horizon, which must
+    lie past it.
     """
-    if horizon <= 0.0:
-        raise SurfaceError("calibration horizon must be positive")
+    if not horizon > FIRST_GRID_TIME:
+        raise SurfaceError(
+            f"calibration horizon {horizon!r} must exceed the first local vol grid time "
+            f"{FIRST_GRID_TIME}"
+        )
     if n_times < 1 or n_spots < 1:
         raise SurfaceError(
             f"local vol grid sizes must be positive, got {n_times} times and {n_spots} spots"
@@ -314,13 +332,11 @@ def calibrate_local_vol(
     w_ref = cs.total_variance(min(horizon, cs.expiry_max), f0)
     half_width = 6.0 * np.sqrt(max(w_ref, 1e-4) * max(1.0, horizon / min(horizon, cs.expiry_max)))
     half_width = float(max(half_width, cs.x_hi - cs.x_lo + 0.5))
-    times = np.linspace(1e-3, horizon, n_times)
+    times = np.linspace(FIRST_GRID_TIME, horizon, n_times)
     log_spots = np.log(f0) + np.linspace(-half_width, half_width, n_spots)
-    grid = np.empty((n_times, n_spots))
-    spots = np.exp(log_spots)
     before = dict(cs.counters)
-    for i, t in enumerate(times):
-        grid[i] = local_vol(cs, float(t), spots)
+    w_t, convexity = cs._variance_grid(times, np.exp(log_spots))
+    grid = _floored_vol(cs.counters, w_t, convexity)
     lv = LocalVolSurface(
         asset_id=cs.asset_id,
         times=times,

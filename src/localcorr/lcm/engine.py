@@ -202,8 +202,7 @@ def calibrate_market(
     spots0 = np.array([snapshot.asset(a).spot for a in ids])
     fwd_logs = np.empty((n_steps + 1, len(ids)))
     for j, a in enumerate(ids):
-        fc = snapshot.forward_curve(a)
-        fwd_logs[:, j] = [np.log(fc.forward(t)) for t in times]
+        fwd_logs[:, j] = np.log(snapshot.forward_curve(a).forward(times))
     local_vols = [
         calibrate_local_vol(
             snapshot.call_surface(a), horizon,
@@ -638,11 +637,11 @@ def probe_bounds(market: CalibratedMarket) -> BoundsReport:
     """
     reports = []
     weights = market.weights
-    for t in np.linspace(market.horizon / _PROBE_DATES, market.horizon, _PROBE_DATES):
-        fwds = np.array([
-            market.snapshot.forward_curve(a).forward(float(t)) for a in market.asset_ids
-        ])
-        spots = _PROBE_MONEYNESS[:, None] * fwds[None, :]
+    dates = np.linspace(market.horizon / _PROBE_DATES, market.horizon, _PROBE_DATES)
+    fwds = np.stack([market.snapshot.forward_curve(a).forward(dates) for a in market.asset_ids],
+                    axis=1)
+    for t, fwd in zip(dates, fwds):
+        spots = _PROBE_MONEYNESS[:, None] * fwd[None, :]
         vols = market.local_vol_row(float(t), _with_log_basket(np.log(spots), spots, weights))
         terms = covariance_terms(spots, vols[:, :-1], weights, vols[:, -1], market.family)
         reports.append(check_dispersion_bounds(terms))

@@ -12,6 +12,13 @@ of forward log-moneyness ``x = log(K / F(T))``:
   call prices with their strike and maturity derivatives come from that spline
   analytically, never from finite differences of prices.
 
+One evaluator serves every query.  The slices of any set of maturities come
+from one interpolation across maturity and one natural spline solve each for
+w and dw/dT, and their coefficients are read at (maturity, strike) points in
+scipy's ``PPoly`` operation order.  A single-expiry query is a grid of one
+row, cached per expiry; the local vol calibration asks for its whole time
+grid at once, and every value is the same bit for bit either way.
+
 Outside the quoted strike range the implied vol is flat, which makes the tails
 exact lognormal closed forms.  Extrapolated queries and negative densities are
 counted in ``CallSurface.counters``.
@@ -118,21 +125,35 @@ def _convexity(x, w, wx, wxx):
     )
 
 
+def _cubic(c, s, s2, s3):
+    """Gathered cubic pieces at offsets ``s``; ``c`` holds coefficients highest power first.
+
+    ``s2 = s * s`` and ``s3 = s2 * s``.  The sum follows scipy's ``PPoly``
+    evaluation term by term (``res += c * z * prefactor``, leaving out only
+    the exact products by 1.0), so each value equals the spline object's
+    bit for bit; :func:`_cubic_slopes` does the same for the derivatives.
+    """
+    return 0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * s3
+
+
+def _cubic_slopes(c, s, s2):
+    """First and second derivatives of gathered cubic pieces, in scipy's order."""
+    return 0.0 + c[2] + c[1] * s * 2.0 + c[0] * s2 * 3.0, 0.0 + c[1] * 2.0 + c[0] * s * 6.0
+
+
 class _Profile:
-    """Cached per-maturity slice: splines of w and dw/dT over moneyness."""
+    """Cached per-maturity slice: spline coefficients of w and dw/dT over moneyness."""
 
-    __slots__ = ("expiry", "df", "forward", "rate", "carry", "w_spline", "wt_spline", "x_lo", "x_hi")
+    __slots__ = ("expiry", "df", "forward", "rate", "carry", "w_coef", "wt_coef")
 
-    def __init__(self, expiry, df, forward, rate, carry, w_spline, wt_spline, x_lo, x_hi):
+    def __init__(self, expiry, df, forward, rate, carry, w_coef, wt_coef):
         self.expiry = expiry
         self.df = df
         self.forward = forward
         self.rate = rate
         self.carry = carry
-        self.w_spline = w_spline
-        self.wt_spline = wt_spline
-        self.x_lo = x_lo
-        self.x_hi = x_hi
+        self.w_coef = w_coef
+        self.wt_coef = wt_coef
 
 
 #: points of the common moneyness grid the maturity slices are resampled on
@@ -188,64 +209,109 @@ class CallSurface:
         self.expiry_max = float(mats[-1])
 
     # ------------------------------------------------------------------
-    # profile construction
+    # maturity slices
+
+    def _slices(self, times: np.ndarray):
+        """Forwards and moneyness-spline coefficients of w and dw/dT at ``times``.
+
+        One monotone interpolation across maturity fills every requested
+        slice, linear in total variance past the last quote, and one natural
+        spline solve each for w and dw/dT covers all of them: the
+        coefficient arrays are (4, grid intervals, times).
+        """
+        valid = np.isfinite(times) & (times > 0.0)
+        if not valid.all():
+            bad = float(times[~valid][0])
+            raise SurfaceError(f"surface query needs a positive expiry, got {bad!r}")
+        past = times > self.expiry_max
+        n_past = int(np.count_nonzero(past))
+        if n_past:
+            self.counters["expiry_extrapolated"] += n_past
+        t_in = np.minimum(times, self.expiry_max)
+        w_vals = self._pchip(t_in)
+        wt_vals = self._pchip_d(t_in)
+        extended = w_vals + wt_vals * (times - self.expiry_max)[:, None]
+        w_vals = np.maximum(np.where(past[:, None], extended, w_vals), 1e-12)
+        w_coef = CubicSpline(self.x_grid, w_vals.T, bc_type="natural").c
+        wt_coef = CubicSpline(self.x_grid, wt_vals.T, bc_type="natural").c
+        return self.forward_curve.forward(times), w_coef, wt_coef
 
     def _profile(self, expiry: float) -> _Profile:
         expiry = float(expiry)
-        if not np.isfinite(expiry) or expiry <= 0.0:
-            raise SurfaceError(f"surface query needs a positive expiry, got {expiry!r}")
         cached = self._profiles.get(expiry)
         if cached is not None:
             return cached
-        if expiry <= self.expiry_max:
-            w_vals = self._pchip(expiry)
-            wt_vals = self._pchip_d(expiry)
-        else:
-            self.counters["expiry_extrapolated"] += 1
-            w_end = self._pchip(self.expiry_max)
-            wt_vals = self._pchip_d(self.expiry_max)
-            w_vals = w_end + wt_vals * (expiry - self.expiry_max)
-        w_vals = np.maximum(w_vals, 1e-12)
-        w_spline = CubicSpline(self.x_grid, w_vals, bc_type="natural")
-        wt_spline = CubicSpline(self.x_grid, wt_vals, bc_type="natural")
+        forward, w_coef, wt_coef = self._slices(np.array([expiry]))
         fc = self.forward_curve
         prof = _Profile(
             expiry=expiry,
             df=float(fc.discount(expiry)),
-            forward=float(fc.forward(expiry)),
+            forward=float(forward[0]),
             rate=float(fc.rate_curve.rate(expiry)),
             carry=float(fc.rate_curve.rate(expiry) - fc.drift(expiry)),
-            w_spline=w_spline,
-            wt_spline=wt_spline,
-            x_lo=self.x_lo,
-            x_hi=self.x_hi,
+            w_coef=w_coef,
+            wt_coef=wt_coef,
         )
         if len(self._profiles) > 256:
             self._profiles.clear()
         self._profiles[expiry] = prof
         return prof
 
-    def _query(self, expiry: float, strike):
-        """Profile, strikes, log-moneyness and variance terms of one query.
+    def _terms(self, forward, w_coef, wt_coef, k):
+        """Log-moneyness and variance terms of strikes ``k`` against forwards.
 
-        The variance terms are w, dw/dx, d2w/dx2, dw/dT at x with flat-vol
-        tails, and the mask of strikes outside the quoted moneyness span.
+        Row r of ``k`` (and of ``forward``, a column) reads slice r of the
+        coefficient arrays.  The terms are w, dw/dx, d2w/dx2 and dw/dT with
+        flat-vol tails, then the mask of strikes outside the quoted
+        moneyness span, which are counted.
         """
-        prof = self._profile(expiry)
-        k = np.atleast_1d(np.asarray(strike, dtype=float))
-        if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-            raise SurfaceError("strikes must be positive and finite")
-        x = np.log(k / prof.forward)
-        inside = (x >= prof.x_lo) & (x <= prof.x_hi)
-        xc = np.clip(x, prof.x_lo, prof.x_hi)
-        w = prof.w_spline(xc)
-        wx = np.where(inside, prof.w_spline(xc, 1), 0.0)
-        wxx = np.where(inside, prof.w_spline(xc, 2), 0.0)
-        wt = prof.wt_spline(xc)
+        x = np.log(k / forward)
+        inside = (x >= self.x_lo) & (x <= self.x_hi)
+        xc = np.clip(x, self.x_lo, self.x_hi)
+        # scipy's interval: x_grid[j] <= xc < x_grid[j + 1], closed at the right end
+        j = np.minimum(np.searchsorted(self.x_grid, xc, side="right") - 1, self.x_grid.size - 2)
+        s = xc - self.x_grid[j]
+        s2 = s * s
+        s3 = s2 * s
+        # slice r of interval j sits at column j * rows + r of the flattened pieces
+        piece = j * x.shape[0] + np.arange(x.shape[0])[:, None]
+        cw = w_coef.reshape(4, -1).take(piece, axis=1)
+        w = _cubic(cw, s, s2, s3)
+        wx, wxx = _cubic_slopes(cw, s, s2)
+        wx = np.where(inside, wx, 0.0)
+        wxx = np.where(inside, wxx, 0.0)
+        wt = _cubic(wt_coef.reshape(4, -1).take(piece, axis=1), s, s2, s3)
         n_out = int(np.count_nonzero(~inside))
         if n_out:
             self.counters["strike_extrapolated"] += n_out
-        return prof, k, x, np.maximum(w, 1e-14), wx, wxx, wt, ~inside
+        return x, np.maximum(w, 1e-14), wx, wxx, wt, ~inside
+
+    @staticmethod
+    def _strikes(strike) -> np.ndarray:
+        k = np.atleast_1d(np.asarray(strike, dtype=float))
+        if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
+            raise SurfaceError("strikes must be positive and finite")
+        return k
+
+    def _query(self, expiry: float, strike):
+        """Profile, strikes, log-moneyness and variance terms of one query."""
+        prof = self._profile(expiry)
+        k = self._strikes(strike)
+        x, w, wx, wxx, wt, extrap = self._terms(prof.forward, prof.w_coef, prof.wt_coef, k[None, :])
+        return prof, k, x[0], w[0], wx[0], wxx[0], wt[0], extrap[0]
+
+    def _variance_grid(self, times, strikes):
+        """dw/dT and the convexity factor at every (time, strike) pair, (times, strikes).
+
+        Row i equals ``variance_view(times[i], strikes)``'s ``w_t`` and
+        ``convexity`` bit for bit, and the surface counters add up as if
+        each row were queried alone on a fresh surface.  Nothing is cached.
+        """
+        times = np.asarray(times, dtype=float)
+        k = self._strikes(strikes)
+        forward, w_coef, wt_coef = self._slices(times)
+        x, w, wx, wxx, wt, _ = self._terms(forward[:, None], w_coef, wt_coef, k[None, :])
+        return wt, _convexity(x, w, wx, wxx)
 
     # ------------------------------------------------------------------
     # queries

@@ -12,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from localcorr import synth
 from localcorr.corrfam import CorrelationFamily
 from localcorr.lcm.engine import CalibratedMarket
 
@@ -49,3 +50,23 @@ def test_correlation_family_keeps_the_step_kernel_spans():
     """The draw and the mean-correlation level are the engine step's family calls."""
     for attr in ("draw", "mean_correlation"):
         assert callable(CorrelationFamily.__dict__.get(attr)), attr
+
+
+def test_synth_prices_the_copula_once_per_maturity(monkeypatch):
+    """``copula.copula_basket_call.calls`` counts one call per recipe maturity."""
+    calls = []
+    priced = synth.copula_basket_call
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return priced(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "copula_basket_call", counted)
+    recipe = synth.SyntheticRecipe(
+        assets=(synth.AssetRecipe("AAA", base_vol=0.2, skew=0.05),
+                synth.AssetRecipe("BBB", spot=80.0, base_vol=0.26, skew=0.06),
+                synth.AssetRecipe("CCC", spot=120.0, base_vol=0.23, skew=0.04)),
+        correlation=0.45, generator="steepened", steepen=0.06, n_samples=4096,
+    )
+    synth.build_snapshot(recipe)
+    assert calls == [float(t) for t in recipe.maturities]

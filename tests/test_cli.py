@@ -118,8 +118,33 @@ def test_calibrate_rejects_non_positive_horizon(snapshot_path, tmp_path, horizon
     assert not list(tmp_path.glob("localvol_*.csv"))
 
 
+@pytest.mark.parametrize("times", ["1", "3"])
+@pytest.mark.parametrize("horizon", ["0.0005", "0.001"])
+def test_calibrate_rejects_horizons_at_or_before_the_first_grid_time(
+        snapshot_path, tmp_path, horizon, times):
+    res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path), "calibrate",
+                "--horizon", horizon, "--times", times, "--spots", "3"])
+    assert res.exit_code == 1
+    err = _error_payload(res)["error"]
+    assert err["type"] == "SurfaceError"
+    assert "first local vol grid time 0.001" in err["message"]
+    assert not list(tmp_path.glob("localvol_*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # price
+
+
+@pytest.mark.parametrize("maturity", ["0.0005", "0.001"])
+def test_price_rejects_maturities_at_or_before_the_first_grid_time(
+        snapshot_path, tmp_path, maturity):
+    res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path), "price",
+                "--maturity", maturity, "--paths", "1000", "--steps-per-year", "25"])
+    assert res.exit_code == 1
+    err = _error_payload(res)["error"]
+    assert err["type"] == "SurfaceError"
+    assert "first local vol grid time 0.001" in err["message"]
+    assert not (tmp_path / "price.json").exists()
 
 
 def test_price_payload_and_thread_independence(snapshot_path, tmp_path):

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from localcorr.copula import (
     CopulaSpec,
+    _normal_cube,
     copula_basket_call,
     fit_flat_correlation,
     flat_correlation,
     marginal_tables,
     skew_comparison,
 )
+from localcorr.corrfam import cholesky_lower
 from localcorr.errors import CorrelationError, PricingError
 from localcorr.marketdata.black import implied_vol
 from localcorr.marketdata.curves import RateCurve
@@ -295,3 +301,89 @@ def test_marginal_tables_and_counters():
     )
     assert got.counters["clamped"] == 0
     assert got.n_samples == 1 << 14
+
+
+# ---------------------------------------------------------------------------
+# shared uniforms against the per-partition draw
+
+
+def _per_partition_baskets(snapshot, cube, chol, expiry):
+    """Basket samples drawn partition by partition, one inversion per asset each."""
+    tables = marginal_tables(snapshot, expiry)
+    baskets = np.zeros(cube.shape[:2])
+    for p in range(cube.shape[0]):
+        u = np.clip(ndtr(cube[p] @ chol.T), 1e-12, 1.0 - 1e-12)
+        for i, table in enumerate(tables):
+            baskets[p] += snapshot.weights[i] * table.invert(u[:, i])
+    return baskets, sum(t.counters.get("clamped", 0) for t in tables)
+
+
+def _oracle_prices(baskets, strikes, fwd, df):
+    prices, errs = [], []
+    for k in strikes:
+        if k <= fwd:
+            per_part = df * (fwd - k + np.maximum(k - baskets, 0.0).mean(axis=1))
+        else:
+            per_part = df * np.maximum(baskets - k, 0.0).mean(axis=1)
+        prices.append(per_part.mean())
+        errs.append(per_part.std(ddof=1) / np.sqrt(baskets.shape[0]))
+    return np.array(prices), np.array(errs)
+
+
+def _smiled_basket(n, seed):
+    rng = np.random.default_rng(seed)
+    rc = RateCurve.flat(0.02)
+
+    def smile(level, skew):
+        return lambda t, k: level + skew * np.tanh(-np.log(k / 100.0) / 0.5)
+
+    assets = tuple(index_quote(f"A{i}", 100.0, smile(rng.uniform(0.15, 0.35),
+                                                     rng.uniform(0.0, 0.06)), rc)
+                   for i in range(n))
+    weights = rng.uniform(0.5, 1.5, n)
+    return MarketSnapshot(
+        as_of=AS_OF, discount_curve=rc, assets=assets,
+        index=index_quote("IDX", 100.0, lambda t, k: 0.2, rc),
+        composition=IndexComposition(tuple(a.asset_id for a in assets), weights / weights.sum()),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), rho=st.floats(0.0, 0.95), sampler=st.sampled_from(["sobol", "pseudo"]),
+       seed=st.integers(0, 2**31 - 1), n_samples=st.sampled_from([1000, 3000]),
+       expiries=st.lists(st.sampled_from([0.25, 1.0, 2.0, 2.7]), min_size=2, max_size=3))
+def test_basket_prices_are_the_per_partition_draw_bit_for_bit(n, rho, sampler, seed, n_samples,
+                                                              expiries):
+    snap = _smiled_basket(n, seed)
+    spec = CopulaSpec(correlation=flat_correlation(n, rho), n_samples=n_samples,
+                      sampler=sampler, seed=seed)
+    cube = _normal_cube(spec, n)
+    chol = cholesky_lower(spec.correlation)
+    for expiry in expiries:  # one spec across maturities, as the synthetic generator prices
+        got = copula_basket_call(snap, spec, expiry, np.array([80.0, 100.0, 125.0]))
+        baskets, clamped = _per_partition_baskets(snap, cube, chol, expiry)
+        prices, errs = _oracle_prices(baskets, got.strikes, got.basket_forward, got.df)
+        assert prices.tobytes() == got.prices.tobytes()
+        assert errs.tobytes() == got.stderrs.tobytes()
+        assert got.counters == {"clamped": clamped}
+
+
+@pytest.mark.parametrize("sampler", ["sobol", "pseudo"])
+def test_fit_flat_correlation_is_the_per_partition_draw_bit_for_bit(sampler):
+    snap = _pair_snapshot()
+    spec = CopulaSpec(n_samples=2000, sampler=sampler, seed=5)
+    cube = _normal_cube(spec, 2)
+    index_cs = snap.call_surface("IDX")
+    strike = index_cs.forward(EXPIRY)
+    target = index_cs.price(EXPIRY, strike)
+    fwd = sum(w * snap.forward_curve(a).forward(EXPIRY)
+              for w, a in zip(snap.weights, snap.composition.ids))
+    df = snap.discount_curve.discount(EXPIRY)
+
+    def gap(rho):
+        baskets, _ = _per_partition_baskets(
+            snap, cube, cholesky_lower(flat_correlation(2, rho)), EXPIRY)
+        return float(_oracle_prices(baskets, [float(strike)], fwd, df)[0][0] - target)
+
+    want = float(brentq(gap, -1.0 + 1e-6, 1.0 - 1e-9, xtol=1e-10))
+    assert fit_flat_correlation(snap, spec, EXPIRY) == want

@@ -153,28 +153,49 @@ def _uniforms(cube: np.ndarray, chol: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _spec_uniforms(spec: CopulaSpec) -> np.ndarray:
-    """Copula uniforms of ``spec``, drawn on first use and kept on the spec.
+def _sort_order(u: np.ndarray) -> np.ndarray:
+    """Per-asset ascending order of flat sample indices into ``u``, as int32 (assets, samples)."""
+    flat = u.reshape(-1, u.shape[-1])
+    order = np.empty(flat.shape[::-1], dtype=np.int32)
+    for i in range(flat.shape[1]):
+        order[i] = np.argsort(flat[:, i])
+    return order
 
-    The spec is frozen, so every maturity priced with it reads the same
-    draw.  The uniforms overwrite the normals they come from, and the
-    kept array is read-only.
+
+def _spec_uniforms(spec: CopulaSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Copula uniforms of ``spec`` and their per-asset sort order, kept on the spec.
+
+    Both are computed on first use.  The spec is frozen, so every maturity
+    priced with it reads the same draw and the same order.  The uniforms
+    overwrite the normals they come from, and both arrays are read-only.
     """
     cached = spec.__dict__.get("_uniforms")
     if cached is None:
         cube = _normal_cube(spec, spec.correlation.shape[0])
-        cached = _uniforms(cube, cholesky_lower(spec.correlation), out=cube)
-        cached.flags.writeable = False
+        u = _uniforms(cube, cholesky_lower(spec.correlation), out=cube)
+        cached = (u, _sort_order(u))
+        for a in cached:
+            a.flags.writeable = False
         object.__setattr__(spec, "_uniforms", cached)
     return cached
 
 
-def _baskets(u: np.ndarray, tables: list[InverseCdfTable], weights: np.ndarray) -> np.ndarray:
-    """Basket samples per partition; one inversion per asset covers every partition."""
-    baskets = np.zeros(u.shape[:2])
+def _baskets(u: np.ndarray, order: np.ndarray, tables: list[InverseCdfTable],
+             weights: np.ndarray) -> np.ndarray:
+    """Basket samples per partition; one inversion per asset covers every partition.
+
+    ``order[i]`` sorts asset i's flat uniforms, so each table reads its
+    queries in ascending order, which ``np.interp`` answers by walking the
+    table instead of searching it.  The values are scattered back and
+    summed over assets in asset order, so every sample keeps its bits.
+    """
+    flat = u.reshape(-1, u.shape[-1])
+    baskets = np.zeros(flat.shape[0])
+    marginal = np.empty_like(baskets)
     for i, table in enumerate(tables):
-        baskets += weights[i] * table.invert(u[:, :, i])
-    return baskets
+        marginal[order[i]] = table.invert(flat[order[i], i])
+        baskets += weights[i] * marginal
+    return baskets.reshape(u.shape[:2])
 
 
 def _prices_from_baskets(
@@ -221,7 +242,7 @@ def copula_basket_call(
     if spec.correlation.shape != (n, n):
         raise CorrelationError("correlation size does not match the basket")
     tables = marginal_tables(snapshot, expiry)
-    baskets = _baskets(_spec_uniforms(spec), tables, weights)
+    baskets = _baskets(*_spec_uniforms(spec), tables, weights)
     fwd = _basket_forward(snapshot, expiry)
     df = snapshot.discount_curve.discount(expiry)
     prices, errs = _prices_from_baskets(baskets, strikes, fwd, df)
@@ -268,7 +289,7 @@ def fit_flat_correlation(
 
     def gap(rho: float) -> float:
         _uniforms(cube, cholesky_lower(flat_correlation(n, rho)), out=u)
-        baskets = _baskets(u, tables, weights)
+        baskets = _baskets(u, _sort_order(u), tables, weights)
         prices, _ = _prices_from_baskets(baskets, k_arr, fwd, df)
         return float(prices[0] - target)
 

@@ -68,10 +68,16 @@ _PIVOT_TOL = 1e-12
 
 
 def validate_correlation(mat: np.ndarray) -> np.ndarray:
-    """Check symmetry, unit diagonal and entry bounds; return a float copy."""
+    """Check finiteness, symmetry, unit diagonal and entry bounds; return a float copy."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise CorrelationError("correlation matrix must be square")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        raise CorrelationError(
+            f"non-finite correlation entries: {len(bad)} of {a.size}, first at "
+            f"{tuple(bad[0].tolist())}"
+        )
     if not np.allclose(a, a.T, atol=_ENTRY_TOL):
         raise CorrelationError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(a), 1.0, atol=_ENTRY_TOL):

@@ -74,17 +74,40 @@ def cumulative(cs: CallSurface, expiry: float, strike):
 
 
 def _monotone_projection(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto non-decreasing sequences."""
+    """Pool-adjacent-violators projection onto non-decreasing sequences.
+
+    Points are pushed one by one and each pooled mean is
+    ``(top * w_top + v * w) / (w_top + w)`` in push order.  A run of ``y``
+    that does not decrease is pushed in bulk once the stack top is at or
+    below its first value, since none of its points would pool; this
+    skips the per-point loop without changing a pooled bit.  An input
+    without a drop comes back as a float copy.
+    """
+    out = np.array(y, dtype=float)
+    starts = np.flatnonzero(out[1:] < out[:-1]) + 1
+    if starts.size == 0:
+        return out
+    ys = out.tolist()
+    run_ends = starts.tolist() + [len(ys)]
     vals: list[float] = []
     weights: list[int] = []
-    for v in y:
-        vals.append(float(v))
+    i = k = 0
+    while i < len(ys):
+        if not vals or vals[-1] <= ys[i]:
+            while run_ends[k] <= i:
+                k += 1
+            vals.extend(ys[i:run_ends[k]])
+            weights.extend([1] * (run_ends[k] - i))
+            i = run_ends[k]
+            continue
+        vals.append(ys[i])
         weights.append(1)
         while len(vals) > 1 and vals[-1] < vals[-2]:
             w = weights.pop()
             v2 = vals.pop()
             vals[-1] = (vals[-1] * weights[-1] + v2 * w) / (weights[-1] + w)
             weights[-1] += w
+        i += 1
     return np.repeat(vals, weights)
 
 
@@ -110,6 +133,12 @@ class InverseCdfTable:
         self._cdf_strict = np.maximum.accumulate(self.cdf) + eps
 
     def invert(self, p):
+        """Strikes at probabilities ``p`` in (0, 1); a scalar gives a float.
+
+        Each value depends on its own probability alone.  Ascending
+        queries are read fastest: ``np.interp`` then walks the table
+        instead of searching it.
+        """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         if np.any(~np.isfinite(p_arr)) or np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
             raise PricingError("inverse cdf requires probabilities inside (0, 1)")

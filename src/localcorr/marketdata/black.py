@@ -36,6 +36,11 @@ def black_call(forward, strike, expiry, vol, df=1.0):
     intrinsic value.
     """
     _validate(forward, strike, expiry, vol)
+    return _black_call(forward, strike, expiry, vol, df)
+
+
+def _black_call(forward, strike, expiry, vol, df):
+    """``black_call`` on inputs the caller has validated."""
     forward = np.asarray(forward, float)
     strike = np.asarray(strike, float)
     total_sd = np.asarray(vol, float) * np.sqrt(np.asarray(expiry, float))
@@ -73,7 +78,9 @@ def implied_vol(price, forward, strike, expiry, df=1.0) -> float:
 
     The price must lie in ``[df*(F-K)+, df*F)``; a price at or above the
     upper bound has no finite vol and raises :class:`PricingError`.  A price
-    at intrinsic returns 0.
+    at intrinsic returns 0.  The inputs are validated once here; the root
+    search only tries vols inside its bracket, so its objective prices
+    with the unchecked kernel.
     """
     if expiry <= 0.0:
         raise PricingError("implied vol requires a positive expiry")
@@ -93,7 +100,7 @@ def implied_vol(price, forward, strike, expiry, df=1.0) -> float:
         return 0.0
 
     def objective(v):
-        return black_call(forward, strike, expiry, v, df) - price
+        return _black_call(forward, strike, expiry, v, df) - price
 
     lo, hi = 1e-9, 20.0
     f_lo = objective(lo)

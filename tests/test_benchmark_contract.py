@@ -12,9 +12,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from localcorr import synth
 from localcorr.corrfam import CorrelationFamily
+from localcorr.errors import PricingError
 from localcorr.lcm.engine import CalibratedMarket
+from localcorr.marketdata import black
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -70,3 +74,30 @@ def test_synth_prices_the_copula_once_per_maturity(monkeypatch):
     )
     synth.build_snapshot(recipe)
     assert calls == [float(t) for t in recipe.maturities]
+
+
+def test_implied_vol_validates_once_per_call(monkeypatch):
+    """Synth's Black inversions check their inputs once, not on every root-search step."""
+    validated, priced = [], []
+    checked, kernel = black._validate, black._black_call
+
+    def counted_validate(*args):
+        validated.append(args)
+        return checked(*args)
+
+    def counted_kernel(*args):
+        priced.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(black, "_validate", counted_validate)
+    monkeypatch.setattr(black, "_black_call", counted_kernel)
+    price = kernel(100.0, 120.0, 1.5, 0.27, 0.97)
+    vol = black.implied_vol(price, 100.0, 120.0, 1.5, 0.97)
+    assert abs(vol - 0.27) < 1e-12
+    assert len(priced) > 5
+    assert len(validated) == 1
+    for bad in ((-100.0, 120.0, 1.5, 0.27), (100.0, 120.0, 1.5, float("nan"))):
+        with pytest.raises(PricingError):
+            black.black_call(*bad)
+        with pytest.raises(PricingError):
+            black.black_vega(*bad)

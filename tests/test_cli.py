@@ -307,3 +307,21 @@ def test_bad_center_matrix_shape_fails(snapshot_path, tmp_path):
     err = _error_payload(res)
     assert err["error"]["type"] == "RecipeError"
     assert "shape" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("matrix", [
+    "[[1.0, NaN], [NaN, 1.0]]",  # off-diagonal
+    "[[NaN, 0.2], [0.2, 1.0]]",  # diagonal only, symmetric as written
+])
+def test_non_finite_center_matrix_fails(snapshot_path, tmp_path, matrix):
+    bad = tmp_path / "corr.json"
+    bad.write_text(matrix)
+    res = _run([
+        "--input", str(snapshot_path), "--output-dir", str(tmp_path),
+        "price", "--maturity", "1.0", "--center", str(bad),
+    ])
+    assert res.exit_code == 1
+    err = _error_payload(res)
+    assert err["error"]["type"] == "CorrelationError"
+    assert "non-finite" in err["error"]["message"]
+    assert not (tmp_path / "price.json").exists()

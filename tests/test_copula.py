@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from localcorr import copula
 from localcorr.copula import (
     CopulaSpec,
+    _baskets,
     _normal_cube,
+    _sort_order,
     copula_basket_call,
     fit_flat_correlation,
     flat_correlation,
@@ -17,6 +20,7 @@ from localcorr.copula import (
     skew_comparison,
 )
 from localcorr.corrfam import cholesky_lower
+from localcorr.dupire import InverseCdfTable
 from localcorr.errors import CorrelationError, PricingError
 from localcorr.marketdata.black import implied_vol
 from localcorr.marketdata.curves import RateCurve
@@ -387,3 +391,73 @@ def test_fit_flat_correlation_is_the_per_partition_draw_bit_for_bit(sampler):
 
     want = float(brentq(gap, -1.0 + 1e-6, 1.0 - 1e-9, xtol=1e-10))
     assert fit_flat_correlation(snap, spec, EXPIRY) == want
+
+
+# ---------------------------------------------------------------------------
+# sorted inversion against per-element np.interp
+
+
+def _per_element_marginal(table, u):
+    """Strike of each probability by its own scalar ``np.interp`` call, and the clamp count."""
+    lo, hi = table._cdf_strict[0], table._cdf_strict[-1]
+    x = [np.interp(min(max(p, lo), hi), table._cdf_strict, table.log_strikes) for p in u.ravel()]
+    return np.exp(np.array(x)).reshape(u.shape), int(np.count_nonzero((u < lo) | (u > hi)))
+
+
+def _per_element_baskets(u, tables, weights):
+    baskets = np.zeros(u.shape[:2])
+    clamped = []
+    for i, table in enumerate(tables):
+        values, n_clamped = _per_element_marginal(table, u[:, :, i])
+        baskets += weights[i] * values
+        clamped.append(n_clamped)
+    return baskets, clamped
+
+
+@pytest.mark.parametrize("sampler", ["sobol", "pseudo"])
+def test_copula_baskets_are_per_element_inversions(monkeypatch, sampler):
+    snap = _smiled_basket(3, 7)
+    spec = CopulaSpec(correlation=flat_correlation(3, 0.6), n_samples=1000, sampler=sampler,
+                      seed=3)
+    seen = []
+    priced = copula._prices_from_baskets
+
+    def recorded(baskets, *args):
+        seen.append(baskets.copy())
+        return priced(baskets, *args)
+
+    monkeypatch.setattr(copula, "_prices_from_baskets", recorded)
+    cube = _normal_cube(spec, 3)
+    chol = cholesky_lower(spec.correlation)
+    u = np.stack([np.clip(ndtr(c @ chol.T), 1e-12, 1.0 - 1e-12) for c in cube])
+    for expiry in (0.25, 2.7):
+        got = copula_basket_call(snap, spec, expiry, [100.0])
+        want, clamped = _per_element_baskets(u, marginal_tables(snap, expiry), snap.weights)
+        assert seen[-1].tobytes() == want.tobytes()
+        assert got.counters == {"clamped": sum(clamped)}
+
+
+def _edge_table(seed):
+    """A table whose probabilities span only part of (0, 1), with a flat stretch."""
+    rng = np.random.default_rng(seed)
+    cdf = np.concatenate([np.linspace(0.02, 0.4, 60), np.full(20, 0.4),
+                          np.sort(rng.uniform(0.4, 0.97, 61))])
+    return InverseCdfTable(expiry=1.0, log_strikes=np.linspace(-1.0, 1.0, cdf.size), cdf=cdf)
+
+
+def test_sorted_inversion_is_per_element_interp_at_and_beyond_the_edges():
+    tables = [_edge_table(1), _edge_table(2)]
+    weights = np.array([0.7, 0.3])
+    u = np.random.default_rng(9).uniform(1e-12, 1.0 - 1e-12, size=(4, 50, 2))
+    for i, table in enumerate(tables):
+        lo, hi = table._cdf_strict[0], table._cdf_strict[-1]
+        edges = [1e-12, 0.5 * lo, np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0),
+                 table._cdf_strict[70], np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0),
+                 0.5 * (1.0 + hi), 1.0 - 1e-12]
+        u[0, :len(edges), i] = edges
+        u[3, -len(edges):, i] = edges[::-1]
+    want, clamped = _per_element_baskets(u, [_edge_table(1), _edge_table(2)], weights)
+    got = _baskets(u, _sort_order(u), tables, weights)
+    assert got.tobytes() == want.tobytes()
+    assert [t.counters["clamped"] for t in tables] == clamped
+    assert min(clamped) >= 12  # three probabilities beyond each edge, placed twice

@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import lognorm
 
 from localcorr.dupire import (
     LocalVolGather,
     LocalVolSurface,
+    _monotone_projection,
     calibrate_local_vol,
     cumulative,
     implied_density,
@@ -238,6 +239,51 @@ def test_inverse_cdf_clamps_and_validates():
         table.invert(1.0)
     with pytest.raises(PricingError):
         table.invert(np.nan)
+
+
+def _pooled_loop(y):
+    """Pool-adjacent-violators pushed point by point: the oracle of the run-skipping pass."""
+    vals, weights = [], []
+    for v in y:
+        vals.append(float(v))
+        weights.append(1)
+        while len(vals) > 1 and vals[-1] < vals[-2]:
+            w = weights.pop()
+            v2 = vals.pop()
+            vals[-1] = (vals[-1] * weights[-1] + v2 * w) / (weights[-1] + w)
+            weights[-1] += w
+    return np.repeat(vals, weights)
+
+
+# few distinct levels make ties and pooled blocks that later points drop below
+_PAVA_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.3000000000000001, 0.5, 1.0]),
+                         st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(_PAVA_VALUES, min_size=0, max_size=40))
+@example(y=[])
+@example(y=[0.4])
+@example(y=[0.4, 0.2])
+@example(y=[0.2, 0.4])
+@example(y=[0.3, 0.3, 0.3])
+@example(y=[1.0, 0.8, 0.5, 0.3, 0.1, 0.0])  # all decreasing
+@example(y=[0.1, 0.2, 0.5, 0.3, 0.6, 0.55, 0.9, 0.7, 0.7])  # several drops
+@example(y=[0.1, 0.6, 0.2, 0.15, 0.3, 0.9])  # a drop right after a pooled block
+@example(y=[0.2, 0.9, 0.1, 0.1, 0.95, 0.3, 0.3, 1.0])
+def test_monotone_projection_is_the_pooled_loop_bit_for_bit(y):
+    got = _monotone_projection(np.array(y, dtype=float))
+    want = _pooled_loop(y)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.all(np.diff(got) >= 0.0)
+
+
+def test_monotone_projection_returns_a_copy_without_drops():
+    y = np.linspace(0.0, 1.0, 7)
+    got = _monotone_projection(y)
+    assert got is not y and not np.shares_memory(got, y)
+    assert got.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .lcm import (
     SimulationConfig,
     average_correlation,
     calibrate_market,
-    price,
     price_european,
     probe_bounds,
     simulate,
@@ -64,7 +63,6 @@ __all__ = [
     "SimulationConfig",
     "average_correlation",
     "calibrate_market",
-    "price",
     "price_european",
     "probe_bounds",
     "simulate",

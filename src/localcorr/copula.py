@@ -317,20 +317,6 @@ class SkewReport:
     flat_rho: float
     n_samples: int
 
-    @property
-    def market_skew(self) -> float:
-        """Vol spread between the lowest and highest tabulated strikes."""
-        return float(self.market_vols[0] - self.market_vols[-1])
-
-    @property
-    def copula_skew(self) -> float:
-        return float(self.copula_vols[0] - self.copula_vols[-1])
-
-    @property
-    def skew_gap(self) -> float:
-        """How much index skew the flat copula fails to produce."""
-        return self.market_skew - self.copula_skew
-
     def rows(self):
         """(moneyness, strike, market vol, copula vol) per strike."""
         return list(zip(self.moneyness, self.strikes, self.market_vols, self.copula_vols))

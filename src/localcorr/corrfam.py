@@ -51,7 +51,6 @@ from .errors import CorrelationError
 
 __all__ = [
     "validate_correlation",
-    "validate_psd",
     "repair_psd",
     "cholesky_lower",
     "CorrelationFamily",
@@ -87,16 +86,6 @@ def validate_correlation(mat: np.ndarray) -> np.ndarray:
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, 1.0)
     return np.clip(a, -1.0, 1.0)
-
-
-def validate_psd(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric unit-diagonal matrix.
-
-    Shape requirements raise; the caller chooses the acceptance threshold
-    on the returned eigenvalue.
-    """
-    a = validate_correlation(mat)
-    return float(np.linalg.eigvalsh(a)[0])
 
 
 def repair_psd(mat: np.ndarray) -> np.ndarray:
@@ -308,9 +297,3 @@ class CorrelationFamily:
         up = np.square(a.sum(axis=1)) if self._ones_up else _form(a, self.up)
         down = diag if self._eye_down else _form(a, self.down)
         return up, down
-
-    def limit(self, kappa: int) -> np.ndarray:
-        """Correlation matrix in the u -> infinity limit of a branch."""
-        out = self.direction(kappa).copy()
-        np.fill_diagonal(out, 1.0)
-        return out

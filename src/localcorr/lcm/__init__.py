@@ -8,7 +8,6 @@ from .engine import (
     SimulationConfig,
     average_correlation,
     calibrate_market,
-    price,
     price_european,
     probe_bounds,
     simulate,
@@ -31,7 +30,6 @@ __all__ = [
     "SimulationConfig",
     "average_correlation",
     "calibrate_market",
-    "price",
     "price_european",
     "probe_bounds",
     "simulate",

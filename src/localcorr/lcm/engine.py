@@ -38,7 +38,6 @@ __all__ = [
     "PathCube",
     "simulate",
     "price_european",
-    "price",
     "average_correlation",
     "probe_bounds",
 ]
@@ -571,19 +570,6 @@ def price_european(
         for j, spec in enumerate(payoffs)
     ]
     return results, _finalize_diag(agg, market, n_paths)
-
-
-def price(
-    snapshot: MarketSnapshot,
-    family: CorrelationFamily,
-    payoffs: list[PayoffSpec],
-    horizon: float,
-    config: SimulationConfig | None = None,
-) -> tuple[list[PriceResult], SimDiagnostics]:
-    """Calibrate and price in one call."""
-    config = config or SimulationConfig()
-    market = calibrate_market(snapshot, family, horizon, config)
-    return price_european(market, payoffs, config)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ instead of dying on one bad step.  The solver and the preflight
 The closed-form lowering root divides by (target - diag), honoring the
 unit diagonal of the family members.  A widely quoted shortcut divides by
 the target alone, which is only exact when the diagonal term vanishes;
-the solver can carry that shortcut value along as a diagnostic.
+the solver does not compute or return it.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corrfam import CorrelationFamily, _form
-from ..errors import BoundViolationError, CorrelationError
+from ..errors import CorrelationError
 
 __all__ = [
     "CovarianceTerms",
@@ -114,7 +114,6 @@ class StateSolution:
     kappa: np.ndarray  # int, 1 raising / 0 lowering
     violated_high: np.ndarray  # bool, target above the raising limit
     violated_low: np.ndarray  # bool, target below the lowering limit
-    simplified_u: np.ndarray | None = None  # lowering-branch shortcut root
 
     @property
     def signed(self) -> np.ndarray:
@@ -130,15 +129,17 @@ def _band(terms: CovarianceTerms):
     """Scale, branch choice and band-violation flags of every target.
 
     Returns ``(scale, raising, violated_high, violated_low)``.  A target
-    on the band edge counts as violating; a branch whose limit does not
-    move away from the center flags nothing.
+    that moves away from the center is flagged once it reaches its branch
+    limit, so a branch whose limit is the center itself or sits on the
+    far side of it flags every such target.  A target on the band edge
+    counts as violating; a target at the center flags nothing.
     """
     target = terms.target
     c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
     scale = np.maximum(np.abs(c_up), 1e-300)
     raising = target >= c0
-    violated_high = raising & (target >= c_up - scale * _REL_EPS) & (c_up - c0 > scale * _REL_EPS)
-    violated_low = ~raising & (target <= c_dn + scale * _REL_EPS) & (c0 - c_dn > scale * _REL_EPS)
+    violated_high = raising & (target >= c_up - scale * _REL_EPS) & (target - c0 > scale * _REL_EPS)
+    violated_low = ~raising & (target <= c_dn + scale * _REL_EPS) & (c0 - target > scale * _REL_EPS)
     return scale, raising, violated_high, violated_low
 
 
@@ -189,20 +190,14 @@ def _newton_branch(
     return np.sqrt(lam / (1.0 - lam))
 
 
-def solve_state(
-    terms: CovarianceTerms,
-    family: CorrelationFamily,
-    *,
-    track_simplified: bool = False,
-) -> StateSolution:
+def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolution:
     """Invert the family so each path's basket variance hits its target.
 
     Closed form in flat mode, safeguarded Newton in lambda = u^2 / (1 + u^2)
     otherwise, at most ``_MAX_ITERS`` iterations per row.  Every state lies
     in [0, ``U_MAX``]; targets outside the reachable band clamp to ``U_MAX``
     on the relevant branch and are flagged, and callers decide how much
-    violation to tolerate.  ``track_simplified`` also returns the lowering
-    branch's shortcut root as ``simplified_u``.
+    violation to tolerate.
     """
     target = terms.target
     c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
@@ -228,19 +223,11 @@ def solve_state(
                 )
         u = np.minimum(u, U_MAX)
     u = np.where(violated, U_MAX, u)
-    kappa = raising.astype(np.int64)
-
-    simplified = None
-    if track_simplified:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s2 = (c0 - target) / target
-        simplified = np.where(~raising & (s2 > 0.0), np.sqrt(np.abs(s2)), np.nan)
     return StateSolution(
         u=u,
-        kappa=kappa,
+        kappa=raising.astype(np.int64),
         violated_high=violated_high,
         violated_low=violated_low,
-        simplified_u=simplified,
     )
 
 
@@ -260,19 +247,6 @@ class BoundsReport:
     @property
     def ok(self) -> bool:
         return self.n_low == 0 and self.n_high == 0
-
-    @property
-    def fraction_violated(self) -> float:
-        if self.n_checked == 0:
-            return 0.0
-        return (self.n_low + self.n_high) / self.n_checked
-
-    def require(self, max_fraction: float = 0.0):
-        if self.fraction_violated > max_fraction:
-            raise BoundViolationError(
-                f"{self.n_low} low / {self.n_high} high violations out of "
-                f"{self.n_checked} checks, worst {self.worst_low:.3e} / {self.worst_high:.3e}"
-            )
 
 
 def check_dispersion_bounds(terms: CovarianceTerms) -> BoundsReport:

@@ -1,12 +1,11 @@
 """Market data model: curves, Black formula, surfaces and snapshots."""
 from .black import black_call, black_put, black_vega, implied_vol
-from .curves import BlendedYieldCurve, DiscountCurve, ForwardCurve, RateCurve
+from .curves import BlendedYieldCurve, ForwardCurve, RateCurve
 from .snapshot import (
     SNAPSHOT_SCHEMA,
     AssetQuote,
     IndexComposition,
     MarketSnapshot,
-    call_surface,
     load_snapshot,
     save_snapshot,
     snapshot_from_dict,
@@ -20,7 +19,6 @@ __all__ = [
     "black_vega",
     "implied_vol",
     "RateCurve",
-    "DiscountCurve",
     "ForwardCurve",
     "BlendedYieldCurve",
     "VolSurface",
@@ -29,7 +27,6 @@ __all__ = [
     "AssetQuote",
     "IndexComposition",
     "MarketSnapshot",
-    "call_surface",
     "load_snapshot",
     "save_snapshot",
     "snapshot_from_dict",

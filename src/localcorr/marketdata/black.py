@@ -85,6 +85,8 @@ def implied_vol(price, forward, strike, expiry, df=1.0) -> float:
     if expiry <= 0.0:
         raise PricingError("implied vol requires a positive expiry")
     _validate(forward, strike, expiry, 0.0)
+    if not np.isfinite(df) or df <= 0.0:
+        raise PricingError("discount factor must be positive and finite")
     if not np.isfinite(price):
         raise PricingError("price must be finite")
     intrinsic = df * max(forward - strike, 0.0)

@@ -15,7 +15,6 @@ from ..errors import CurveError
 
 __all__ = [
     "RateCurve",
-    "DiscountCurve",
     "ForwardCurve",
     "BlendedYieldCurve",
 ]
@@ -95,10 +94,6 @@ class RateCurve:
 
     def discount(self, t):
         return np.exp(-self.integral(t))
-
-
-# A discount curve is just a rate curve used for funding.
-DiscountCurve = RateCurve
 
 
 @dataclass(frozen=True, eq=False)

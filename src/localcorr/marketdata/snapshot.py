@@ -39,7 +39,6 @@ __all__ = [
     "AssetQuote",
     "IndexComposition",
     "MarketSnapshot",
-    "call_surface",
     "load_snapshot",
     "save_snapshot",
     "snapshot_from_dict",
@@ -148,27 +147,13 @@ class IndexComposition:
         object.__setattr__(self, "weights", weights)
 
 
-def call_surface(surface: VolSurface, asset: AssetQuote, curve: RateCurve,
-                 yield_curve=None) -> CallSurface:
-    """Build the smooth call surface of ``asset`` under discount ``curve``.
-
-    ``yield_curve`` overrides the asset's own dividend curve; the index uses
-    this to plug in its derived yield.
-    """
-    fc = ForwardCurve(
-        spot=asset.spot,
-        rate_curve=curve,
-        yield_curve=yield_curve if yield_curve is not None else asset.dividend_curve,
-    )
-    return CallSurface(surface, fc, asset_id=asset.asset_id)
-
-
 @dataclass(eq=False)
 class MarketSnapshot:
     """One observation date of the whole market.
 
     Weights are reconciled against the index spot at construction; forward
-    curves and the derived index yield are built once and shared.
+    curves and the derived index yield are built once, and every call
+    surface shares its asset's forward curve.
     """
 
     as_of: _dt.date
@@ -210,13 +195,13 @@ class MarketSnapshot:
             for q in self.assets
         }
         components = tuple(self._forwards[i] for i in self.composition.ids)
-        self.index_yield_curve = BlendedYieldCurve(
+        index_yield = BlendedYieldCurve(
             weights=self.composition.weights,
             components=components,
             rate_curve=self.discount_curve,
         )
         self._forwards[self.index.asset_id] = ForwardCurve(
-            self.index.spot, self.discount_curve, self.index_yield_curve
+            self.index.spot, self.discount_curve, index_yield
         )
         self._call_surfaces: dict[str, CallSurface] = {}
 
@@ -249,16 +234,9 @@ class MarketSnapshot:
         if cached is not None:
             return cached
         quote = self.asset(asset_id)
-        if asset_id == self.index.asset_id:
-            cs = call_surface(quote.vol_surface, quote, self.discount_curve,
-                              yield_curve=self.index_yield_curve)
-        else:
-            cs = call_surface(quote.vol_surface, quote, self.discount_curve)
+        cs = CallSurface(quote.vol_surface, self.forward_curve(asset_id), asset_id)
         self._call_surfaces[asset_id] = cs
         return cs
-
-    def index_forward(self, t):
-        return self._forwards[self.index.asset_id].forward(t)
 
 
 # ----------------------------------------------------------------------

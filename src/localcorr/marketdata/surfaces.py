@@ -389,6 +389,3 @@ class CallSurface:
 
     def forward(self, expiry: float) -> float:
         return self._profile(expiry).forward
-
-    def discount(self, expiry: float) -> float:
-        return self._profile(expiry).df

@@ -20,7 +20,7 @@ the snapshot metadata.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 import datetime as _dt
 
 import numpy as np
@@ -194,12 +194,9 @@ def _invert_row(prices, fwd, strikes, expiry, df, label) -> np.ndarray:
     return _fill_gaps(vols, label)
 
 
-def _assemble(recipe: SyntheticRecipe, index_vols, discount, quotes, weights,
+def _assemble(recipe: SyntheticRecipe, prov: MarketSnapshot, index_vols,
               meta: dict) -> MarketSnapshot:
-    """Final snapshot with the index surface given as per-maturity vol rows."""
-    spots = np.array([q.spot for q in quotes])
-    index_spot = float(weights @ spots)
-    prov = _provisional(recipe, discount, quotes, weights)
+    """Final snapshot: ``prov`` with the index surface given as per-maturity vol rows."""
     fc = prov.forward_curve(recipe.index_id)
     mats = np.asarray(recipe.maturities, dtype=float)
     m = np.asarray(recipe.moneyness, dtype=float)
@@ -208,20 +205,8 @@ def _assemble(recipe: SyntheticRecipe, index_vols, discount, quotes, weights,
         np.clip(np.asarray(row, dtype=float) + recipe.index_vol_shift, VOL_MIN, VOL_MAX)
         for row in index_vols
     )
-    index = AssetQuote(
-        asset_id=recipe.index_id,
-        spot=index_spot,
-        dividend_curve=_flat_curve(0.0),  # unused, the snapshot derives the yield
-        vol_surface=VolSurface(maturities=mats, strikes=strikes, vols=vols),
-    )
-    return MarketSnapshot(
-        as_of=_dt.date.fromisoformat(recipe.as_of),
-        discount_curve=discount,
-        assets=tuple(quotes),
-        index=index,
-        composition=IndexComposition(tuple(a.asset_id for a in recipe.assets), weights),
-        meta=meta,
-    )
+    surface = VolSurface(maturities=mats, strikes=strikes, vols=vols)
+    return replace(prov, index=replace(prov.index, vol_surface=surface), meta=meta)
 
 
 def _provisional(recipe: SyntheticRecipe, discount, quotes, weights) -> MarketSnapshot:
@@ -229,7 +214,7 @@ def _provisional(recipe: SyntheticRecipe, discount, quotes, weights) -> MarketSn
 
     Good enough to expose constituent surfaces, forwards and the derived
     index yield to the generators; the placeholder index vols are never
-    read by them.
+    read by them, and ``_assemble`` swaps in the generated ones.
     """
     spots = np.array([q.spot for q in quotes])
     level = float(np.average([a.base_vol for a in recipe.assets], weights=weights))
@@ -332,13 +317,13 @@ def build_snapshot(recipe: SyntheticRecipe) -> MarketSnapshot:
         "recipe": recipe_to_dict(recipe),
     }
 
+    prov = _provisional(recipe, discount, quotes, weights)
     if recipe.generator == "copula-consistent" and recipe.n_assets == 1:
         # degenerate basket: the index is the lone constituent scaled by
         # its weight, so the vol rows carry over exactly
         rows = [v.copy() for v in quotes[0].vol_surface.vols]
-        return _assemble(recipe, rows, discount, quotes, weights, meta)
+        return _assemble(recipe, prov, rows, meta)
 
-    prov = _provisional(recipe, discount, quotes, weights)
     if recipe.generator == "lcm-ground-truth":
         rows = _ground_truth_index_vols(recipe, prov)
     else:
@@ -347,7 +332,7 @@ def build_snapshot(recipe: SyntheticRecipe) -> MarketSnapshot:
             m = np.asarray(recipe.moneyness, dtype=float)
             rows = [row + recipe.steepen * (1.0 - m) for row in rows]
 
-    snapshot = _assemble(recipe, rows, discount, quotes, weights, meta)
+    snapshot = _assemble(recipe, prov, rows, meta)
 
     if recipe.generator == "copula-consistent":
         family = CorrelationFamily(center=recipe.center_matrix())

@@ -183,8 +183,8 @@ def _bounded_terms(gen, n_draws, fam, band=(0.02, 0.98)):
     weights = gen.uniform(0.2, 1.5, size=n)
     weights = weights / weights.sum()
     a = spots * vols * weights[None, :]
-    low = np.einsum("pi,ij,pj->p", a, fam.limit(0), a)
-    high = np.einsum("pi,ij,pj->p", a, fam.limit(1), a)
+    low = np.einsum("pi,ij,pj->p", a, fam.down, a)
+    high = np.einsum("pi,ij,pj->p", a, fam.up, a)
     target = low + gen.uniform(*band, size=n_draws) * (high - low)
     index_vol = np.sqrt(target) / (spots @ weights)
     return covariance_terms(spots, vols, weights, index_vol, fam)
@@ -200,7 +200,7 @@ def test_criterion_5_exact_roots(capsys):
     for rho in (0.0, 0.3, 0.6):
         fam = CorrelationFamily(center=flat_correlation(5, rho))
         terms = _bounded_terms(gen, 3400, fam)
-        sol = solve_state(terms, fam, track_simplified=True)
+        sol = solve_state(terms, fam)
         assert sol.n_violations == 0
         for p in range(terms.target.size):
             mat = fam.evaluate(float(sol.u[p]), int(sol.kappa[p]))
@@ -220,10 +220,12 @@ def test_criterion_5_exact_roots(capsys):
         down = ~up
         n_lower += int(np.count_nonzero(down))
         if np.any(down):
-            # the simplified lowering root ignores the diagonal floor and
-            # must fall strictly below the exact root whenever diag > 0
+            # the simplified lowering root sqrt((cov_center - target) / target)
+            # ignores the diagonal floor and must fall strictly below the
+            # exact root whenever diag > 0
             assert np.all(terms.diag[down] > 0.0)
-            gap = sol.u[down] - sol.simplified_u[down]
+            shortcut = np.sqrt((terms.cov_center[down] - terms.target[down]) / terms.target[down])
+            gap = sol.u[down] - shortcut
             min_shortfall = min(min_shortfall, float(np.min(gap)))
     ok = (
         total >= 10_000

@@ -101,6 +101,12 @@ def test_implied_vol_rejects_arbitrage_prices():
         implied_vol(5.0, 100.0, 100.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("df", [float("nan"), float("inf"), 0.0, -1.0])
+def test_implied_vol_rejects_bad_discount_factor(df):
+    with pytest.raises(PricingError, match="discount factor"):
+        implied_vol(5.0, 100.0, 100.0, 1.0, df)
+
+
 def test_inputs_validated():
     with pytest.raises(PricingError):
         black_call(-1.0, 100.0, 1.0, 0.2)

@@ -309,6 +309,41 @@ def test_bad_center_matrix_shape_fails(snapshot_path, tmp_path):
     assert "shape" in err["error"]["message"]
 
 
+def _set_spot(raw, value):
+    raw["assets"][0]["spot"] = value
+
+
+def _set_vol(raw, value):
+    raw["assets"][1]["vols"]["values"][0][2] = value
+
+
+def _set_weight(raw, value):
+    raw["composition"][0]["weight"] = value
+
+
+def _set_rate(raw, value):
+    raw["discount_curve"][0]["r"] = value
+
+
+@pytest.mark.parametrize("corrupt, value, error", [
+    (_set_spot, float("nan"), "SnapshotError"),
+    (_set_vol, float("nan"), "SurfaceError"),
+    (_set_weight, float("nan"), "SnapshotError"),
+    (_set_rate, float("inf"), "CurveError"),
+], ids=["nan-spot", "nan-vol", "nan-weight", "inf-rate"])
+def test_non_finite_snapshot_fields_fail_at_load(snapshot_path, tmp_path, corrupt, value, error):
+    raw = json.loads(snapshot_path.read_text())
+    corrupt(raw, value)
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(json.dumps(raw))  # writes the bare NaN / Infinity tokens json reads back
+    res = _run([
+        "--input", str(bad), "--output-dir", str(tmp_path), "price", "--maturity", "1.0",
+    ])
+    assert res.exit_code == 1
+    assert _error_payload(res)["error"]["type"] == error
+    assert not (tmp_path / "price.json").exists()
+
+
 @pytest.mark.parametrize("matrix", [
     "[[1.0, NaN], [NaN, 1.0]]",  # off-diagonal
     "[[NaN, 0.2], [0.2, 1.0]]",  # diagonal only, symmetric as written

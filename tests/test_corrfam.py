@@ -13,7 +13,6 @@ from localcorr.corrfam import (
     cholesky_lower,
     repair_psd,
     validate_correlation,
-    validate_psd,
 )
 from localcorr.cli import main
 from localcorr.errors import CorrelationError
@@ -26,6 +25,10 @@ from helpers import random_correlation
 
 # ---------------------------------------------------------------------------
 # validation and repair
+
+
+def _min_eigenvalue(mat):
+    return float(np.linalg.eigvalsh(validate_correlation(mat))[0])
 
 
 def test_validate_correlation_happy_path():
@@ -45,11 +48,6 @@ def test_validate_correlation_rejects_bad_matrices():
         validate_correlation(np.array([1.0, 0.5]))  # not square
 
 
-def test_validate_psd_returns_smallest_eigenvalue():
-    mat = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert abs(validate_psd(mat) - 0.5) < 1e-12
-
-
 def test_repair_psd_identity_on_clean_input():
     mat = np.array([[1.0, 0.2], [0.2, 1.0]])
     assert repair_psd(mat) is mat
@@ -65,14 +63,14 @@ def test_repair_psd_fixes_small_negative_eigenvalue():
     jitter = base.copy()
     jitter[0, 1] = jitter[1, 0] = 1.0 - 1e-12
     fixed = repair_psd(jitter)
-    assert validate_psd(fixed) >= -1e-12
+    assert _min_eigenvalue(fixed) >= -1e-12
     np.fill_diagonal(fixed, 1.0)
     assert np.allclose(np.diag(fixed), 1.0)
 
 
 def test_repair_psd_rejects_strongly_indefinite():
     mat = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-    assert validate_psd(mat) < -1e-3
+    assert _min_eigenvalue(mat) < -1e-3
     with pytest.raises(CorrelationError):
         repair_psd(mat)
 
@@ -112,8 +110,8 @@ def test_family_center_and_limits():
     fam = CorrelationFamily(center=center)
     assert np.allclose(fam.evaluate(0.0, 1), center)
     assert np.allclose(fam.evaluate(0.0, 0), center)
-    assert np.allclose(fam.limit(1), np.ones((2, 2)))
-    assert np.allclose(fam.limit(0), np.eye(2))
+    assert np.allclose(fam.up, np.ones((2, 2)))
+    assert np.allclose(fam.down, np.eye(2))
 
 
 def test_family_midpoint_hand_values():
@@ -149,7 +147,7 @@ def test_family_random_sweep_stays_admissible(rng):
         assert np.all(np.diag(mat) == 1.0)
         off = mat[~np.eye(n, dtype=bool)]
         assert np.all(off <= 1.0 + 1e-12) and np.all(off >= -1.0 - 1e-12)
-        worst_eig = min(worst_eig, validate_psd(mat))
+        worst_eig = min(worst_eig, _min_eigenvalue(mat))
     assert worst_eig >= -1e-10
 
 

@@ -31,7 +31,14 @@ def test_index_forward_is_weighted_sum():
     snap = _two_asset()
     for t in (0.2, 0.7, 1.0, 2.4):
         target = 0.5 * snap.forward_curve("AAA").forward(t) + 0.5 * snap.forward_curve("BBB").forward(t)
-        assert abs(snap.index_forward(t) - target) < 1e-10 * target
+        assert abs(snap.forward_curve("IDX").forward(t) - target) < 1e-10 * target
+        assert abs(snap.call_surface("IDX").forward(t) - target) < 1e-10 * target
+
+
+def test_call_surfaces_share_the_snapshot_forward_curves():
+    snap = _two_asset()
+    for asset_id in ("AAA", "BBB", "IDX"):
+        assert snap.call_surface(asset_id).forward_curve is snap.forward_curve(asset_id)
 
 
 def test_weights_reconciled_to_index_spot():
@@ -147,4 +154,4 @@ def test_many_asset_snapshot():
     assert abs(snap.weights.sum() - 1.0) < 1e-12
     t = 1.0
     target = sum(w * snap.forward_curve(s[0]).forward(t) for w, s in zip(weights, specs))
-    assert abs(snap.index_forward(t) - target) < 1e-8
+    assert abs(snap.forward_curve("IDX").forward(t) - target) < 1e-8

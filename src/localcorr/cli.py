@@ -9,6 +9,7 @@ print one machine-readable JSON object to stderr and exit nonzero.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .copula import CopulaSpec, flat_correlation, skew_comparison
 from .corrfam import CorrelationFamily
+from .dupire import calibrate_local_vol
 from .errors import CorrelationError, LocalCorrError, RecipeError
 from .lcm.engine import (
     PayoffSpec,
@@ -42,28 +44,6 @@ _PAYOFF_NAMES = {
     "index-put": "index_put",
     "worst-of-put": "worst_of_put",
 }
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record accompanying every command's outputs."""
-
-    command: str
-    config_digest: str
-    seed: int
-    input_digest: str
-    version: str
-    runtime_seconds: float
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "input_digest": self.input_digest,
-            "version": self.version,
-            "runtime_seconds": self.runtime_seconds,
-        }
 
 
 class _JsonLogHandler(logging.StreamHandler):
@@ -87,31 +67,29 @@ def _setup_logging(fmt: str):
         root.addHandler(handler)
 
 
-def _digest_file(path) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _digest_config(params: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(params, sort_keys=True, default=str).encode()
-    ).hexdigest()
-
-
 def _write_manifest(out_dir, command, params, seed, input_path, started):
-    manifest = RunManifest(
-        command=command,
-        config_digest=_digest_config(params),
-        seed=int(seed),
-        input_digest=_digest_file(input_path),
-        version=__version__,
-        runtime_seconds=round(time.perf_counter() - started, 3),
-    )
-    path = out_dir / "manifest.json"
-    with open(path, "w") as handle:
-        json.dump(manifest.as_dict(), handle, indent=2, sort_keys=True)
+    """The reproducibility record next to every command's outputs."""
+    config = json.dumps(params, sort_keys=True, default=str).encode()
+    manifest = {
+        "command": command,
+        "config_digest": hashlib.sha256(config).hexdigest(),
+        "seed": int(seed),
+        "input_digest": hashlib.sha256(input_path.read_bytes()).hexdigest(),
+        "version": __version__,
+        "runtime_seconds": round(time.perf_counter() - started, 3),
+    }
+    with open(out_dir / "manifest.json", "w") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return manifest
+
+
+def _read_json(path):
+    """The JSON value in ``path``; malformed JSON raises a ``RecipeError`` naming the file."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise RecipeError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _write_csv(path, header, rows):
@@ -119,13 +97,7 @@ def _write_csv(path, header, rows):
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(float(value))
-    return value
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _parse_center(center: str, n: int) -> np.ndarray:
@@ -139,12 +111,14 @@ def _parse_center(center: str, n: int) -> np.ndarray:
             raise RecipeError(f"bad flat correlation in --center {center!r}") from None
         return flat_correlation(n, rho)
     try:
-        with open(center) as handle:
-            raw = json.load(handle)
+        raw = _read_json(center)
     except OSError as exc:
         raise RecipeError(f"cannot read correlation file {center!r}: {exc}") from exc
     mat = raw.get("matrix", raw) if isinstance(raw, dict) else raw
-    arr = np.asarray(mat, dtype=float)
+    try:
+        arr = np.asarray(mat, dtype=float)
+    except (TypeError, ValueError):
+        raise RecipeError(f"correlation file {center!r} holds non-numeric entries") from None
     if arr.shape != (n, n):
         raise RecipeError(f"correlation file has shape {arr.shape}, expected ({n}, {n})")
     return arr
@@ -157,41 +131,23 @@ def _parse_strikes(raw: str) -> list:
         raise RecipeError(f"cannot parse strike list {raw!r}") from None
     if not values:
         raise RecipeError("empty strike list")
+    if not all(0.0 < v < np.inf for v in values):
+        raise RecipeError(f"strikes must be positive and finite, got {raw!r}")
     return values
 
 
+@dataclass(frozen=True)
 class CliState:
-    def __init__(self, input_path, output_dir, seed, threads, log_format):
-        self.input_path = input_path
-        self.output_dir = output_dir
-        self.seed = seed
-        self.threads = threads
-        self.log_format = log_format
-
-    def require_input(self):
-        if self.input_path is None:
-            raise RecipeError("this command needs --input")
-        return self.input_path
+    input_path: Path | None
+    output_dir: Path
+    seed: int
+    threads: int | None
 
 
 def _fail(exc: Exception):
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     click.echo(json.dumps(payload, sort_keys=True), err=True)
     sys.exit(1)
-
-
-def _guarded(fn):
-    """Run a command body, mapping domain errors to JSON diagnostics."""
-
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (LocalCorrError, OSError) as exc:
-            _fail(exc)
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
 
 # ----------------------------------------------------------------------
@@ -218,40 +174,57 @@ def main(ctx, input_path, output_dir, seed, threads, log_format):
         output_dir=out,
         seed=seed,
         threads=threads,
-        log_format=log_format,
     )
 
 
-@main.command()
-@click.pass_obj
-@_guarded
-def synth(state: CliState):
+def _command(name: str):
+    """Register ``body(state, path, **options) -> (params, seed)`` as command ``name``.
+
+    The runner requires ``--input``, times the body and writes the
+    manifest from the returned config parameters and seed.  Domain and
+    I/O errors print one JSON error object to stderr and exit 1.
+    """
+
+    def register(body):
+        @main.command(name=name)
+        @click.pass_obj
+        @functools.wraps(body)  # carries the body's docstring and click options
+        def run(state: CliState, **options):
+            started = time.perf_counter()
+            try:
+                if state.input_path is None:
+                    raise RecipeError("this command needs --input")
+                params, seed = body(state, state.input_path, **options)
+                _write_manifest(state.output_dir, name, params, seed, state.input_path, started)
+            except (LocalCorrError, OSError) as exc:
+                _fail(exc)
+
+        return run
+
+    return register
+
+
+@_command("synth")
+def synth(state: CliState, path):
     """Generate a synthetic market snapshot from a recipe file."""
-    started = time.perf_counter()
-    path = state.require_input()
-    with open(path) as handle:
-        raw = json.load(handle)
+    raw = _read_json(path)
     recipe = recipe_from_dict(raw)
     snapshot = build_snapshot(recipe)
     out = state.output_dir / "snapshot.json"
     save_snapshot(snapshot, out)
     log.info("wrote %s", out)
-    _write_manifest(state.output_dir, "synth", raw, recipe.seed, path, started)
+    return raw, recipe.seed
 
 
-@main.command()
+@_command("decode")
 @click.option("--maturity", type=float, required=True, help="Expiry in years.")
 @click.option("--strikes", default="0.7,0.8,0.9,1.0,1.1,1.2",
               help="Moneyness list, comma or space separated.")
 @click.option("--rho", type=float, default=None,
               help="Flat copula correlation; fitted to the ATM index vol when omitted.")
 @click.option("--samples", type=int, default=1 << 16, help="Copula sample count.")
-@click.pass_obj
-@_guarded
-def decode(state: CliState, maturity, strikes, rho, samples):
+def decode(state: CliState, path, maturity, strikes, rho, samples):
     """Compare market index vols with Gaussian-copula implied vols."""
-    started = time.perf_counter()
-    path = state.require_input()
     snapshot = load_snapshot(path)
     moneyness = _parse_strikes(strikes)
     spec = CopulaSpec(n_samples=samples, seed=state.seed)
@@ -262,22 +235,16 @@ def decode(state: CliState, maturity, strikes, rho, samples):
     log.info("wrote %s (rho = %.6f)", out, report.flat_rho)
     params = {"command": "decode", "maturity": maturity, "strikes": moneyness,
               "rho": rho, "samples": samples, "seed": state.seed}
-    _write_manifest(state.output_dir, "decode", params, state.seed, path, started)
+    return params, state.seed
 
 
-@main.command()
+@_command("calibrate")
 @click.option("--horizon", type=float, default=None,
               help="Calibration horizon in years; defaults to the last quoted maturity.")
 @click.option("--times", type=int, default=64, help="Time grid size.")
 @click.option("--spots", type=int, default=161, help="Spot grid size.")
-@click.pass_obj
-@_guarded
-def calibrate(state: CliState, horizon, times, spots):
+def calibrate(state: CliState, path, horizon, times, spots):
     """Extract local volatility grids for every asset and the index."""
-    from .dupire import calibrate_local_vol
-
-    started = time.perf_counter()
-    path = state.require_input()
     snapshot = load_snapshot(path)
     ids = list(snapshot.composition.ids) + [snapshot.index.asset_id]
     for asset_id in ids:
@@ -293,7 +260,7 @@ def calibrate(state: CliState, horizon, times, spots):
         _write_csv(out, ["t", "spot", "local_vol"], rows)
         log.info("wrote %s", out)
     params = {"command": "calibrate", "horizon": horizon, "times": times, "spots": spots}
-    _write_manifest(state.output_dir, "calibrate", params, state.seed, path, started)
+    return params, state.seed
 
 
 def _build_config(state: CliState, paths, steps_per_year, seed, bounds_policy) -> SimulationConfig:
@@ -325,18 +292,14 @@ def _with_price_options(fn):
     return fn
 
 
-@main.command(name="price")
+@_command("price")
 @click.option("--payoff", type=click.Choice(sorted(_PAYOFF_NAMES)), default="index-call")
 @click.option("--strikes", default="1.0",
               help="Strikes as fractions of the index level (performance for worst-of).")
 @_with_price_options
-@click.pass_obj
-@_guarded
-def price_cmd(state: CliState, payoff, strikes, maturity, paths, steps_per_year,
+def price_cmd(state: CliState, path, payoff, strikes, maturity, paths, steps_per_year,
               seed_override, center, bounds_policy):
     """Price European payoffs under the local correlation model."""
-    started = time.perf_counter()
-    path = state.require_input()
     snapshot = load_snapshot(path)
     family = CorrelationFamily(center=_parse_center(center, snapshot.n_assets))
     config = _build_config(state, paths, steps_per_year, seed_override, bounds_policy)
@@ -373,26 +336,22 @@ def price_cmd(state: CliState, payoff, strikes, maturity, paths, steps_per_year,
               "maturity": maturity, "paths": paths, "steps_per_year": steps_per_year,
               "seed": config.seed, "center": center, "bounds_policy": bounds_policy,
               "threads": config.resolve_threads()}
-    _write_manifest(state.output_dir, "price", params, config.seed, path, started)
+    return params, config.seed
 
 
-@main.command()
+@_command("diagnose")
 @click.option("--strikes", default="0.7,0.8,0.9,1.0,1.1,1.2",
               help="Moneyness buckets for payoff-conditioned averaging.")
 @_with_price_options
-@click.pass_obj
-@_guarded
-def diagnose(state: CliState, strikes, maturity, paths, steps_per_year, seed_override,
+def diagnose(state: CliState, path, strikes, maturity, paths, steps_per_year, seed_override,
              center, bounds_policy):
     """Average path correlation conditioned on finishing in the money."""
-    started = time.perf_counter()
-    path = state.require_input()
     snapshot = load_snapshot(path)
     family = CorrelationFamily(center=_parse_center(center, snapshot.n_assets))
     config = _build_config(state, paths, steps_per_year, seed_override, bounds_policy)
+    moneyness = _parse_strikes(strikes)
     market = calibrate_market(snapshot, family, maturity, config)
     cube = simulate(market, config)
-    moneyness = _parse_strikes(strikes)
     rows = []
     for m in moneyness:
         kind = "put" if m <= 1.0 else "call"
@@ -404,26 +363,22 @@ def diagnose(state: CliState, strikes, maturity, paths, steps_per_year, seed_ove
     params = {"command": "diagnose", "strikes": moneyness, "maturity": maturity,
               "paths": paths, "steps_per_year": steps_per_year, "seed": config.seed,
               "center": center, "bounds_policy": bounds_policy}
-    _write_manifest(state.output_dir, "diagnose", params, config.seed, path, started)
+    return params, config.seed
 
 
-@main.command(name="dump-table")
+@_command("dump-table")
 @click.option("--states", type=int, default=101,
               help="Number of swept states; an even count gains one.")
 @click.option("--shift", type=float, default=None,
               help="State spacing; by default the end states reach a blend weight of 0.999.")
 @click.option("--center", default="flat:0.5",
               help="Center correlation: 'identity', 'flat:<rho>', or a JSON matrix file.")
-@click.pass_obj
-@_guarded
-def dump_table(state: CliState, states, shift, center):
+def dump_table(state: CliState, path, states, shift, center):
     """Write the smallest eigenvalue of the family along the signed state axis.
 
     States are l * shift for l in [-m, m], m = states // 2: the raising
     branch at positive states, the lowering branch at negative ones.
     """
-    started = time.perf_counter()
-    path = state.require_input()
     snapshot = load_snapshot(path)
     family = CorrelationFamily(center=_parse_center(center, snapshot.n_assets))
     if states < 3:
@@ -442,7 +397,7 @@ def dump_table(state: CliState, states, shift, center):
     _write_csv(out, ["state", "kappa", "min_eigenvalue"], rows)
     log.info("wrote %s", out)
     params = {"command": "dump-table", "states": states, "shift": shift, "center": center}
-    _write_manifest(state.output_dir, "dump-table", params, state.seed, path, started)
+    return params, state.seed
 
 
 if __name__ == "__main__":

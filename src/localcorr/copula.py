@@ -277,6 +277,8 @@ def fit_flat_correlation(
     """
     weights = snapshot.weights
     n = weights.size
+    if n == 1:
+        raise PricingError("a flat correlation is undefined for a one-asset basket")
     index_cs = snapshot.call_surface(snapshot.index.asset_id)
     strike = index_cs.forward(expiry)
     target = index_cs.price(expiry, strike)
@@ -293,7 +295,7 @@ def fit_flat_correlation(
         prices, _ = _prices_from_baskets(baskets, k_arr, fwd, df)
         return float(prices[0] - target)
 
-    lo = (-1.0 / (n - 1) if n > 1 else -1.0) + 1e-6
+    lo = -1.0 / (n - 1) + 1e-6
     hi = 1.0 - 1e-9
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo > 0.0 or g_hi < 0.0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -125,8 +125,8 @@ class PayoffSpec:
             raise PricingError(f"unknown payoff kind {self.kind!r}")
         if self.kind in ("asset_call", "asset_put") and not self.asset_id:
             raise PricingError("single-asset payoffs need an asset_id")
-        if self.strike <= 0.0:
-            raise PricingError("strike must be positive")
+        if not 0.0 < self.strike < np.inf:
+            raise PricingError(f"strike must be positive and finite, got {self.strike!r}")
 
     def label(self) -> str:
         tag = f"{self.kind}[{self.asset_id}]" if self.asset_id else self.kind
@@ -190,67 +190,37 @@ def calibrate_market(
 ) -> CalibratedMarket:
     """Build local vol tables, the step grid and the forward increments."""
     config = config or SimulationConfig()
-    if horizon <= 0.0:
-        raise EngineError("horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise EngineError(f"horizon must be positive and finite, got {horizon!r}")
     ids = tuple(snapshot.composition.ids)
     if family.n_assets != len(ids):
         raise EngineError(f"family has {family.n_assets} assets, composition has {len(ids)}")
     n_steps = max(1, int(np.ceil(config.steps_per_year * horizon)))
     times = np.linspace(0.0, horizon, n_steps + 1)
-    weights = snapshot.weights
-    spots0 = np.array([snapshot.asset(a).spot for a in ids])
-    fwd_logs = np.empty((n_steps + 1, len(ids)))
-    for j, a in enumerate(ids):
-        fwd_logs[:, j] = np.log(snapshot.forward_curve(a).forward(times))
-    local_vols = [
+    fwds = np.stack([snapshot.forward_curve(a).forward(times) for a in ids], axis=1)
+    local_vols = [  # the constituents, then the index
         calibrate_local_vol(
             snapshot.call_surface(a), horizon,
             n_times=config.lv_times, n_spots=config.lv_spots,
         )
-        for a in ids
+        for a in (*ids, snapshot.index.asset_id)
     ]
-    index_lv = calibrate_local_vol(
-        snapshot.call_surface(snapshot.index.asset_id), horizon,
-        n_times=config.lv_times, n_spots=config.lv_spots,
-    )
     return CalibratedMarket(
         snapshot=snapshot,
         family=family,
         horizon=float(horizon),
         times=times,
         asset_ids=ids,
-        weights=weights,
-        spots0=spots0,
-        dlog_fwd=np.diff(fwd_logs, axis=0),
-        local_vols=local_vols,
-        index_local_vol=index_lv,
+        weights=snapshot.weights,
+        spots0=np.array([snapshot.asset(a).spot for a in ids]),
+        dlog_fwd=np.diff(np.log(fwds), axis=0),
+        local_vols=local_vols[:-1],
+        index_local_vol=local_vols[-1],
     )
 
 
 # ----------------------------------------------------------------------
 # diagnostics
-
-
-class _BlockStats:
-    """Mutable per-block accumulators; merged in block order."""
-
-    __slots__ = ("n_solved", "kappa_up", "viol_high", "viol_low", "clamped", "corr_sum")
-
-    def __init__(self):
-        self.n_solved = 0
-        self.kappa_up = 0
-        self.viol_high = 0
-        self.viol_low = 0
-        self.clamped = 0
-        self.corr_sum = 0.0
-
-    def merge(self, other: "_BlockStats"):
-        self.n_solved += other.n_solved
-        self.kappa_up += other.kappa_up
-        self.viol_high += other.viol_high
-        self.viol_low += other.viol_low
-        self.clamped += other.clamped
-        self.corr_sum += other.corr_sum
 
 
 @dataclass(frozen=True)
@@ -271,29 +241,9 @@ class SimDiagnostics:
         return self.violation_high_fraction + self.violation_low_fraction
 
     def as_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "kappa_up_fraction": self.kappa_up_fraction,
-            "violation_high_fraction": self.violation_high_fraction,
-            "violation_low_fraction": self.violation_low_fraction,
-            "clamped_fraction": self.clamped_fraction,
-            "mean_correlation": self.mean_correlation,
-        }
-
-
-def _finalize_diag(stats: _BlockStats, market: CalibratedMarket, n_paths: int) -> SimDiagnostics:
-    n = max(stats.n_solved, 1)
-    return SimDiagnostics(
-        n_paths=n_paths,
-        n_steps=market.n_steps,
-        n_solved=stats.n_solved,
-        kappa_up_fraction=stats.kappa_up / n,
-        violation_high_fraction=stats.viol_high / n,
-        violation_low_fraction=stats.viol_low / n,
-        clamped_fraction=stats.clamped / n,
-        mean_correlation=stats.corr_sum / n,
-    )
+        out = asdict(self)
+        del out["n_solved"]
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -315,18 +265,19 @@ def _run_block(
     n_block: int,
     slice_steps: list[int],
 ):
-    """Advance one block of paths; returns slices, state records and stats.
+    """Advance one block of paths; returns its records and its diagnostic sums.
 
-    ``slice_steps`` are step indices at which the asset cross-section and
-    the solved state are recorded.  The state stored for a date is the
-    one in force on the step starting there (the last step's state for
-    the terminal date).
+    The records are the cross-sections and signed states at ``slice_steps``
+    (for a date, the state in force on the step starting there; the last
+    step's for the terminal date) and each path's mean-correlation level sum.
+    The sums are the ``SimDiagnostics`` counts from ``n_solved`` on, in field
+    order and exact in float64, then the level sum over the block.
     """
     rng = substream(config.seed, block_index)
     n = market.n_assets
     n_steps = market.n_steps
     weights = market.weights
-    stats = _BlockStats()
+    sums = np.zeros(6)
     ln_s = np.tile(np.log(market.spots0), (n_block, 1))
     slice_pos = {step: j for j, step in enumerate(slice_steps)}
     spot_rec = np.empty((len(slice_steps), n_block, n))
@@ -362,12 +313,9 @@ def _run_block(
                 )
             u, kappa = sol.u, sol.kappa
             level = market.family.mean_correlation(u, kappa)
-            stats.n_solved += n_block
-            stats.kappa_up += int(np.count_nonzero(kappa))
-            stats.viol_high += int(np.count_nonzero(sol.violated_high))
-            stats.viol_low += int(np.count_nonzero(sol.violated_low))
-            stats.clamped += int(np.count_nonzero(u >= U_MAX))
-            stats.corr_sum += float(level.sum())
+            sums += (n_block, np.count_nonzero(kappa), np.count_nonzero(sol.violated_high),
+                     np.count_nonzero(sol.violated_low), np.count_nonzero(u >= U_MAX),
+                     level.sum())
         for step in (k, n_steps):
             if step in slice_pos and (step == k or k == n_steps - 1):
                 state_rec[slice_pos[step]] = signed if forced else sol.signed
@@ -387,7 +335,7 @@ def _run_block(
 
     if n_steps in slice_pos:
         spot_rec[slice_pos[n_steps]] = np.exp(ln_s)
-    return spot_rec, state_rec, moff_sum, stats
+    return (spot_rec, state_rec, moff_sum), sums
 
 
 def _block_plan(config: SimulationConfig) -> list[int]:
@@ -410,6 +358,28 @@ def _map_blocks(worker, n_blocks: int, threads: int):
         return [f.result() for f in [pool.submit(worker, b) for b in range(n_blocks)]]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _run_blocks(market: CalibratedMarket, config: SimulationConfig, slice_steps: list[int],
+                reduce) -> tuple[list, SimDiagnostics]:
+    """Each block's ``reduce(spot_rec, state_rec, moff_sum)`` in block order, and the diagnostics.
+
+    ``reduce`` runs in the worker, so a block's records are dropped once
+    reduced.  The diagnostic sums add up in block order.
+    """
+    sizes = _block_plan(config)
+
+    def worker(b: int):
+        records, sums = _run_block(market, config, b, sizes[b], slice_steps)
+        return reduce(*records), sums
+
+    outcomes = _map_blocks(worker, len(sizes), config.resolve_threads())
+    total = np.zeros_like(outcomes[0][1])
+    for _, sums in outcomes:
+        total += sums
+    fractions = total[1:] / max(total[0], 1.0)
+    diag = SimDiagnostics(config.n_paths, market.n_steps, int(total[0]), *fractions.tolist())
+    return [reduced for reduced, _ in outcomes], diag
 
 
 # ----------------------------------------------------------------------
@@ -443,14 +413,8 @@ class PathCube:
 
 
 def _snap_slice_steps(market: CalibratedMarket, dates) -> tuple[list[int], list[float]]:
-    steps, snapped = [], []
-    for t in dates:
-        k = int(np.argmin(np.abs(market.times - t)))
-        if k not in steps:
-            steps.append(k)
-            snapped.append(float(market.times[k]))
-    order = np.argsort(steps)
-    return [steps[i] for i in order], [snapped[i] for i in order]
+    steps = sorted({int(np.argmin(np.abs(market.times - t))) for t in dates})
+    return steps, [float(market.times[k]) for k in steps]
 
 
 def simulate(
@@ -468,14 +432,7 @@ def simulate(
     """
     config = config or SimulationConfig()
     slice_steps, snapped = _snap_slice_steps(market, dates if dates is not None else [market.horizon])
-    sizes = _block_plan(config)
-    results = _map_blocks(
-        lambda b: _run_block(market, config, b, sizes[b], slice_steps),
-        len(sizes), config.resolve_threads(),
-    )
-    stats = _BlockStats()
-    for r in results:
-        stats.merge(r[3])
+    results, diag = _run_blocks(market, config, slice_steps, lambda *records: records)
     values = np.concatenate([r[0] for r in results], axis=1)  # (dates, paths, assets)
     state = np.concatenate([r[1] for r in results], axis=1)
     moff = np.concatenate([r[2] for r in results])
@@ -487,7 +444,7 @@ def simulate(
         values=np.moveaxis(values, 0, 2),
         state=state.T,
         path_mean_correlation=moff / market.n_steps,
-        diagnostics=_finalize_diag(stats, market, config.n_paths),
+        diagnostics=diag,
     )
 
 
@@ -531,11 +488,9 @@ def price_european(
     config = config or SimulationConfig()
     if not payoffs:
         raise PricingError("no payoffs given")
-    sizes = _block_plan(config)
     basket_mean = float(market.weights @ (market.spots0 * np.exp(market.dlog_fwd.sum(axis=0))))
 
-    def worker(b: int):
-        spot_rec, _, _, stats = _run_block(market, config, b, sizes[b], [market.n_steps])
+    def block_sums(spot_rec, *_):
         spots = spot_rec[0]
         x = spots @ market.weights / basket_mean - 1.0
         x_sum, x_sq = x.sum(), np.square(x).sum()
@@ -543,14 +498,12 @@ def price_european(
         for spec in payoffs:
             y = _payoff_values(spec, spots, market)
             rows.append((y.sum(), np.square(y).sum(), x_sum, x_sq, (x * y).sum()))
-        return np.array(rows), stats
+        return np.array(rows)
 
-    outcomes = _map_blocks(worker, len(sizes), config.resolve_threads())
-    agg = _BlockStats()
+    blocks, diag = _run_blocks(market, config, [market.n_steps], block_sums)
     total = np.zeros((len(payoffs), 5))
-    for sums, stats in outcomes:
+    for sums in blocks:
         total += sums
-        agg.merge(stats)
     n_paths = config.n_paths
     my, myy, mx, mxx, mxy = (total / n_paths).T
     var_x = mxx - mx * mx
@@ -569,7 +522,7 @@ def price_european(
         )
         for j, spec in enumerate(payoffs)
     ]
-    return results, _finalize_diag(agg, market, n_paths)
+    return results, diag
 
 
 # ----------------------------------------------------------------------

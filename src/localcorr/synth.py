@@ -20,7 +20,7 @@ the snapshot metadata.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 import datetime as _dt
 
 import numpy as np
@@ -366,23 +366,53 @@ def recipe_to_dict(recipe: SyntheticRecipe) -> dict:
     return out
 
 
-def recipe_from_dict(raw: dict) -> SyntheticRecipe:
-    if not isinstance(raw, dict) or "assets" not in raw:
-        raise RecipeError("recipe must be an object with an 'assets' list")
-    known = {f for f in SyntheticRecipe.__dataclass_fields__}
-    extra = set(raw) - known
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+#: JSON type test and description for each declared recipe field type;
+#: ``object`` is the correlation, a flat level or a center matrix
+_JSON_TYPES = {
+    "float": (_is_number, "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (_is_numbers, "a list of numbers"),
+    "tuple | None": (lambda v: v is None or _is_numbers(v), "a list of numbers or null"),
+    "object": (lambda v: _is_number(v) or isinstance(v, list) and all(map(_is_numbers, v)),
+               "a number or a list of number lists"),
+}
+
+
+def _check_fields(cls, entry: dict, what: str):
+    """Reject an unknown field or a value of the wrong JSON type."""
+    declared = {f.name: f.type for f in fields(cls)}
+    extra = set(entry) - set(declared)
     if extra:
-        raise RecipeError(f"unknown recipe fields: {sorted(extra)}")
-    asset_fields = {f for f in AssetRecipe.__dataclass_fields__}
+        raise RecipeError(f"unknown {what} fields: {sorted(extra)}")
+    for key, value in entry.items():
+        test, expected = _JSON_TYPES[declared[key]]
+        if not test(value):
+            raise RecipeError(f"{what} field {key!r} must be {expected}, got {value!r}")
+
+
+def recipe_from_dict(raw: dict) -> SyntheticRecipe:
+    """Parse a JSON recipe, checking the JSON type of every field."""
+    if not isinstance(raw, dict) or not isinstance(raw.get("assets"), list):
+        raise RecipeError("recipe must be an object with an 'assets' list")
+    kwargs = {k: v for k, v in raw.items() if k != "assets"}
+    _check_fields(SyntheticRecipe, kwargs, "recipe")
     assets = []
     for entry in raw["assets"]:
-        bad = set(entry) - asset_fields
-        if bad:
-            raise RecipeError(f"unknown asset fields: {sorted(bad)}")
+        if not isinstance(entry, dict):
+            raise RecipeError(f"every recipe asset must be an object, got {entry!r}")
+        _check_fields(AssetRecipe, entry, "asset")
         if "asset_id" not in entry:
             raise RecipeError("every recipe asset needs an asset_id")
         assets.append(AssetRecipe(**entry))
-    kwargs = {k: v for k, v in raw.items() if k != "assets"}
     for key in ("maturities", "moneyness", "weights"):
         if key in kwargs and kwargs[key] is not None:
             kwargs[key] = tuple(kwargs[key])

@@ -360,3 +360,117 @@ def test_non_finite_center_matrix_fails(snapshot_path, tmp_path, matrix):
     assert err["error"]["type"] == "CorrelationError"
     assert "non-finite" in err["error"]["message"]
     assert not (tmp_path / "price.json").exists()
+
+
+def _assert_single_error(res, out_dir, output, error):
+    """Exit 1, one JSON error object on stderr, and neither the output nor the manifest."""
+    assert res.exit_code == 1
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == error
+    assert not (out_dir / output).exists()
+    assert not (out_dir / "manifest.json").exists()
+    return err["message"]
+
+
+_SMALL_RUN = ["--paths", "500", "--steps-per-year", "10"]
+
+
+@pytest.mark.parametrize("command, output, option, value, error", [
+    ("price", "price.json", "--strikes", "nan", "RecipeError"),
+    ("price", "price.json", "--strikes", "inf", "RecipeError"),
+    ("diagnose", "diagnose.csv", "--strikes", "nan", "RecipeError"),
+    ("diagnose", "diagnose.csv", "--strikes", "0.9,0", "RecipeError"),
+    ("price", "price.json", "--maturity", "nan", "EngineError"),
+    ("price", "price.json", "--maturity", "inf", "EngineError"),
+    ("diagnose", "diagnose.csv", "--maturity", "nan", "EngineError"),
+    ("diagnose", "diagnose.csv", "--maturity", "inf", "EngineError"),
+])
+def test_non_finite_strikes_and_maturities_fail(steep_snapshot_path, tmp_path, command, output,
+                                                option, value, error):
+    args = {"--maturity": "1.0", option: value}
+    res = _run(["--input", str(steep_snapshot_path), "--output-dir", str(tmp_path), command,
+                *_SMALL_RUN, *(tok for pair in args.items() for tok in pair)])
+    message = _assert_single_error(res, tmp_path, output, error)
+    assert value.split(",")[-1] in message
+
+
+def _set_recipe(**fields):
+    def corrupt(raw):
+        raw.update(fields)
+    return corrupt
+
+
+def _set_asset(**fields):
+    def corrupt(raw):
+        raw["assets"][0].update(fields)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_set_asset(spot="abc"), "'spot'"),
+    (_set_asset(base_vol=True), "'base_vol'"),
+    (_set_asset(asset_id=7), "'asset_id'"),
+    (_set_recipe(seed="x"), "'seed'"),
+    (_set_recipe(n_samples=4096.0), "'n_samples'"),
+    (_set_recipe(correlation="abc"), "'correlation'"),
+    (_set_recipe(correlation=[0.3, 0.3]), "'correlation'"),
+    (_set_recipe(maturities="abc"), "'maturities'"),
+    (_set_recipe(rate=True), "'rate'"),
+    (_set_recipe(as_of=20240628), "'as_of'"),
+], ids=["spot-str", "vol-bool", "id-int", "seed-str", "samples-float", "corr-str",
+        "corr-vector", "maturities-str", "rate-bool", "as-of-int"])
+def test_recipe_fields_of_the_wrong_json_type_fail(tmp_path, corrupt, named):
+    raw = _recipe_dict()
+    corrupt(raw)
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(raw))
+    res = _run(["--input", str(recipe), "--output-dir", str(tmp_path), "synth"])
+    assert named in _assert_single_error(res, tmp_path, "snapshot.json", "RecipeError")
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"assets": [{"asset_id": "AAA"', "not valid JSON"),  # truncated recipe
+    ('{"matrix": [[1.0, 0.3], [0.3', "not valid JSON"),  # truncated center file
+    ('"a"', "non-numeric"),
+    ('[[1.0, "a"], ["a", 1.0]]', "non-numeric"),
+    ('{"matrix": {"a": 1}}', "non-numeric"),
+], ids=["truncated-recipe", "truncated-center", "center-string", "center-strings",
+        "center-object"])
+def test_malformed_recipe_and_center_files_fail(snapshot_path, tmp_path, text, named):
+    bad = tmp_path / "input.json"
+    bad.write_text(text)
+    if "assets" in text:
+        res = _run(["--input", str(bad), "--output-dir", str(tmp_path), "synth"])
+        output = "snapshot.json"
+    else:
+        res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path), "price",
+                    "--maturity", "1.0", *_SMALL_RUN, "--center", str(bad)])
+        output = "price.json"
+    message = _assert_single_error(res, tmp_path, output, "RecipeError")
+    assert named in message
+    assert "input.json" in message
+
+
+@pytest.fixture(scope="module")
+def one_asset_snapshot_path(tmp_path_factory):
+    """Copula-consistent one asset snapshot generated through the CLI."""
+    root = tmp_path_factory.mktemp("one-asset")
+    recipe = root / "recipe.json"
+    recipe.write_text(json.dumps(_recipe_dict(assets=(AssetRecipe("AAA", spot=100.0),))))
+    res = _run(["--input", str(recipe), "--output-dir", str(root), "synth"])
+    assert res.exit_code == 0, res.output
+    return root / "snapshot.json"
+
+
+def test_decode_one_asset_needs_a_given_rho(one_asset_snapshot_path, tmp_path):
+    common = ["--input", str(one_asset_snapshot_path), "--output-dir", str(tmp_path),
+              "decode", "--maturity", "1.0", "--samples", "8192"]
+    message = _assert_single_error(_run(common), tmp_path, "decode.csv", "PricingError")
+    assert "undefined for a one-asset basket" in message
+    res = _run([*common, "--rho", "0.3"])
+    assert res.exit_code == 0
+    _, rows = _read_csv(tmp_path / "decode.csv")
+    assert len(rows) == 6
+    assert (tmp_path / "manifest.json").exists()

@@ -9,7 +9,7 @@ import pytest
 
 from localcorr.copula import flat_correlation
 from localcorr.corrfam import CorrelationFamily
-from localcorr.errors import BoundViolationError, EngineError, PricingError
+from localcorr.errors import BoundViolationError, EngineError, PricingError, SnapshotError
 from localcorr.lcm import engine
 from localcorr.lcm.engine import (
     THREADS_ENV,
@@ -26,7 +26,14 @@ from localcorr.marketdata.snapshot import IndexComposition, MarketSnapshot
 from localcorr.marketdata.curves import RateCurve
 from localcorr.synth import AssetRecipe, SyntheticRecipe, build_snapshot
 
-from helpers import AS_OF, bisect_implied_vol, flat_quote, flat_snapshot, index_quote
+from helpers import (
+    AS_OF,
+    bisect_implied_vol,
+    flat_quote,
+    flat_snapshot,
+    index_quote,
+    quad_black_call,
+)
 
 # ---------------------------------------------------------------------------
 # builders
@@ -120,6 +127,34 @@ def test_worst_of_collapses_to_vanilla_for_one_asset():
     assert res[0].price == pytest.approx(res[1].price / 100.0, rel=1e-12)
     assert res[0].stderr == pytest.approx(res[1].stderr / 100.0, rel=1e-12)
     assert res[2].price == pytest.approx(res[3].price / 100.0, rel=1e-12)
+
+
+def test_zero_weight_constituent_is_simulated_on_its_own_local_vol():
+    """A zero weight is legal: the asset stays out of the basket and the state
+    solve but is simulated, reprices its own vanilla and enters worst-ofs."""
+    rho = 0.5
+    specs = [("AAA", 100.0, 0.2), ("BBB", 100.0, 0.2), ("CCC", 90.0, 0.3)]
+    index_vol = 0.2 * np.sqrt((1.0 + rho) / 2.0)  # the two live assets at the center
+    snap = flat_snapshot(specs, [0.5, 0.5, 0.0], index_vol)
+    fam = CorrelationFamily(np.full((3, 3), rho) + (1.0 - rho) * np.eye(3))
+    cfg = SimulationConfig(n_paths=8000, steps_per_year=25, seed=3)
+    market = calibrate_market(snap, fam, 1.0, cfg)
+    fwd = snap.forward_curve("CCC").forward(1.0)
+    payoffs = [
+        PayoffSpec("asset_call", fwd, asset_id="CCC"),
+        PayoffSpec("index_call", 100.0),
+        PayoffSpec("worst_of_put", 0.9),
+        PayoffSpec("best_of_call", 1.1),
+    ]
+    res, diag = price_european(market, payoffs, cfg)
+    assert all(np.isfinite(r.price) and np.isfinite(r.stderr) for r in res)
+    black = quad_black_call(fwd, fwd, 1.0, 0.3, df=snap.discount_curve.discount(1.0))
+    assert abs(res[0].price - black) < 3.0 * res[0].stderr
+    assert diag.violation_high_fraction == 0.0
+    assert diag.violation_low_fraction == 0.0
+    assert diag.clamped_fraction == 0.0
+    with pytest.raises(SnapshotError, match="at least one positive weight"):
+        IndexComposition(("AAA", "BBB", "CCC"), np.zeros(3))
 
 
 def _basket_forward(market):
@@ -318,6 +353,30 @@ def test_thread_count_does_not_change_results():
     cube4 = simulate(market, cfg4)
     assert np.array_equal(cube1.values, cube4.values)
     assert np.array_equal(cube1.state, cube4.state)
+
+
+def test_simulate_and_price_report_one_set_of_diagnostics():
+    """Both entry points reduce the same blocks, at every thread count."""
+    snap, fam = _skewed_index_snapshot(amp=0.06, width=0.3)
+    fam = CorrelationFamily(fam.center, mode=np.array([1.0, 1.5, 0.8]))
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=20, seed=0, block_size=500)
+    market = calibrate_market(snap, fam, 1.0, cfg)
+    cubes = []
+    for threads in (1, 2, 4):
+        run = dataclasses.replace(cfg, n_threads=threads)
+        cube = simulate(market, run)
+        _, diag = price_european(market, [PayoffSpec("index_call", 100.0)], run)
+        assert cube.diagnostics == diag
+        cubes.append(cube)
+    for cube in cubes[1:]:
+        assert cube.diagnostics == cubes[0].diagnostics
+        assert np.array_equal(cube.path_mean_correlation, cubes[0].path_mean_correlation)
+    # every counter is exercised on this market
+    diag = cubes[0].diagnostics
+    assert diag.n_solved == 2000 * 20
+    for value in (diag.kappa_up_fraction, diag.violation_high_fraction,
+                  diag.violation_low_fraction, diag.clamped_fraction, diag.mean_correlation):
+        assert 0.0 < value < 1.0
 
 
 def test_partial_last_block():

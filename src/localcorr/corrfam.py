@@ -33,6 +33,18 @@ the Schur product of xi xi' with D.  No state grid is needed.  Under the
 default directions L_D is a unit first column (raising) or the identity
 (lowering), so the direction term needs no matrix product.
 
+Two kinds of family need only n normals.  With one asset every member is
+[1].  In flat mode with the default directions and an equicorrelated
+center (C_ij = rho for i != j) every member is an equicorrelation matrix
+with off-diagonal rho' = (rho + u^2) / (1 + u^2) when raising and
+rho / (1 + u^2) when lowering, and
+
+    x = alpha z + beta (1'z) 1,  alpha = sqrt(1 - rho'),
+    beta = (sqrt(1 + (n - 1) rho') - alpha) / n
+
+has covariance alpha^2 I + (2 alpha beta + n beta^2) 11' = R(u, kappa)
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2.3).
+
 In flat mode (xi = 1) every member is (C + u^2 D) / (1 + u^2), so the sum
 of its entries is
 
@@ -149,8 +161,9 @@ class CorrelationFamily:
     covariance along either branch is linear in lambda = u^2 / (1 + u^2)
     with a closed-form inverse; for non-flat modes the state solver runs
     a safeguarded Newton iteration in lambda on ``quad_form_slope``.
-    ``draw`` samples any member exactly from the Cholesky factors of the
-    center and both directions, computed once at construction.
+    ``draw`` samples any member exactly from ``n_normals`` normals per
+    row, through the Cholesky factors of the center and both directions
+    computed once at construction, or through the equicorrelation map.
     """
 
     center: np.ndarray
@@ -159,8 +172,16 @@ class CorrelationFamily:
     down: np.ndarray | None = None
 
     def __post_init__(self):
-        self.center = repair_psd(validate_correlation(self.center))
-        n = self.center.shape[0]
+        center = validate_correlation(self.center)
+        n = center.shape[0]
+        off = center[~np.eye(n, dtype=bool)]
+        rho = float(off[0]) if n > 1 and np.all(off == off[0]) else None
+        # an equicorrelation matrix is PSD exactly when 1 + (n - 1) rho >= 0, so
+        # it is kept as given rather than repaired for its eigenvalues' rounding;
+        # every member's rho' is at least rho, so draw's square roots stay real
+        if rho is None or 1.0 + (n - 1) * rho < 0.0:
+            center, rho = repair_psd(center), None
+        self.center = center
         if self.mode is None:
             self.mode = np.ones(n)
         else:
@@ -186,6 +207,17 @@ class CorrelationFamily:
         # the default directions, whose limit forms need no matrix product
         self._ones_up = bool(np.all(self.up == 1.0))
         self._eye_down = bool(np.array_equal(self.down, np.eye(n)))
+        # the center's common off-diagonal entry when every member is an
+        # equicorrelation matrix, else None
+        equi = self.flat_mode and self._ones_up and self._eye_down
+        self._equi_rho = rho if equi else None
+        self._n_normals = n if n == 1 or self._equi_rho is not None else 2 * n
+
+    @property
+    def n_normals(self) -> int:
+        """Standard normals per row that ``draw`` maps: n for one asset or an
+        equicorrelated flat family under the default directions, else 2n."""
+        return self._n_normals
 
     @property
     def n_assets(self) -> int:
@@ -269,16 +301,28 @@ class CorrelationFamily:
         return (total - n) / (n * (n - 1))
 
     def draw(self, z: np.ndarray, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """Map normals ``z`` of shape (p, 2n) to rows with correlation R(u_p, kappa_p).
+        """Map normals ``z`` of shape (p, ``n_normals``) to rows with correlation R(u_p, kappa_p).
 
-        The map is S(u) (L_C z1 + u Xi L_D z2) from the Cholesky factors of
-        the center and of both branch directions, so a draw costs the same
-        few matrix products whatever the states are.  Under the default
-        directions L_D z2 is z2's first entry (raising) or z2 itself
-        (lowering), and in flat mode S(u) is one scale per row; both
-        shortcuts give the general map's bits.
+        One asset returns ``z`` itself.  An equicorrelated family maps n
+        normals by alpha z + beta (1'z) 1 at each row's rho'.  Every other
+        family maps 2n normals by S(u) (L_C z1 + u Xi L_D z2) from the
+        Cholesky factors of the center and of both branch directions, so a
+        draw costs the same few matrix products whatever the states are.
+        Under the default directions L_D z2 is z2's first entry (raising)
+        or z2 itself (lowering), and in flat mode S(u) is one scale per
+        row; both shortcuts give the general map's bits.
         """
         n = self.mode.size
+        if n == 1:
+            return z
+        if self._equi_rho is not None:
+            u2 = np.square(u)
+            rho = np.where(kappa > 0, self._equi_rho + u2, self._equi_rho) / (1.0 + u2)
+            alpha = np.sqrt(1.0 - rho)
+            beta = (np.sqrt(1.0 + (n - 1) * rho) - alpha) / n
+            x = z * alpha[:, None]
+            x += (beta * (z @ np.ones(n)))[:, None]
+            return x
         z1, z2 = z[:, :n], z[:, n:]
         if self._ones_up and self._eye_down:
             along = np.where(kappa[:, None] > 0, z2[:, :1], z2)

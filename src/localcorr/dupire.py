@@ -348,6 +348,8 @@ def calibrate_local_vol(
     The time grid runs from ``FIRST_GRID_TIME`` to the horizon, which must
     lie past it.
     """
+    if not np.isfinite(horizon):
+        raise SurfaceError(f"calibration horizon {horizon!r} is not finite")
     if not horizon > FIRST_GRID_TIME:
         raise SurfaceError(
             f"calibration horizon {horizon!r} must exceed the first local vol grid time "

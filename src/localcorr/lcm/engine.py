@@ -3,9 +3,10 @@
 Constituents follow their own local volatility dynamics; at every step
 each path solves for the family state whose correlation matrix makes the
 instantaneous basket variance match the index local variance at the
-current basket level, and draws its normals exactly at that state from
-two fixed Cholesky factors.  Index vanillas are then repriced by
-construction, up to time discretisation and dispersion bound
+current basket level, and draws its normals exactly at that state: n
+per path for one asset or an equicorrelated flat family, otherwise 2n
+through two fixed Cholesky factors.  Index vanillas are then repriced
+by construction, up to time discretisation and dispersion bound
 violations, both of which are surfaced in diagnostics.
 
 Paths run in fixed-size blocks, each with its own counter-based random
@@ -283,7 +284,7 @@ def _run_block(
     spot_rec = np.empty((len(slice_steps), n_block, n))
     state_rec = np.zeros((len(slice_steps), n_block))
     moff_sum = np.zeros(n_block)
-    z = np.empty((n_block, 2 * n))  # step buffers, refilled in place
+    z = np.empty((n_block, market.family.n_normals))  # step buffers, refilled in place
     inc = np.empty((n_block, n))
 
     forced = config.forced_state is not None

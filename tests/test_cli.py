@@ -118,6 +118,19 @@ def test_calibrate_rejects_non_positive_horizon(snapshot_path, tmp_path, horizon
     assert not list(tmp_path.glob("localvol_*.csv"))
 
 
+@pytest.mark.parametrize("horizon", ["inf", "-inf", "nan"])
+def test_calibrate_rejects_non_finite_horizon(snapshot_path, tmp_path, horizon):
+    res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path), "calibrate",
+                "--horizon", horizon, "--times", "3", "--spots", "3"])
+    assert res.exit_code == 1
+    assert len(res.stderr.strip().splitlines()) == 1
+    err = _error_payload(res)["error"]
+    assert err["type"] == "SurfaceError"
+    assert f"calibration horizon {float(horizon)!r} is not finite" in err["message"]
+    assert not list(tmp_path.glob("localvol_*.csv"))
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("times", ["1", "3"])
 @pytest.mark.parametrize("horizon", ["0.0005", "0.001"])
 def test_calibrate_rejects_horizons_at_or_before_the_first_grid_time(

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localcorr.corrfam import (
@@ -15,6 +15,7 @@ from localcorr.corrfam import (
     validate_correlation,
 )
 from localcorr.cli import main
+from localcorr.copula import flat_correlation
 from localcorr.errors import CorrelationError
 from localcorr.lcm.state import U_MAX
 from localcorr.marketdata.snapshot import save_snapshot
@@ -244,11 +245,14 @@ def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kapp
         up=random_correlation(gen, n) if custom_up else None,
         down=random_correlation(gen, n) if custom_down else None,
     )
-    # feeding the unit vectors of R^2n returns the columns of the linear map
-    us = np.full(2 * n, u)
-    kappas = np.full(2 * n, kappa)
-    lin = fam.draw(np.eye(2 * n), us, kappas).T
-    assert lin.shape == (n, 2 * n)
+    # one asset draws one normal; every other family here draws 2n
+    m = fam.n_normals
+    assert m == (1 if n == 1 else 2 * n)
+    # feeding the unit vectors of R^m returns the columns of the linear map
+    us = np.full(m, u)
+    kappas = np.full(m, kappa)
+    lin = fam.draw(np.eye(m), us, kappas).T
+    assert lin.shape == (n, m)
     mat = fam.evaluate(u, kappa)
     assert np.max(np.abs(lin @ lin.T - mat)) < 1e-12
     level = fam.mean_correlation(us[:1], kappas[:1])[0]
@@ -343,6 +347,14 @@ def test_default_direction_draw_is_the_matrix_map_bit_for_bit(seed, n, flat, us)
     )
     u = np.array([0.0, U_MAX, *us])
     kappa = gen.integers(0, 2, size=u.size)
+    if fam.n_normals == n:
+        # one asset, or a flat two-asset family, whose center is equicorrelated
+        assert n == 1 or (flat and n == 2)
+        if n == 1:
+            z = gen.standard_normal((u.size, 1))
+            assert fam.draw(z, u, kappa) is z
+        return
+    assert fam.n_normals == 2 * n
     z = gen.standard_normal((u.size, 2 * n))
     z1, z2 = z[:, :n], z[:, n:]
     down, up = fam._chol_dirs
@@ -350,3 +362,41 @@ def test_default_direction_draw_is_the_matrix_map_bit_for_bit(seed, n, flat, us)
     xu = fam.mode[None, :] * u[:, None]
     expected = (z1 @ fam._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
     assert np.array_equal(fam.draw(z, u, kappa), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    rho=st.one_of(st.just("identity"), st.just(0.0),
+                  st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    kappa=st.sampled_from((0, 1)),
+    u=st.one_of(st.just(0.0), st.just(U_MAX), st.floats(0.0, U_MAX)),
+)
+def test_equicorrelation_draw_reproduces_family_exactly(n, rho, kappa, u):
+    """Flat centers and one asset draw n normals through alpha z + beta (1'z) 1, and the
+    map M has M M' = R(u, kappa)."""
+    if rho == "identity":
+        center = np.eye(n)
+    else:
+        assume(n == 1 or rho > -1.0 / (n - 1))
+        center = flat_correlation(n, rho)
+    fam = CorrelationFamily(center=center)
+    assert fam.n_normals == n
+    lin = fam.draw(np.eye(n), np.full(n, u), np.full(n, kappa)).T
+    assert lin.shape == (n, n)
+    assert np.max(np.abs(lin @ lin.T - fam.evaluate(u, kappa))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_general_families_draw_two_normals_per_asset(n):
+    """A two-block center, a non-unit mode or custom directions keep the 2n-normal map."""
+    flat = flat_correlation(n, 0.4)
+    block = flat.copy()
+    block[: n // 2, n // 2 :] = block[n // 2 :, : n // 2] = 0.1
+    custom = flat_correlation(n, 0.8)
+    assert CorrelationFamily(center=flat).n_normals == n
+    assert CorrelationFamily(center=flat, mode=np.linspace(1.0, 2.0, n)).n_normals == 2 * n
+    assert CorrelationFamily(center=flat, up=custom).n_normals == 2 * n
+    assert CorrelationFamily(center=flat, down=custom).n_normals == 2 * n
+    if n > 2:  # every 2 x 2 center is equicorrelated
+        assert CorrelationFamily(center=block).n_normals == 2 * n

@@ -24,6 +24,7 @@ from localcorr.lcm.engine import (
 from localcorr.marketdata.snapshot import IndexComposition, MarketSnapshot
 
 from localcorr.marketdata.curves import RateCurve
+from localcorr.rng import substream
 from localcorr.synth import AssetRecipe, SyntheticRecipe, build_snapshot
 
 from helpers import (
@@ -110,6 +111,35 @@ def test_single_asset_reprices_flat_vanillas():
     assert worst < 4e-3
     assert diag.n_paths == 60_000
     assert diag.violation_fraction == 0.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_asset_stream_is_one_normal_per_step(threads):
+    """A forced one-asset run is a plain log-Euler loop on one normal per path and step,
+    read from each block's substream in order, bit for bit."""
+    cfg = SimulationConfig(n_paths=1000, steps_per_year=20, seed=23, block_size=300,
+                           n_threads=threads, forced_state=(0.0, 1))
+    snap = flat_snapshot([("AAA", 100.0, 0.2)], [1.0], 0.2)
+    market = calibrate_market(snap, CorrelationFamily(np.eye(1)), 1.0, cfg)
+    cube = simulate(market, cfg, dates=[0.5, 1.0])
+    blocks = []
+    for b, n_block in enumerate([300, 300, 300, 100]):
+        rng = substream(cfg.seed, b)
+        ln_s = np.full((n_block, 1), np.log(100.0))
+        rec = []
+        for k in range(market.n_steps):
+            if k == market.n_steps // 2:  # the 0.5 y date
+                rec.append(np.exp(ln_s))
+            t, dt = float(market.times[k]), float(market.times[k + 1] - market.times[k])
+            vols = market.local_vol_row(t, ln_s)
+            z = rng.standard_normal((n_block, 1))
+            ln_s = ln_s + (market.dlog_fwd[k] - np.square(vols) * 0.5 * dt)
+            ln_s = ln_s + np.sqrt(dt) * vols * z
+        blocks.append(np.stack([*rec, np.exp(ln_s)], axis=2))
+    assert cube.dates == (0.5, 1.0)
+    assert np.array_equal(cube.values, np.concatenate(blocks))
+    assert np.all(cube.state == 0.0)
+    assert np.all(cube.path_mean_correlation == 0.0)
 
 
 def test_worst_of_collapses_to_vanilla_for_one_asset():

@@ -300,11 +300,15 @@ class CorrelationFamily:
             total = self.quad_form(np.ones((u.size, n)), u, kappa)
         return (total - n) / (n * (n - 1))
 
-    def draw(self, z: np.ndarray, u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    def draw(self, z: np.ndarray, u: np.ndarray | None, kappa: np.ndarray,
+             level: np.ndarray | None = None) -> np.ndarray:
         """Map normals ``z`` of shape (p, ``n_normals``) to rows with correlation R(u_p, kappa_p).
 
         One asset returns ``z`` itself.  An equicorrelated family maps n
-        normals by alpha z + beta (1'z) 1 at each row's rho'.  Every other
+        normals by alpha z + beta (1'z) 1 at each row's rho', which is
+        ``level`` when given (the solved level of ``solve_state``; ``u`` is
+        then not read) and otherwise (rho + u^2) / (1 + u^2) raising or
+        rho / (1 + u^2) lowering.  Every other
         family maps 2n normals by S(u) (L_C z1 + u Xi L_D z2) from the
         Cholesky factors of the center and of both branch directions, so a
         draw costs the same few matrix products whatever the states are.
@@ -316,8 +320,10 @@ class CorrelationFamily:
         if n == 1:
             return z
         if self._equi_rho is not None:
-            u2 = np.square(u)
-            rho = np.where(kappa > 0, self._equi_rho + u2, self._equi_rho) / (1.0 + u2)
+            rho = level
+            if rho is None:
+                u2 = np.square(u)
+                rho = np.where(kappa > 0, self._equi_rho + u2, self._equi_rho) / (1.0 + u2)
             alpha = np.sqrt(1.0 - rho)
             beta = (np.sqrt(1.0 + (n - 1) * rho) - alpha) / n
             x = z * alpha[:, None]

@@ -310,12 +310,13 @@ class LocalVolGather:
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         """Local vols at time ``t`` of log spots ``x`` (paths, columns).
 
-        Any memory layout works; a column-major ``x`` is read fastest.
+        Any memory layout works; a column-major ``x`` is read fastest.  The
+        result is column-major too: the transpose of one row per column.
         """
         p, c = x.shape
         fp = _blend_rows(self._times, self._values[:, :c], t)
         if self._m == 1:  # np.interp's one-node rule: every query, NaN included, reads fp0
-            return np.broadcast_to(fp[:, 0], (p, c)).copy()
+            return np.repeat(fp[:, :1], p, axis=1).T
         slope = np.diff(fp, axis=1, append=fp[:, -1:]) / self._dx[:c]
         # one row per surface, so the per-surface constants broadcast along rows
         xc = np.clip(x.T, self._lo[:c], self._hi[:c], out=np.empty((c, p)))
@@ -327,9 +328,8 @@ class LocalVolGather:
         j += xc >= self._xp_next.take(j, mode="clip", out=f)
         xc -= self._xp.take(j, mode="clip", out=f)
         xc *= slope.ravel().take(j, mode="clip", out=f)
-        out = np.empty((p, c))
-        np.add(xc, fp.ravel().take(j, mode="clip", out=f), out=out.T)
-        return out
+        xc += fp.ravel().take(j, mode="clip", out=f)
+        return xc.T
 
 
 def calibrate_local_vol(

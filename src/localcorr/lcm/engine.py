@@ -13,6 +13,14 @@ Paths run in fixed-size blocks, each with its own counter-based random
 substream, and block results are reduced in block order.  Prices are
 therefore bit-identical for a given seed no matter how many worker
 threads execute the blocks.
+
+A block's per-step path arrays (log spots, increments, normals) have
+shape (paths, assets) but are column-major, so each asset's paths are
+contiguous and elementwise steps, per-path broadcasts and row sums run
+over contiguous columns.  The generator still fills a row-major
+(paths, normals) buffer, which is copied into the column-major one: every
+normal keeps its (path, asset) slot, and the streams do not depend on the
+layout.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from ..dupire import LocalVolGather, LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
 from ..marketdata.snapshot import MarketSnapshot
 from ..rng import substream
-from .state import U_MAX, BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
+from .state import BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
 
 __all__ = [
     "SimulationConfig",
@@ -251,14 +259,6 @@ class SimDiagnostics:
 # the core block loop
 
 
-def _with_log_basket(ln_spots: np.ndarray, spots: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Local-vol query: the log spots and then the log basket level, column-major."""
-    x = np.empty((ln_spots.shape[1] + 1, ln_spots.shape[0])).T
-    x[:, :-1] = ln_spots
-    np.log(spots @ weights, out=x[:, -1])
-    return x
-
-
 def _run_block(
     market: CalibratedMarket,
     config: SimulationConfig,
@@ -279,13 +279,20 @@ def _run_block(
     n_steps = market.n_steps
     weights = market.weights
     sums = np.zeros(6)
-    ln_s = np.tile(np.log(market.spots0), (n_block, 1))
+    # path arrays are column-major, each asset's paths contiguous; the log spots
+    # are the leading columns of the local-vol query, whose last is the log basket
+    query = np.empty((n_block, n + 1), order="F")
+    ln_s = query[:, :n]
+    ln_s[:] = np.log(market.spots0)
     slice_pos = {step: j for j, step in enumerate(slice_steps)}
     spot_rec = np.empty((len(slice_steps), n_block, n))
     state_rec = np.zeros((len(slice_steps), n_block))
     moff_sum = np.zeros(n_block)
-    z = np.empty((n_block, market.family.n_normals))  # step buffers, refilled in place
-    inc = np.empty((n_block, n))
+    # step buffers, refilled in place; the generator fills z_rows row by row, so
+    # every normal keeps its (path, normal) slot when copied into z
+    z_rows = np.empty((n_block, market.family.n_normals))
+    z = np.empty_like(z_rows, order="F")
+    inc = np.empty((n_block, n), order="F")
 
     forced = config.forced_state is not None
     if forced:
@@ -304,7 +311,8 @@ def _run_block(
             vols = market.local_vol_row(t, ln_s)
         else:
             s = np.exp(ln_s)
-            vols = market.local_vol_row(t, _with_log_basket(ln_s, s, weights))
+            np.log(s @ weights, out=query[:, n])
+            vols = market.local_vol_row(t, query)
             vols, sigma_b = vols[:, :n], vols[:, n]
             terms = covariance_terms(s, vols, weights, sigma_b, market.family)
             sol = solve_state(terms, market.family)
@@ -312,18 +320,19 @@ def _run_block(
                 raise BoundViolationError(
                     f"{sol.n_violations} dispersion bound violations at t = {t:.4f}"
                 )
-            u, kappa = sol.u, sol.kappa
-            level = market.family.mean_correlation(u, kappa)
+            u, kappa, level = sol.solved_u, sol.kappa, sol.level
             sums += (n_block, np.count_nonzero(kappa), np.count_nonzero(sol.violated_high),
-                     np.count_nonzero(sol.violated_low), np.count_nonzero(u >= U_MAX),
+                     np.count_nonzero(sol.violated_low), np.count_nonzero(sol.clamped),
                      level.sum())
         for step in (k, n_steps):
             if step in slice_pos and (step == k or k == n_steps - 1):
                 state_rec[slice_pos[step]] = signed if forced else sol.signed
 
         moff_sum += level
-        rng.standard_normal(out=z)
-        zc = market.family.draw(z, u, kappa)
+        rng.standard_normal(out=z_rows)
+        z[...] = z_rows
+        # a solved equicorrelated family draws at its level rho'; forced runs from u
+        zc = market.family.draw(z, u, kappa, None if forced else level)
         # ln_s += dlog_fwd - 0.5 vols^2 dt, then sqrt(dt) vols zc, in that rounding order
         np.square(vols, out=inc)
         inc *= 0.5
@@ -582,7 +591,8 @@ def probe_bounds(market: CalibratedMarket) -> BoundsReport:
                     axis=1)
     for t, fwd in zip(dates, fwds):
         spots = _PROBE_MONEYNESS[:, None] * fwd[None, :]
-        vols = market.local_vol_row(float(t), _with_log_basket(np.log(spots), spots, weights))
+        query = np.column_stack([np.log(spots), np.log(spots @ weights)])
+        vols = market.local_vol_row(float(t), query)
         terms = covariance_terms(spots, vols[:, :-1], weights, vols[:, -1], market.family)
         reports.append(check_dispersion_bounds(terms))
     return BoundsReport(

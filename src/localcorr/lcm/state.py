@@ -19,6 +19,28 @@ rather than raised, so long simulations can report a violation fraction
 instead of dying on one bad step.  The solver and the preflight
 ``check_dispersion_bounds`` share one band test.
 
+An equicorrelated family (flat mode, the default directions and a center
+with one off-diagonal level rho) has only equicorrelation members, each
+with one level rho', and
+
+    a' R(rho') a = (1 - rho') diag + rho' cov_up,   diag = sum a_i^2,
+    cov_up = (sum a_i)^2,
+
+so its solve is the ratio rho' = (target - diag) / (cov_up - diag) on the
+row's branch, clipped to the member range that u in [0, U_MAX] spans.  No
+center quadratic form is formed either: cov_center is
+(1 - rho) diag + rho cov_up.  The same band test sets the branch and the
+flags; a row at the center keeps rho' = rho, a flagged row takes the
+U_MAX end, and a row at that end counts as clamped.  The solution carries
+rho' as its level, which the engine draws at, and derives u only where it
+is read: u^2 = (rho' - rho) / (1 - rho') raising and rho / rho' - 1
+lowering.  On an identity center every lowering member is the identity,
+so rho' = 0 says nothing of u there; but every lowering row is then
+either at the center (u = 0) or flagged (u = U_MAX), and u follows from
+the flags.  A float rho' resolves a'R(rho')a to about eps (cov_up - diag),
+which is coarse relative to targets far below diag, as near the singular
+center 1 + (n - 1) rho -> 0 with nearly equal loadings.
+
 The closed-form lowering root divides by (target - diag), honoring the
 unit diagonal of the family members.  A widely quoted shortcut divides by
 the target alone, which is only exact when the diagonal term vanishes;
@@ -59,7 +81,8 @@ class CovarianceTerms:
     All entries are in price^2 per year.  ``diag`` is sum a_i^2.
     ``cov_up`` and ``cov_down`` are the branch limits of the configured
     family; under the default raising and lowering directions they are
-    (sum a_i)^2 and ``diag``.
+    (sum a_i)^2 and ``diag``, and an equicorrelated center's ``cov_center``
+    is (1 - rho) ``diag`` + rho (sum a_i)^2.
     """
 
     a: np.ndarray  # (paths, n) dollar vol loadings
@@ -94,8 +117,12 @@ def covariance_terms(
     basket = spots @ weights
     target = np.square(np.atleast_1d(np.asarray(index_vol, dtype=float))) * np.square(basket)
     diag = np.einsum("pi,pi->p", a, a)
-    cov_center = _form(a, family.center)
     cov_up, cov_down = family.limit_forms(a, diag)
+    rho = family._equi_rho
+    if rho is None:
+        cov_center = _form(a, family.center)
+    else:  # a'Ca = (1 - rho) sum a_i^2 + rho (sum a_i)^2
+        cov_center = (1.0 - rho) * diag + rho * cov_up
     return CovarianceTerms(
         a=a,
         target=target,
@@ -108,17 +135,39 @@ def covariance_terms(
 
 @dataclass(frozen=True)
 class StateSolution:
-    """Solved states with branch flags and violation bookkeeping."""
+    """Solved states with branch flags and violation bookkeeping.
 
-    u: np.ndarray
+    ``level`` is the mean off-diagonal entry of each row's solved member:
+    rho' itself for an equicorrelated family, whose state is solved in
+    rho' and whose ``u`` derives from it on demand (``solved_u`` is None,
+    ``center_rho`` is the center's rho).  Every other family carries the
+    u solve's states in ``solved_u``.
+    """
+
     kappa: np.ndarray  # int, 1 raising / 0 lowering
     violated_high: np.ndarray  # bool, target above the raising limit
     violated_low: np.ndarray  # bool, target below the lowering limit
+    clamped: np.ndarray  # bool, state at the cap U_MAX
+    level: np.ndarray
+    solved_u: np.ndarray | None = None
+    center_rho: float | None = None
+
+    @property
+    def u(self) -> np.ndarray:
+        """State per row in [0, ``U_MAX``]."""
+        if self.solved_u is not None:
+            return self.solved_u
+        rho, level = self.center_rho, self.level
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u2 = np.where(self.kappa > 0, (level - rho) / (1.0 - level), rho / level - 1.0)
+            u = np.minimum(np.sqrt(np.where(level == rho, 0.0, u2)), U_MAX)
+        return np.where(self.clamped, U_MAX, u)
 
     @property
     def signed(self) -> np.ndarray:
         """Signed state encoding: positive raising, negative lowering."""
-        return np.where(self.kappa > 0, self.u, -self.u)
+        u = self.u
+        return np.where(self.kappa > 0, u, -u)
 
     @property
     def n_violations(self) -> int:
@@ -135,12 +184,12 @@ def _band(terms: CovarianceTerms):
     counts as violating; a target at the center flags nothing.
     """
     target = terms.target
-    c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
-    scale = np.maximum(np.abs(c_up), 1e-300)
-    raising = target >= c0
-    violated_high = raising & (target >= c_up - scale * _REL_EPS) & (target - c0 > scale * _REL_EPS)
-    violated_low = ~raising & (target <= c_dn + scale * _REL_EPS) & (c0 - target > scale * _REL_EPS)
-    return scale, raising, violated_high, violated_low
+    scale = np.maximum(np.abs(terms.cov_up), 1e-300)
+    tol = scale * _REL_EPS
+    gap = target - terms.cov_center  # a gap beyond tol also fixes the branch
+    violated_high = (gap > tol) & (target >= terms.cov_up - tol)
+    violated_low = (gap < -tol) & (target <= terms.cov_down + tol)
+    return scale, gap >= 0.0, violated_high, violated_low
 
 
 def _newton_branch(
@@ -193,8 +242,11 @@ def _newton_branch(
 def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolution:
     """Invert the family so each path's basket variance hits its target.
 
-    Closed form in flat mode, safeguarded Newton in lambda = u^2 / (1 + u^2)
-    otherwise, at most ``_MAX_ITERS`` iterations per row.  Every state lies
+    An equicorrelated family is solved in its level rho' (see the module
+    notes).  Other families solve for u: in closed form in flat mode,
+    by safeguarded Newton in lambda = u^2 / (1 + u^2) otherwise, at most
+    ``_MAX_ITERS`` iterations per row, and take ``mean_correlation`` as
+    their level.  Every state lies
     in [0, ``U_MAX``]; targets outside the reachable band clamp to ``U_MAX``
     on the relevant branch and are flagged, and callers decide how much
     violation to tolerate.
@@ -203,6 +255,26 @@ def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolut
     c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
     scale, raising, violated_high, violated_low = _band(terms)
     violated = violated_high | violated_low
+    kappa = raising.astype(np.int64)
+
+    rho = family._equi_rho
+    if rho is not None:
+        # a'R(rho')a = (1 - rho') diag + rho' cov_up; u in [0, U_MAX] spans rho'
+        # from rho to end, and a row at the center keeps rho as u = 0 does
+        end = np.where(raising, rho + U_MAX**2, rho) / (1.0 + U_MAX**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            level = np.clip((target - terms.diag) / (c_up - terms.diag),
+                            np.minimum(rho, end), np.maximum(rho, end))
+        center = np.abs(target - c0) <= scale * _REL_EPS
+        level = np.where(violated, end, np.where(center, rho, level))
+        return StateSolution(
+            kappa=kappa,
+            violated_high=violated_high,
+            violated_low=violated_low,
+            clamped=~center & (level == end),
+            level=level,
+            center_rho=rho,
+        )
 
     if family.flat_mode:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,10 +296,12 @@ def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolut
         u = np.minimum(u, U_MAX)
     u = np.where(violated, U_MAX, u)
     return StateSolution(
-        u=u,
-        kappa=raising.astype(np.int64),
+        kappa=kappa,
         violated_high=violated_high,
         violated_low=violated_low,
+        clamped=u >= U_MAX,
+        level=family.mean_correlation(u, kappa),
+        solved_u=u,
     )
 
 

@@ -113,6 +113,26 @@ def test_single_asset_reprices_flat_vanillas():
     assert diag.violation_fraction == 0.0
 
 
+def _hand_log_euler_cube(market, cfg, block_sizes):
+    """A plain log-Euler loop on ``substream(seed, b).standard_normal((n_block, n))``
+    per block and step, recording the 0.5 y and 1 y cross-sections."""
+    blocks = []
+    for b, n_block in enumerate(block_sizes):
+        rng = substream(cfg.seed, b)
+        ln_s = np.tile(np.log(market.spots0), (n_block, 1))
+        rec = []
+        for k in range(market.n_steps):
+            if k == market.n_steps // 2:  # the 0.5 y date
+                rec.append(np.exp(ln_s))
+            t, dt = float(market.times[k]), float(market.times[k + 1] - market.times[k])
+            vols = market.local_vol_row(t, ln_s)
+            z = rng.standard_normal((n_block, market.n_assets))
+            ln_s = ln_s + (market.dlog_fwd[k] - np.square(vols) * 0.5 * dt)
+            ln_s = ln_s + np.sqrt(dt) * vols * z
+        blocks.append(np.stack([*rec, np.exp(ln_s)], axis=2))
+    return np.concatenate(blocks)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_one_asset_stream_is_one_normal_per_step(threads):
     """A forced one-asset run is a plain log-Euler loop on one normal per path and step,
@@ -122,24 +142,40 @@ def test_one_asset_stream_is_one_normal_per_step(threads):
     snap = flat_snapshot([("AAA", 100.0, 0.2)], [1.0], 0.2)
     market = calibrate_market(snap, CorrelationFamily(np.eye(1)), 1.0, cfg)
     cube = simulate(market, cfg, dates=[0.5, 1.0])
-    blocks = []
-    for b, n_block in enumerate([300, 300, 300, 100]):
-        rng = substream(cfg.seed, b)
-        ln_s = np.full((n_block, 1), np.log(100.0))
-        rec = []
-        for k in range(market.n_steps):
-            if k == market.n_steps // 2:  # the 0.5 y date
-                rec.append(np.exp(ln_s))
-            t, dt = float(market.times[k]), float(market.times[k + 1] - market.times[k])
-            vols = market.local_vol_row(t, ln_s)
-            z = rng.standard_normal((n_block, 1))
-            ln_s = ln_s + (market.dlog_fwd[k] - np.square(vols) * 0.5 * dt)
-            ln_s = ln_s + np.sqrt(dt) * vols * z
-        blocks.append(np.stack([*rec, np.exp(ln_s)], axis=2))
     assert cube.dates == (0.5, 1.0)
-    assert np.array_equal(cube.values, np.concatenate(blocks))
+    assert np.array_equal(cube.values, _hand_log_euler_cube(market, cfg, [300, 300, 300, 100]))
     assert np.all(cube.state == 0.0)
     assert np.all(cube.path_mean_correlation == 0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_identity_center_stream_keeps_every_normal_slot(threads):
+    """At the forced state (0, 1) an identity center draws x = z exactly, so a
+    three-asset run is the plain log-Euler loop on the block's row-major
+    (paths, assets) normals, bit for bit: every normal keeps its slot in the
+    engine's column-major arrays, and distinct vols make a moved slot show."""
+    cfg = SimulationConfig(n_paths=1000, steps_per_year=20, seed=29, block_size=300,
+                           n_threads=threads, forced_state=(0.0, 1))
+    specs = [("AAA", 100.0, 0.2), ("BBB", 90.0, 0.3), ("CCC", 110.0, 0.45)]
+    snap = flat_snapshot(specs, [0.3, 0.3, 0.4], 0.2)
+    market = calibrate_market(snap, CorrelationFamily(np.eye(3)), 1.0, cfg)
+    assert market.family.n_normals == 3
+    cube = simulate(market, cfg, dates=[0.5, 1.0])
+    assert np.array_equal(cube.values, _hand_log_euler_cube(market, cfg, [300, 300, 300, 100]))
+    assert np.all(cube.state == 0.0)
+
+
+def test_one_live_loading_prices_are_finite():
+    """Weights (1, 0) under flat:0.5 leave one live loading, so cov_up == diag
+    on every path, where a ratio in rho' would be 0/0; prices stay finite."""
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=20, seed=5, block_size=1000)
+    snap = flat_snapshot([("AAA", 100.0, 0.2), ("BBB", 100.0, 0.25)], [1.0, 0.0], 0.2)
+    market = calibrate_market(snap, CorrelationFamily(flat_correlation(2, 0.5)), 1.0, cfg)
+    payoffs = [PayoffSpec("index_call", 100.0), PayoffSpec("worst_of_put", 0.9),
+               PayoffSpec("asset_call", 100.0, asset_id="BBB")]
+    res, diag = price_european(market, payoffs, cfg)
+    assert all(np.isfinite(r.price) and np.isfinite(r.stderr) for r in res)
+    assert np.isfinite(diag.mean_correlation)
 
 
 def test_worst_of_collapses_to_vanilla_for_one_asset():

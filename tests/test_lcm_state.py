@@ -1,12 +1,14 @@
 """Tests for the per-path correlation state inversion."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localcorr.copula import flat_correlation
 from localcorr.corrfam import CorrelationFamily
 from localcorr.errors import CorrelationError
 from localcorr.lcm.state import (
@@ -185,6 +187,23 @@ def _random_family(gen, n, flat, custom_up, custom_down):
     )
 
 
+def _flat_family(n, frac):
+    """flat:<rho> with rho = 0 for ``frac`` None, else a fraction ``frac`` of the
+    way from -1/(n - 1) to 1; flat mode and the default directions."""
+    lo = -1.0 / (n - 1)
+    rho = 0.0 if frac is None else lo + frac * (1.0 - lo)
+    fam = CorrelationFamily(center=flat_correlation(n, rho))
+    assert fam._equi_rho is not None
+    return fam
+
+
+#: no equicorrelated center, rho = 0, or a fraction of the way across (-1/(n - 1), 1).
+#: The fraction starts at 1 %: nearer the singular end, where 1 + (n - 1) rho -> 0,
+#: a float rho' resolves a'R(rho')a only to about eps (cov_up - diag), which can
+#: exceed 1e-12 of a target far below diag.
+_EQUI = st.one_of(st.just(False), st.none(), st.floats(0.01, 1.0, exclude_max=True))
+
+
 def _random_loadings(gen, n_paths, n):
     spots = gen.uniform(20.0, 200.0, size=(n_paths, n))
     vols = gen.uniform(0.1, 0.5, size=(n_paths, n))
@@ -232,11 +251,18 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, custom_up, custom_dow
     flat=st.booleans(),
     custom_up=st.booleans(),
     custom_down=st.booleans(),
+    equi=_EQUI,
 )
-def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down):
-    """solve_state flags exactly the band helper's targets, and the preflight counts them."""
+def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down, equi):
+    """solve_state flags exactly the band helper's targets, and the preflight counts them.
+
+    ``equi`` other than False replaces the family by an equicorrelated one
+    (at n > 1), which is solved in its level rho'.
+    """
     gen = np.random.default_rng(seed)
     fam = _random_family(gen, n, flat, custom_up, custom_down)
+    if equi is not False and n > 1:
+        fam = _flat_family(n, equi)
     spots, vols, weights = _random_loadings(gen, 24, n)
     terms = covariance_terms(spots, vols, weights, 0.2, fam)
     c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
@@ -265,19 +291,24 @@ def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down
     identity_center=st.booleans(),
     custom_up=st.booleans(),
     custom_down=st.booleans(),
+    equi=_EQUI,
 )
-def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, custom_up, custom_down):
+def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, custom_up, custom_down,
+                                          equi):
     """Whichever side of the center a branch limit sits on, or on it, no row misses silently.
 
     Custom directions can put a limit on the far side of the center, and an
     identity center makes the default lowering branch degenerate; a target
     such a branch cannot reach must be flagged, and every other target is
-    repriced to 1e-12 relative.
+    repriced to 1e-12 relative.  ``equi`` other than False replaces the
+    family by an equicorrelated one, solved in its level rho'.
     """
     gen = np.random.default_rng(seed)
     fam = _random_family(gen, n, flat, custom_up, custom_down)
     if identity_center:
         fam = CorrelationFamily(center=np.eye(n), mode=fam.mode, up=fam.up, down=fam.down)
+    if equi is not False:
+        fam = _flat_family(n, equi)
     spots, vols, weights = _random_loadings(gen, 32, n)
     terms = covariance_terms(spots, vols, weights, 0.2, fam)
     target = terms.cov_center * np.exp(gen.uniform(-1.0, 1.0, size=32))
@@ -289,6 +320,78 @@ def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, custom
     rel = np.abs(cov - target) / target
     assert np.all(flagged | (rel < 1e-12)), rel[~flagged].max()
     assert np.array_equal(sol.u[flagged], np.full(np.count_nonzero(flagged), U_MAX))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_live_loading_rows_are_flagged_or_central(n, rho):
+    """Loadings with one non-zero entry give cov_up == diag, where a ratio in
+    rho' would be 0/0: targets at, above and below the center get the band
+    test's flags and finite states and levels, without a warning."""
+    fam = CorrelationFamily(center=flat_correlation(n, rho))
+    spots = np.tile(np.linspace(80.0, 120.0, n), (5, 1))
+    vols = np.full((5, n), 0.25)
+    for live in range(n):
+        weights = np.eye(n)[live]
+        terms = covariance_terms(spots, vols, weights, 0.2, fam)
+        c0 = terms.cov_center
+        target = c0 * np.array([1.0, 1.5, 0.5, 1.0 + 1e-15, 1.0 - 1e-15])
+        terms = dataclasses.replace(terms, target=target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_state(terms, fam)
+            u, level = sol.u, fam.mean_correlation(sol.u, sol.kappa)
+        _, raising, high, low = _band(terms)
+        assert np.array_equal(sol.violated_high, high)
+        assert np.array_equal(sol.violated_low, low)
+        assert np.array_equal(sol.kappa, raising.astype(int))
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(level))
+        assert high[1] and low[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    frac=st.one_of(st.none(), st.floats(0.01, 0.95)),
+)
+def test_u_from_the_level_is_the_closed_form_u(seed, n, frac):
+    """``sol.u``, derived from the solved rho', is the flat closed form of the u
+    solve, u^2 = (target - c0) / (c_up - target) raising and
+    (c0 - target) / (target - diag) lowering, within 1e-12 relative, or
+    ``U_MAX`` on both sides.  The level is the member's mean correlation.  On
+    an identity center every lowering row sits at the center or is flagged,
+    so its u is exactly 0 or ``U_MAX``.
+
+    Both formulas lose about eps c_up / |target - c0| to rounding, so the
+    1e-12 comparison takes the rows whose branch spans at least 2 % of
+    c_up; the loadings are balanced so that most raising rows qualify.
+    """
+    gen = np.random.default_rng(seed)
+    fam = _flat_family(n, frac)
+    spots = gen.uniform(80.0, 120.0, size=(64, n))
+    vols = gen.uniform(0.15, 0.3, size=(64, n))
+    terms = covariance_terms(spots, vols, np.full(n, 1.0 / n), 0.2, fam)
+    c0, c_up, diag = terms.cov_center, terms.cov_up, terms.diag
+    # inside either branch, on the center and beyond both limits
+    step = gen.uniform(0.05, 0.95, size=64)
+    target = np.where(gen.random(64) < 0.5, c0 + step * (c_up - c0), c0 - step * (c0 - diag))
+    target[:4], target[4:8], target[8:12] = c0[:4], 1.1 * c_up[4:8], 0.9 * diag[8:12]
+    terms = dataclasses.replace(terms, target=target)
+    sol = solve_state(terms, fam)
+    raising = sol.kappa > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u2 = np.where(raising, (target - c0) / (c_up - target), (c0 - target) / (target - diag))
+    flagged = sol.violated_high | sol.violated_low
+    closed = np.where(flagged, U_MAX, np.minimum(np.sqrt(np.where(u2 > 0.0, u2, 0.0)), U_MAX))
+    capped = (sol.u == U_MAX) & (closed == U_MAX)
+    wide = np.where(raising, c_up - c0, c0 - diag) >= 0.02 * c_up
+    checked = flagged | wide
+    assert np.count_nonzero(checked[12:]) >= 10
+    assert np.all((capped | (np.abs(sol.u - closed) <= 1e-12 * closed))[checked])
+    assert np.allclose(fam.mean_correlation(sol.u, sol.kappa), sol.level, rtol=0.0, atol=1e-12)
+    if frac is None:
+        assert np.all((sol.u[~raising] == 0.0) | (sol.u[~raising] == U_MAX))
 
 
 def test_covariance_monotone_along_branches():

@@ -17,6 +17,14 @@ keeps the signed state axis continuous through zero, and is equivalent to
 anchoring the family at the lowering limit under the substitution
 u -> 1/u.
 
+The engine carries the state as lambda = u^2 / (1 + u^2) in [0, 1), the
+weight of the branch limit: in flat mode (xi = 1) every member is
+
+    R = (C + u^2 D) / (1 + u^2) = (1 - lambda) C + lambda D,
+
+linear in lambda.  ``state_u`` is the one conversion back to u, which
+``evaluate``, ``quad_form`` and ``quad_form_slope`` take.
+
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
 normalisation is a congruence by a positive diagonal.
@@ -36,8 +44,8 @@ default directions L_D is a unit first column (raising) or the identity
 Two kinds of family need only n normals.  With one asset every member is
 [1].  In flat mode with the default directions and an equicorrelated
 center (C_ij = rho for i != j) every member is an equicorrelation matrix
-with off-diagonal rho' = (rho + u^2) / (1 + u^2) when raising and
-rho / (1 + u^2) when lowering, and
+whose off-diagonal level is its mean correlation,
+rho' = rho + lambda (1 - rho) raising and (1 - lambda) rho lowering, and
 
     x = alpha z + beta (1'z) 1,  alpha = sqrt(1 - rho'),
     beta = (sqrt(1 + (n - 1) rho') - alpha) / n
@@ -45,13 +53,9 @@ rho / (1 + u^2) when lowering, and
 has covariance alpha^2 I + (2 alpha beta + n beta^2) 11' = R(u, kappa)
 (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2.3).
 
-In flat mode (xi = 1) every member is (C + u^2 D) / (1 + u^2), so the sum
-of its entries is
-
-    1'R1 = (sum C + u^2 sum D) / (1 + u^2)
-
-from two sums fixed per family and branch, which gives the mean pairwise
-correlation in O(1) per path.
+In flat mode the mean pairwise correlation is linear in lambda too,
+between the center's mean off-diagonal entry and the branch limit's, from
+constants fixed per family, so it costs O(1) per path.
 """
 from __future__ import annotations
 
@@ -66,6 +70,7 @@ __all__ = [
     "repair_psd",
     "cholesky_lower",
     "CorrelationFamily",
+    "state_u",
 ]
 
 #: absolute tolerance of the symmetry, diagonal and entry-bound checks
@@ -145,6 +150,11 @@ def cholesky_lower(mat: np.ndarray) -> np.ndarray:
     return low
 
 
+def state_u(lam):
+    """The state u of lambda = u^2 / (1 + u^2): sqrt(lambda / (1 - lambda))."""
+    return np.sqrt(lam / (1.0 - lam))
+
+
 def _form(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Per-row quadratic form a_p' M a_p for a of shape (p, n)."""
     return np.einsum("pi,pi->p", a @ mat, a)
@@ -201,9 +211,14 @@ class CorrelationFamily:
         self._chol_dirs = (cholesky_lower(self.down), cholesky_lower(self.up))  # by kappa
         #: True when every mode entry is one; enables closed-form inversion
         self.flat_mode = bool(np.all(self.mode == 1.0))
-        # entry sums of C and of the directions (by kappa): flat-mode 1'R1
-        self._sum_center = float(self.center.sum())
-        self._sum_dirs = (float(self.down.sum()), float(self.up.sum()))
+        # flat-mode mean off-diagonal entry of the center (rho itself when the
+        # center is equicorrelated, so no drawn level falls below it) and each
+        # branch limit's step from it, by kappa
+        pairs = max(n * (n - 1), 1)
+        self._mean_center = rho if rho is not None else (float(self.center.sum()) - n) / pairs
+        self._mean_steps = tuple(
+            (float(d.sum()) - n) / pairs - self._mean_center for d in (self.down, self.up)
+        )
         # the default directions, whose limit forms need no matrix product
         self._ones_up = bool(np.all(self.up == 1.0))
         self._eye_down = bool(np.array_equal(self.down, np.eye(n)))
@@ -281,35 +296,32 @@ class CorrelationFamily:
         b = a * scale
         return scale, b, b * self.mode[None, :]
 
-    def mean_correlation(self, u: np.ndarray, kappa) -> np.ndarray:
-        """Mean off-diagonal entry of R(u_p, kappa_p) per row, (1'R1 - n) / (n (n - 1)).
+    def mean_correlation(self, lam: np.ndarray, kappa) -> np.ndarray:
+        """Mean off-diagonal entry of each row's member at lambda = u^2 / (1 + u^2).
 
-        In flat mode 1'R1 = (sum C + u^2 sum D_kappa) / (1 + u^2) from the
-        entry sums taken at construction; other modes evaluate ``quad_form``
-        with all-ones loadings.
+        In flat mode it is m_C + lambda (m_D - m_C) from the mean entries of
+        the center and of the branch limit, fixed at construction; other
+        modes evaluate (1'R1 - n) / (n (n - 1)) by ``quad_form`` with
+        all-ones loadings at ``state_u(lam)``.
         """
         n = self.n_assets
         if n == 1:
-            return np.zeros(u.size)
+            return np.zeros(lam.size)
         if self.flat_mode:
-            down, up = self._sum_dirs
-            along = np.where(kappa > 0, up, down)
-            u2 = np.square(u)
-            total = (self._sum_center + u2 * along) / (1.0 + u2)
-        else:
-            total = self.quad_form(np.ones((u.size, n)), u, kappa)
+            down, up = self._mean_steps
+            return self._mean_center + lam * np.where(kappa > 0, up, down)
+        total = self.quad_form(np.ones((lam.size, n)), state_u(lam), kappa)
         return (total - n) / (n * (n - 1))
 
-    def draw(self, z: np.ndarray, u: np.ndarray | None, kappa: np.ndarray,
-             level: np.ndarray | None = None) -> np.ndarray:
+    def draw(self, z: np.ndarray, lam: np.ndarray, kappa: np.ndarray,
+             level: np.ndarray) -> np.ndarray:
         """Map normals ``z`` of shape (p, ``n_normals``) to rows with correlation R(u_p, kappa_p).
 
-        One asset returns ``z`` itself.  An equicorrelated family maps n
-        normals by alpha z + beta (1'z) 1 at each row's rho', which is
-        ``level`` when given (the solved level of ``solve_state``; ``u`` is
-        then not read) and otherwise (rho + u^2) / (1 + u^2) raising or
-        rho / (1 + u^2) lowering.  Every other
-        family maps 2n normals by S(u) (L_C z1 + u Xi L_D z2) from the
+        ``lam`` is lambda = u^2 / (1 + u^2) per row and ``level`` its
+        ``mean_correlation``.  One asset returns ``z`` itself.  An
+        equicorrelated family maps n normals by alpha z + beta (1'z) 1 at
+        each row's level rho'.  Every other family maps 2n normals by
+        S(u) (L_C z1 + u Xi L_D z2) at u = ``state_u(lam)``, from the
         Cholesky factors of the center and of both branch directions, so a
         draw costs the same few matrix products whatever the states are.
         Under the default directions L_D z2 is z2's first entry (raising)
@@ -320,15 +332,12 @@ class CorrelationFamily:
         if n == 1:
             return z
         if self._equi_rho is not None:
-            rho = level
-            if rho is None:
-                u2 = np.square(u)
-                rho = np.where(kappa > 0, self._equi_rho + u2, self._equi_rho) / (1.0 + u2)
-            alpha = np.sqrt(1.0 - rho)
-            beta = (np.sqrt(1.0 + (n - 1) * rho) - alpha) / n
+            alpha = np.sqrt(1.0 - level)
+            beta = (np.sqrt(1.0 + (n - 1) * level) - alpha) / n
             x = z * alpha[:, None]
             x += (beta * (z @ np.ones(n)))[:, None]
             return x
+        u = state_u(lam)
         z1, z2 = z[:, :n], z[:, n:]
         if self._ones_up and self._eye_down:
             along = np.where(kappa[:, None] > 0, z2[:, :1], z2)

@@ -35,7 +35,7 @@ from ..dupire import LocalVolGather, LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
 from ..marketdata.snapshot import MarketSnapshot
 from ..rng import substream
-from .state import BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
+from .state import U_MAX, BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
 
 __all__ = [
     "SimulationConfig",
@@ -70,7 +70,8 @@ class SimulationConfig:
     ``bounds_policy`` decides what a dispersion bound violation does:
     "clamp" pins the state at the cap ``state.U_MAX`` and counts it,
     "strict" aborts the run.  ``forced_state`` is a test hook fixing
-    (u, kappa) for every step, bypassing the solver entirely.
+    (u, kappa) for every step, bypassing the solver entirely; u lies in
+    the solver's range [0, ``state.U_MAX``].
     """
 
     n_paths: int = 100_000
@@ -95,13 +96,13 @@ class SimulationConfig:
         if self.forced_state is not None:
             try:
                 u0, k0 = self.forced_state
-                ok = bool(np.isfinite(u0)) and u0 >= 0.0 and k0 in (0, 1)
+                ok = bool(0.0 <= u0 <= U_MAX) and k0 in (0, 1)
             except (TypeError, ValueError):
                 ok = False
             if not ok:
                 raise EngineError(
-                    "forced_state must be (u, kappa) with finite u >= 0 and kappa 0 or 1, "
-                    f"got {self.forced_state!r}"
+                    f"forced_state must be (u, kappa) with u in [0, U_MAX = {U_MAX!r}] and "
+                    f"kappa 0 or 1, got {self.forced_state!r}"
                 )
 
     def resolve_threads(self) -> int:
@@ -297,10 +298,11 @@ def _run_block(
     forced = config.forced_state is not None
     if forced:
         u0, k0 = config.forced_state
-        u = np.full(n_block, float(u0))
+        u0 = float(u0)
         kappa = np.full(n_block, int(k0))
-        signed = u if k0 == 1 else -u
-        level = market.family.mean_correlation(u, kappa)
+        lam = np.full(n_block, u0 * u0 / (1.0 + u0 * u0))
+        level = market.family.mean_correlation(lam, kappa)
+        signed = np.full(n_block, u0 if k0 == 1 else -u0)
 
     for k in range(n_steps):
         t = float(market.times[k])
@@ -320,7 +322,7 @@ def _run_block(
                 raise BoundViolationError(
                     f"{sol.n_violations} dispersion bound violations at t = {t:.4f}"
                 )
-            u, kappa, level = sol.solved_u, sol.kappa, sol.level
+            lam, kappa, level = sol.lam, sol.kappa, sol.level
             sums += (n_block, np.count_nonzero(kappa), np.count_nonzero(sol.violated_high),
                      np.count_nonzero(sol.violated_low), np.count_nonzero(sol.clamped),
                      level.sum())
@@ -331,8 +333,7 @@ def _run_block(
         moff_sum += level
         rng.standard_normal(out=z_rows)
         z[...] = z_rows
-        # a solved equicorrelated family draws at its level rho'; forced runs from u
-        zc = market.family.draw(z, u, kappa, None if forced else level)
+        zc = market.family.draw(z, lam, kappa, level)
         # ln_s += dlog_fwd - 0.5 vols^2 dt, then sqrt(dt) vols zc, in that rounding order
         np.square(vols, out=inc)
         inc *= 0.5

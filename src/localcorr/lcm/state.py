@@ -9,42 +9,35 @@ market means solving
 
     a' R(u, kappa) a = target
 
-inside the one-parameter family.  In flat mode both branches are linear
-in lambda = u^2 / (1 + u^2) and invert in closed form; for non-flat modes
-a safeguarded Newton iteration in lambda (rtsafe, Numerical Recipes 9.4)
-starts from that closed-form ratio.  The reachable band is
-[cov_down, cov_up] from the two branch limits; targets outside it are
-clamped to the extreme state and flagged as dispersion bound violations
-rather than raised, so long simulations can report a violation fraction
-instead of dying on one bad step.  The solver and the preflight
-``check_dispersion_bounds`` share one band test.
+inside the one-parameter family.  The state is solved and carried as
+lambda = u^2 / (1 + u^2) in [0, 1), the weight of the branch limit.  In
+flat mode both branches are linear in it,
 
-An equicorrelated family (flat mode, the default directions and a center
-with one off-diagonal level rho) has only equicorrelation members, each
-with one level rho', and
+    a' R a = (1 - lambda) cov_center + lambda cov_limit,
 
-    a' R(rho') a = (1 - rho') diag + rho' cov_up,   diag = sum a_i^2,
-    cov_up = (sum a_i)^2,
+with cov_limit = cov_up raising and cov_down lowering, so one closed form
+lambda = (target - cov_center) / (cov_limit - cov_center) solves every
+flat family, equicorrelated or not.  For non-flat modes a safeguarded
+Newton iteration in lambda (rtsafe, Numerical Recipes 9.4) starts from
+that same ratio.  The reachable band is [cov_down, cov_up] from the two
+branch limits; targets outside it are clamped to the extreme state and
+flagged as dispersion bound violations rather than raised, so long
+simulations can report a violation fraction instead of dying on one bad
+step.  The solver and the preflight ``check_dispersion_bounds`` share one
+band test.
 
-so its solve is the ratio rho' = (target - diag) / (cov_up - diag) on the
-row's branch, clipped to the member range that u in [0, U_MAX] spans.  No
-center quadratic form is formed either: cov_center is
-(1 - rho) diag + rho cov_up.  The same band test sets the branch and the
-flags; a row at the center keeps rho' = rho, a flagged row takes the
-U_MAX end, and a row at that end counts as clamped.  The solution carries
-rho' as its level, which the engine draws at, and derives u only where it
-is read: u^2 = (rho' - rho) / (1 - rho') raising and rho / rho' - 1
-lowering.  On an identity center every lowering member is the identity,
-so rho' = 0 says nothing of u there; but every lowering row is then
-either at the center (u = 0) or flagged (u = U_MAX), and u follows from
-the flags.  A float rho' resolves a'R(rho')a to about eps (cov_up - diag),
-which is coarse relative to targets far below diag, as near the singular
-center 1 + (n - 1) rho -> 0 with nearly equal loadings.
+The cap is one number, ``_LAM_MAX`` = 1e6 / (1 + 1e6) in lambda; ``U_MAX``
+is its image under ``state_u``, about 1e3.  Flagged rows take the cap,
+and a row at it counts as clamped.
 
-The closed-form lowering root divides by (target - diag), honoring the
-unit diagonal of the family members.  A widely quoted shortcut divides by
-the target alone, which is only exact when the diagonal term vanishes;
-the solver does not compute or return it.
+On the lowering branch under the identity direction cov_limit is
+diag = sum a_i^2, so the root is
+lambda = (cov_center - target) / (cov_center - diag), in u
+u^2 = (cov_center - target) / (target - diag): both subtract diag,
+honoring the unit diagonal of the family members.  A widely quoted
+shortcut divides by the target alone, u^2 = (cov_center - target) / target,
+that is lambda = (cov_center - target) / cov_center, which is only exact
+when the diagonal term vanishes; the solver does not compute or return it.
 """
 from __future__ import annotations
 
@@ -52,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corrfam import CorrelationFamily, _form
+from ..corrfam import CorrelationFamily, _form, state_u
 from ..errors import CorrelationError
 
 __all__ = [
@@ -69,9 +62,11 @@ _REL_EPS = 1e-14
 #: iteration cap of the non-flat state solve
 _MAX_ITERS = 64
 
-#: state cap: out-of-band targets pin here, and a path at it counts as clamped
-U_MAX = 1e3
-_LAM_MAX = U_MAX**2 / (1.0 + U_MAX**2)  # the cap in lambda = u^2 / (1 + u^2)
+#: state cap in lambda = u^2 / (1 + u^2): out-of-band targets pin here, and a
+#: path at it counts as clamped
+_LAM_MAX = 1e6 / (1.0 + 1e6)
+#: the same cap in u, about 1e3
+U_MAX = float(state_u(_LAM_MAX))
 
 
 @dataclass(frozen=True)
@@ -135,39 +130,33 @@ def covariance_terms(
 
 @dataclass(frozen=True)
 class StateSolution:
-    """Solved states with branch flags and violation bookkeeping.
+    """Solved states in lambda = u^2 / (1 + u^2), with branch flags and violation bookkeeping.
 
-    ``level`` is the mean off-diagonal entry of each row's solved member:
-    rho' itself for an equicorrelated family, whose state is solved in
-    rho' and whose ``u`` derives from it on demand (``solved_u`` is None,
-    ``center_rho`` is the center's rho).  Every other family carries the
-    u solve's states in ``solved_u``.
+    ``level`` is each row's mean pairwise correlation, the family's
+    ``mean_correlation`` at the solved state.
     """
 
     kappa: np.ndarray  # int, 1 raising / 0 lowering
     violated_high: np.ndarray  # bool, target above the raising limit
     violated_low: np.ndarray  # bool, target below the lowering limit
-    clamped: np.ndarray  # bool, state at the cap U_MAX
+    lam: np.ndarray  # in [0, _LAM_MAX]
     level: np.ndarray
-    solved_u: np.ndarray | None = None
-    center_rho: float | None = None
 
     @property
     def u(self) -> np.ndarray:
         """State per row in [0, ``U_MAX``]."""
-        if self.solved_u is not None:
-            return self.solved_u
-        rho, level = self.center_rho, self.level
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u2 = np.where(self.kappa > 0, (level - rho) / (1.0 - level), rho / level - 1.0)
-            u = np.minimum(np.sqrt(np.where(level == rho, 0.0, u2)), U_MAX)
-        return np.where(self.clamped, U_MAX, u)
+        return state_u(self.lam)
 
     @property
     def signed(self) -> np.ndarray:
         """Signed state encoding: positive raising, negative lowering."""
         u = self.u
         return np.where(self.kappa > 0, u, -u)
+
+    @property
+    def clamped(self) -> np.ndarray:
+        """Rows at the cap, flagged or not."""
+        return self.lam >= _LAM_MAX
 
     @property
     def n_violations(self) -> int:
@@ -197,13 +186,12 @@ def _newton_branch(
     family: CorrelationFamily,
     branch: int,
     target: np.ndarray,
-    c0: np.ndarray,
+    lam: np.ndarray,
     c_lim: np.ndarray,
 ) -> np.ndarray:
-    """Safeguarded Newton in lambda on one branch; returns u per row.
+    """Safeguarded Newton in lambda on one branch from the start ``lam``; returns lambda per row.
 
-    Starts from the flat-mode root (target - c0) / (c_lim - c0).  The
-    sign bracket [lo, hi] keeps the residual below the target at lo and
+    The sign bracket [lo, hi] keeps the residual below the target at lo and
     above it at hi (mirrored on the lowering branch), so it holds a root
     even where the branch is not monotone.  A Newton step strictly
     outside the bracket is replaced by one bisection step.  A step onto a
@@ -214,16 +202,13 @@ def _newton_branch(
     that much.
     """
     sign = 1.0 if branch else -1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (target - c0) / (c_lim - c0)
-    lam = np.where(np.isfinite(lam), np.clip(lam, 0.0, _LAM_MAX), 0.5 * _LAM_MAX)
     tol = _REL_EPS * np.abs(c_lim)
     lo = np.zeros(target.size)
     hi = np.full(target.size, _LAM_MAX)
     rows = np.arange(target.size)
     for _ in range(_MAX_ITERS):
         x = lam[rows]
-        val, slope = family.quad_form_slope(a[rows], np.sqrt(x / (1.0 - x)), branch)
+        val, slope = family.quad_form_slope(a[rows], state_u(x), branch)
         resid = val - target[rows]
         below = sign * resid < 0.0
         lo_r = np.where(below, x, lo[rows])
@@ -236,72 +221,47 @@ def _newton_branch(
         lam[rows], lo[rows], hi[rows] = step[live], lo_r[live], hi_r[live]
         if rows.size == 0:
             break
-    return np.sqrt(lam / (1.0 - lam))
+    return lam
 
 
 def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolution:
     """Invert the family so each path's basket variance hits its target.
 
-    An equicorrelated family is solved in its level rho' (see the module
-    notes).  Other families solve for u: in closed form in flat mode,
-    by safeguarded Newton in lambda = u^2 / (1 + u^2) otherwise, at most
-    ``_MAX_ITERS`` iterations per row, and take ``mean_correlation`` as
-    their level.  Every state lies
-    in [0, ``U_MAX``]; targets outside the reachable band clamp to ``U_MAX``
-    on the relevant branch and are flagged, and callers decide how much
-    violation to tolerate.
+    Every row starts from the closed form
+    lambda = (target - cov_center) / (cov_limit - cov_center) on its
+    branch, clipped to [0, ``_LAM_MAX``], which is exact in flat mode; a
+    row at the center takes 0 there.  Other modes refine every unflagged
+    row by safeguarded Newton in lambda, at most ``_MAX_ITERS`` iterations.
+    Targets outside the reachable band take ``_LAM_MAX`` on the relevant
+    branch and are flagged, and callers decide how much violation to
+    tolerate.
     """
-    target = terms.target
-    c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
+    target, c0 = terms.target, terms.cov_center
     scale, raising, violated_high, violated_low = _band(terms)
     violated = violated_high | violated_low
     kappa = raising.astype(np.int64)
-
-    rho = family._equi_rho
-    if rho is not None:
-        # a'R(rho')a = (1 - rho') diag + rho' cov_up; u in [0, U_MAX] spans rho'
-        # from rho to end, and a row at the center keeps rho as u = 0 does
-        end = np.where(raising, rho + U_MAX**2, rho) / (1.0 + U_MAX**2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            level = np.clip((target - terms.diag) / (c_up - terms.diag),
-                            np.minimum(rho, end), np.maximum(rho, end))
-        center = np.abs(target - c0) <= scale * _REL_EPS
-        level = np.where(violated, end, np.where(center, rho, level))
-        return StateSolution(
-            kappa=kappa,
-            violated_high=violated_high,
-            violated_low=violated_low,
-            clamped=~center & (level == end),
-            level=level,
-            center_rho=rho,
-        )
-
+    c_lim = np.where(raising, terms.cov_up, terms.cov_down)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (target - c0) / (c_lim - c0)
     if family.flat_mode:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num_up = target - c0
-            u2_up = np.where(num_up <= scale * _REL_EPS, 0.0, num_up / (c_up - target))
-            num_dn = c0 - target
-            u2_dn = np.where(num_dn <= scale * _REL_EPS, 0.0, num_dn / (target - c_dn))
-        u2 = np.where(raising, u2_up, u2_dn)
-        u2 = np.where(np.isfinite(u2) & (u2 >= 0.0), u2, U_MAX**2)
-        u = np.minimum(np.sqrt(u2), U_MAX)
+        # the band test puts every unflagged row off the center in (0, 1]
+        np.minimum(lam, _LAM_MAX, out=lam)
+        lam[np.abs(target - c0) <= scale * _REL_EPS] = 0.0
     else:
-        u = np.zeros(target.size)
-        for branch, c_lim, mask in ((1, c_up, raising), (0, c_dn, ~raising)):
+        lam = np.where(np.isfinite(lam), np.clip(lam, 0.0, _LAM_MAX), 0.5 * _LAM_MAX)
+        for branch, mask in ((1, raising), (0, ~raising)):
             rows = np.flatnonzero(mask & ~violated)
             if rows.size:
-                u[rows] = _newton_branch(
-                    terms.a[rows], family, branch, target[rows], c0[rows], c_lim[rows]
+                lam[rows] = _newton_branch(
+                    terms.a[rows], family, branch, target[rows], lam[rows], c_lim[rows]
                 )
-        u = np.minimum(u, U_MAX)
-    u = np.where(violated, U_MAX, u)
+    lam[violated] = _LAM_MAX
     return StateSolution(
         kappa=kappa,
         violated_high=violated_high,
         violated_low=violated_low,
-        clamped=u >= U_MAX,
-        level=family.mean_correlation(u, kappa),
-        solved_u=u,
+        lam=lam,
+        level=family.mean_correlation(lam, kappa),
     )
 
 

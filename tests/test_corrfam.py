@@ -12,6 +12,7 @@ from localcorr.corrfam import (
     CorrelationFamily,
     cholesky_lower,
     repair_psd,
+    state_u,
     validate_correlation,
 )
 from localcorr.cli import main
@@ -227,6 +228,11 @@ def test_default_shift_covers_reach(two_asset_snapshot, tmp_path):
 # exact sampling
 
 
+def _lam(u):
+    """The engine's state lambda = u^2 / (1 + u^2) of a state u."""
+    return np.square(u) / (1.0 + np.square(u))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -249,13 +255,13 @@ def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kapp
     m = fam.n_normals
     assert m == (1 if n == 1 else 2 * n)
     # feeding the unit vectors of R^m returns the columns of the linear map
-    us = np.full(m, u)
+    lams = np.full(m, _lam(u))
     kappas = np.full(m, kappa)
-    lin = fam.draw(np.eye(m), us, kappas).T
+    lin = fam.draw(np.eye(m), lams, kappas, fam.mean_correlation(lams, kappas)).T
     assert lin.shape == (n, m)
     mat = fam.evaluate(u, kappa)
     assert np.max(np.abs(lin @ lin.T - mat)) < 1e-12
-    level = fam.mean_correlation(us[:1], kappas[:1])[0]
+    level = fam.mean_correlation(lams[:1], kappas[:1])[0]
     expected = mat[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
     assert abs(level - expected) < 1e-12
     # quadratic forms of loading rows, one branch for all rows and mixed per row
@@ -311,7 +317,8 @@ def test_quad_form_slope_is_the_lambda_derivative(seed, n, custom_up, custom_dow
     us=st.lists(st.floats(0.0, U_MAX), min_size=1, max_size=6),
 )
 def test_flat_mean_correlation_matches_quad_form(seed, n, custom_up, custom_down, per_row, us):
-    """Flat mode's (sum C + u^2 sum D) / (1 + u^2) is 1'R1 from quad_form with unit loadings."""
+    """Flat mode's mean correlation, linear in lambda = u^2 / (1 + u^2), is 1'R1 from
+    quad_form with unit loadings."""
     gen = np.random.default_rng(seed)
     fam = CorrelationFamily(
         center=random_correlation(gen, n),
@@ -322,7 +329,7 @@ def test_flat_mean_correlation_matches_quad_form(seed, n, custom_up, custom_down
     u = np.array([0.0, U_MAX, *us])
     kappas = [gen.integers(0, 2, size=u.size)] if per_row else [0, 1]
     for kappa in kappas:
-        level = fam.mean_correlation(u, kappa)
+        level = fam.mean_correlation(_lam(u), kappa)
         if n == 1:
             assert np.array_equal(level, np.zeros(u.size))
             continue
@@ -339,20 +346,23 @@ def test_flat_mean_correlation_matches_quad_form(seed, n, custom_up, custom_down
     us=st.lists(st.floats(0.0, U_MAX), min_size=1, max_size=8),
 )
 def test_default_direction_draw_is_the_matrix_map_bit_for_bit(seed, n, flat, us):
-    """Without products, draw still returns S(u) (L_C z1 + u Xi L_D z2)'s exact bits."""
+    """Without products, draw still returns S(u) (L_C z1 + u Xi L_D z2)'s exact bits
+    at u = state_u(lambda)."""
     gen = np.random.default_rng(seed)
     fam = CorrelationFamily(
         center=random_correlation(gen, n),
         mode=None if flat else gen.uniform(0.2, 5.0, size=n),
     )
-    u = np.array([0.0, U_MAX, *us])
-    kappa = gen.integers(0, 2, size=u.size)
+    lam = _lam(np.array([0.0, U_MAX, *us]))
+    kappa = gen.integers(0, 2, size=lam.size)
+    level = fam.mean_correlation(lam, kappa)
+    u = state_u(lam)
     if fam.n_normals == n:
         # one asset, or a flat two-asset family, whose center is equicorrelated
         assert n == 1 or (flat and n == 2)
         if n == 1:
             z = gen.standard_normal((u.size, 1))
-            assert fam.draw(z, u, kappa) is z
+            assert fam.draw(z, lam, kappa, level) is z
         return
     assert fam.n_normals == 2 * n
     z = gen.standard_normal((u.size, 2 * n))
@@ -361,7 +371,7 @@ def test_default_direction_draw_is_the_matrix_map_bit_for_bit(seed, n, flat, us)
     along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
     xu = fam.mode[None, :] * u[:, None]
     expected = (z1 @ fam._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
-    assert np.array_equal(fam.draw(z, u, kappa), expected)
+    assert np.array_equal(fam.draw(z, lam, kappa, level), expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -382,7 +392,8 @@ def test_equicorrelation_draw_reproduces_family_exactly(n, rho, kappa, u):
         center = flat_correlation(n, rho)
     fam = CorrelationFamily(center=center)
     assert fam.n_normals == n
-    lin = fam.draw(np.eye(n), np.full(n, u), np.full(n, kappa)).T
+    lam, kappas = np.full(n, _lam(u)), np.full(n, kappa)
+    lin = fam.draw(np.eye(n), lam, kappas, fam.mean_correlation(lam, kappas)).T
     assert lin.shape == (n, n)
     assert np.max(np.abs(lin @ lin.T - fam.evaluate(u, kappa))) < 1e-12
 

@@ -21,6 +21,7 @@ from localcorr.lcm.engine import (
     probe_bounds,
     simulate,
 )
+from localcorr.lcm.state import U_MAX
 from localcorr.marketdata.snapshot import IndexComposition, MarketSnapshot
 
 from localcorr.marketdata.curves import RateCurve
@@ -587,8 +588,9 @@ def test_config_validation():
     for grid in [{"lv_times": 0}, {"lv_times": -3}, {"lv_spots": 0}, {"lv_spots": -1}]:
         with pytest.raises(EngineError, match="lv_times and lv_spots"):
             SimulationConfig(**grid)
-    # a forced state needs a finite u >= 0 and a branch flag of 0 or 1
-    for forced in [(np.nan, 1), (np.inf, 0), (-0.5, 1), (1.0, 2), (1.0, -1), (1.0,), "up"]:
+    # a forced state needs u in the solver's range [0, U_MAX] and a branch flag of 0 or 1
+    for forced in [(np.nan, 1), (np.inf, 0), (-0.5, 1), (1.0, 2), (1.0, -1), (1.0,), "up",
+                   (1e160, 1), (2 * U_MAX, 0)]:
         with pytest.raises(EngineError):
             SimulationConfig(forced_state=forced)
 

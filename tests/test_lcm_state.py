@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcorr.copula import flat_correlation
-from localcorr.corrfam import CorrelationFamily
+from localcorr.corrfam import CorrelationFamily, state_u
 from localcorr.errors import CorrelationError
 from localcorr.lcm.state import (
+    _LAM_MAX,
     U_MAX,
     _band,
     check_dispersion_bounds,
@@ -69,6 +70,12 @@ def test_hand_worked_lowering_root_and_shortcut():
     assert abs(shortcut - np.sqrt(0.2)) < 1e-14
     mat = fam.evaluate(sol.u[0], 0)
     assert abs(mat[0, 1] - 0.25) < 1e-14
+
+
+def test_the_cap_is_one_number():
+    """U_MAX is the lambda cap's state, about 1e3."""
+    assert U_MAX == state_u(_LAM_MAX)
+    assert abs(U_MAX - 1e3) < 1e-7
 
 
 def test_center_target_gives_zero_state():
@@ -199,8 +206,10 @@ def _flat_family(n, frac):
 
 #: no equicorrelated center, rho = 0, or a fraction of the way across (-1/(n - 1), 1).
 #: The fraction starts at 1 %: nearer the singular end, where 1 + (n - 1) rho -> 0,
-#: a float rho' resolves a'R(rho')a only to about eps (cov_up - diag), which can
-#: exceed 1e-12 of a target far below diag.
+#: the repricing oracle ``quad_form`` at u = state_u(lambda) resolves a'R a only to
+#: about eps (cov_up - diag), which can exceed 1e-12 of a target far below diag.
+#: The solve itself is exact in lambda there (see
+#: ``test_flat_solve_is_exact_in_lambda``).
 _EQUI = st.one_of(st.just(False), st.none(), st.floats(0.01, 1.0, exclude_max=True))
 
 
@@ -257,7 +266,8 @@ def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down
     """solve_state flags exactly the band helper's targets, and the preflight counts them.
 
     ``equi`` other than False replaces the family by an equicorrelated one
-    (at n > 1), which is solved in its level rho'.
+    (at n > 1).  A row is clamped exactly when its lambda is the cap, which
+    is exactly when its u is ``U_MAX``, and no u exceeds it.
     """
     gen = np.random.default_rng(seed)
     fam = _random_family(gen, n, flat, custom_up, custom_down)
@@ -276,6 +286,9 @@ def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down
     assert np.array_equal(sol.violated_low, low)
     assert np.array_equal(sol.kappa, raising.astype(int))
     assert np.all(sol.u[high | low] == U_MAX)
+    assert np.array_equal(sol.clamped, sol.lam == _LAM_MAX)
+    assert np.array_equal(sol.clamped, sol.u == U_MAX)
+    assert np.all(sol.u <= U_MAX)
     report = check_dispersion_bounds(terms)
     assert (report.n_high, report.n_low) == (np.count_nonzero(high), np.count_nonzero(low))
     # a target on the edge a branch moves toward counts as violating
@@ -301,7 +314,7 @@ def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, custom
     identity center makes the default lowering branch degenerate; a target
     such a branch cannot reach must be flagged, and every other target is
     repriced to 1e-12 relative.  ``equi`` other than False replaces the
-    family by an equicorrelated one, solved in its level rho'.
+    family by an equicorrelated one.
     """
     gen = np.random.default_rng(seed)
     fam = _random_family(gen, n, flat, custom_up, custom_down)
@@ -322,12 +335,51 @@ def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, custom
     assert np.array_equal(sol.u[flagged], np.full(np.count_nonzero(flagged), U_MAX))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    kind=st.sampled_from(("flat", "identity", "custom")),
+    gap=st.one_of(st.just(1e-9), st.just(2.4e-7), st.floats(1e-9, 2.0)),
+    custom_up=st.booleans(),
+)
+def test_flat_solve_is_exact_in_lambda(seed, n, kind, gap, custom_up):
+    """In flat mode every unflagged row has (1 - lambda) c0 + lambda c_lim = target
+    to 1e-14 relative, on either branch.
+
+    ``flat`` takes flat:<rho> with rho ``gap`` above -1/(n - 1), up to 1, so the
+    singular end 1 + (n - 1) rho -> 0 is covered (rho = -1 + 2.4e-7 at n = 2
+    among them); ``custom`` takes a random center with a custom raising or
+    lowering direction.  Loadings and targets are those of
+    ``test_every_row_is_repriced_or_flagged``.
+    """
+    gen = np.random.default_rng(seed)
+    if kind == "flat":
+        fam = CorrelationFamily(center=flat_correlation(n, min(-1.0 / (n - 1) + gap, 1.0)))
+    elif kind == "identity":
+        fam = CorrelationFamily(center=np.eye(n))
+    else:
+        fam = _random_family(gen, n, True, custom_up, not custom_up)
+    assert fam.flat_mode
+    spots, vols, weights = _random_loadings(gen, 32, n)
+    terms = covariance_terms(spots, vols, weights, 0.2, fam)
+    target = terms.cov_center * np.exp(gen.uniform(-1.0, 1.0, size=32))
+    target[:2] = terms.cov_center[:2]
+    terms = dataclasses.replace(terms, target=target)
+    sol = solve_state(terms, fam)
+    flagged = sol.violated_high | sol.violated_low
+    c_lim = np.where(sol.kappa > 0, terms.cov_up, terms.cov_down)
+    solved = (1.0 - sol.lam) * terms.cov_center + sol.lam * c_lim
+    err = np.abs(solved - target)
+    assert np.all(flagged | (err <= 1e-14 * target)), (err / target)[~flagged].max()
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, -0.3])
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_live_loading_rows_are_flagged_or_central(n, rho):
-    """Loadings with one non-zero entry give cov_up == diag, where a ratio in
-    rho' would be 0/0: targets at, above and below the center get the band
-    test's flags and finite states and levels, without a warning."""
+    """Loadings with one non-zero entry give cov_up == diag == cov_center, where
+    the closed form in lambda is 0/0: targets at, above and below the center
+    get the band test's flags and finite states and levels, without a warning."""
     fam = CorrelationFamily(center=flat_correlation(n, rho))
     spots = np.tile(np.linspace(80.0, 120.0, n), (5, 1))
     vols = np.full((5, n), 0.25)
@@ -340,7 +392,7 @@ def test_one_live_loading_rows_are_flagged_or_central(n, rho):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_state(terms, fam)
-            u, level = sol.u, fam.mean_correlation(sol.u, sol.kappa)
+            u, level = sol.u, sol.level
         _, raising, high, low = _band(terms)
         assert np.array_equal(sol.violated_high, high)
         assert np.array_equal(sol.violated_low, low)
@@ -356,8 +408,8 @@ def test_one_live_loading_rows_are_flagged_or_central(n, rho):
     frac=st.one_of(st.none(), st.floats(0.01, 0.95)),
 )
 def test_u_from_the_level_is_the_closed_form_u(seed, n, frac):
-    """``sol.u``, derived from the solved rho', is the flat closed form of the u
-    solve, u^2 = (target - c0) / (c_up - target) raising and
+    """``sol.u``, the state of the solved lambda, is the flat closed form in u,
+    u^2 = (target - c0) / (c_up - target) raising and
     (c0 - target) / (target - diag) lowering, within 1e-12 relative, or
     ``U_MAX`` on both sides.  The level is the member's mean correlation.  On
     an identity center every lowering row sits at the center or is flagged,
@@ -389,7 +441,8 @@ def test_u_from_the_level_is_the_closed_form_u(seed, n, frac):
     checked = flagged | wide
     assert np.count_nonzero(checked[12:]) >= 10
     assert np.all((capped | (np.abs(sol.u - closed) <= 1e-12 * closed))[checked])
-    assert np.allclose(fam.mean_correlation(sol.u, sol.kappa), sol.level, rtol=0.0, atol=1e-12)
+    member = (fam.quad_form(np.ones((64, n)), sol.u, sol.kappa) - n) / (n * (n - 1))
+    assert np.allclose(member, sol.level, rtol=0.0, atol=1e-12)
     if frac is None:
         assert np.all((sol.u[~raising] == 0.0) | (sol.u[~raising] == U_MAX))
 

@@ -7,15 +7,13 @@ branches share one functional form on the off-diagonal,
     rho_ij(u) = (C_ij + u^2 xi_i xi_j D_ij) / sqrt((1 + xi_i^2 u^2)(1 + xi_j^2 u^2))
 
 with an exactly unit diagonal.  C is the center, xi > 0 is the mode
-vector controlling how fast each asset reacts to the state, and D is a
-branch direction matrix: the raising branch (kappa = 1) uses the all-ones
-direction by default and drives every pair toward comonotonicity, the
-lowering branch (kappa = 0) uses the identity and shrinks every pair
-toward independence.  Custom directions with unit diagonal generalize
-both limits; parameterizing the lowering branch from the center outward
-keeps the signed state axis continuous through zero, and is equivalent to
-anchoring the family at the lowering limit under the substitution
-u -> 1/u.
+vector controlling how fast each asset reacts to the state, and D is the
+fixed branch limit: the raising branch (kappa = 1) uses the all-ones
+matrix and drives every pair toward comonotonicity, the lowering branch
+(kappa = 0) uses the identity and shrinks every pair toward independence.
+Parameterizing the lowering branch from the center outward keeps the
+signed state axis continuous through zero, and is equivalent to anchoring
+the family at the lowering limit under the substitution u -> 1/u.
 
 The engine carries the state as lambda = u^2 / (1 + u^2) in [0, 1), the
 weight of the branch limit: in flat mode (xi = 1) every member is
@@ -23,7 +21,9 @@ weight of the branch limit: in flat mode (xi = 1) every member is
     R = (C + u^2 D) / (1 + u^2) = (1 - lambda) C + lambda D,
 
 linear in lambda.  ``state_u`` is the one conversion back to u, which
-``evaluate``, ``quad_form`` and ``quad_form_slope`` take.
+``evaluate``, ``quad_form`` and ``quad_form_slope`` take.  A limit's
+quadratic form needs no matrix: a'Da is (sum a_i)^2 raising and
+sum a_i^2 lowering.
 
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
@@ -37,15 +37,15 @@ vectors z1, z2,
     x = S(u) (L_C z1 + u Xi L_D z2)
 
 has covariance S (C + u^2 Xi D Xi) S = R(u, kappa), because Xi D Xi is
-the Schur product of xi xi' with D.  No state grid is needed.  Under the
-default directions L_D is a unit first column (raising) or the identity
-(lowering), so the direction term needs no matrix product.
+the Schur product of xi xi' with D.  No state grid is needed.  L_D is a
+unit first column (raising) or the identity (lowering), so the limit term
+needs no matrix product.
 
 Two kinds of family need only n normals.  With one asset every member is
-[1].  In flat mode with the default directions and an equicorrelated
-center (C_ij = rho for i != j) every member is an equicorrelation matrix
-whose off-diagonal level is its mean correlation,
-rho' = rho + lambda (1 - rho) raising and (1 - lambda) rho lowering, and
+[1].  In flat mode with an equicorrelated center (C_ij = rho for i != j)
+every member is an equicorrelation matrix whose off-diagonal level is its
+mean correlation, rho' = rho + lambda (1 - rho) raising and
+(1 - lambda) rho lowering, and
 
     x = alpha z + beta (1'z) 1,  alpha = sqrt(1 - rho'),
     beta = (sqrt(1 + (n - 1) rho') - alpha) / n
@@ -54,8 +54,9 @@ has covariance alpha^2 I + (2 alpha beta + n beta^2) 11' = R(u, kappa)
 (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2.3).
 
 In flat mode the mean pairwise correlation is linear in lambda too,
-between the center's mean off-diagonal entry and the branch limit's, from
-constants fixed per family, so it costs O(1) per path.
+between the center's mean off-diagonal entry and the branch limit's
+(1 raising, 0 lowering), from constants fixed per family, so it costs
+O(1) per path.
 """
 from __future__ import annotations
 
@@ -160,6 +161,20 @@ def _form(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("pi,pi->p", a @ mat, a)
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """sum_i a_pi per row; ``sum(axis=1)``'s bits on column-major rows, and
+    several times faster than it on row-major ones."""
+    return np.einsum("pi->p", a)
+
+
+def _limit_form(a: np.ndarray, kappa) -> np.ndarray:
+    """Per-row a_p' D a_p at the branch limit D of ``kappa`` (a scalar or one
+    flag per row): (sum_i a_pi)^2 raising, sum_i a_pi^2 lowering."""
+    if np.ndim(kappa) == 0:
+        return np.square(_row_sum(a)) if kappa else np.einsum("pi,pi->p", a, a)
+    return np.where(kappa > 0, _limit_form(a, 1), _limit_form(a, 0))
+
+
 # ----------------------------------------------------------------------
 
 
@@ -171,15 +186,15 @@ class CorrelationFamily:
     covariance along either branch is linear in lambda = u^2 / (1 + u^2)
     with a closed-form inverse; for non-flat modes the state solver runs
     a safeguarded Newton iteration in lambda on ``quad_form_slope``.
-    ``draw`` samples any member exactly from ``n_normals`` normals per
-    row, through the Cholesky factors of the center and both directions
-    computed once at construction, or through the equicorrelation map.
+    The branch limits are fixed: ``up`` is the all-ones matrix and
+    ``down`` the identity.  ``draw`` samples any member exactly from
+    ``n_normals`` normals per row, through the Cholesky factor of the
+    center computed once at construction, or through the equicorrelation
+    map.
     """
 
     center: np.ndarray
     mode: np.ndarray | None = None
-    up: np.ndarray | None = None
-    down: np.ndarray | None = None
 
     def __post_init__(self):
         center = validate_correlation(self.center)
@@ -198,48 +213,41 @@ class CorrelationFamily:
             self.mode = np.asarray(self.mode, dtype=float)
             if self.mode.shape != (n,) or np.any(self.mode <= 0.0):
                 raise CorrelationError("mode vector must be positive, one entry per asset")
-        if self.up is None:
-            self.up = np.ones((n, n))
-        else:
-            self.up = repair_psd(validate_correlation(self.up))
-        if self.down is None:
-            self.down = np.eye(n)
-        else:
-            self.down = repair_psd(validate_correlation(self.down))
         # built once and only read afterwards, so worker threads share them safely
         self._chol_center = cholesky_lower(self.center)
-        self._chol_dirs = (cholesky_lower(self.down), cholesky_lower(self.up))  # by kappa
         #: True when every mode entry is one; enables closed-form inversion
         self.flat_mode = bool(np.all(self.mode == 1.0))
         # flat-mode mean off-diagonal entry of the center (rho itself when the
         # center is equicorrelated, so no drawn level falls below it) and each
-        # branch limit's step from it, by kappa
+        # branch limit's step from it, by kappa: the identity's mean entry is 0
+        # and the all-ones matrix's is 1
         pairs = max(n * (n - 1), 1)
         self._mean_center = rho if rho is not None else (float(self.center.sum()) - n) / pairs
-        self._mean_steps = tuple(
-            (float(d.sum()) - n) / pairs - self._mean_center for d in (self.down, self.up)
-        )
-        # the default directions, whose limit forms need no matrix product
-        self._ones_up = bool(np.all(self.up == 1.0))
-        self._eye_down = bool(np.array_equal(self.down, np.eye(n)))
+        self._mean_steps = (-self._mean_center, 1.0 - self._mean_center)
         # the center's common off-diagonal entry when every member is an
         # equicorrelation matrix, else None
-        equi = self.flat_mode and self._ones_up and self._eye_down
-        self._equi_rho = rho if equi else None
+        self._equi_rho = rho if self.flat_mode else None
         self._n_normals = n if n == 1 or self._equi_rho is not None else 2 * n
 
     @property
     def n_normals(self) -> int:
-        """Standard normals per row that ``draw`` maps: n for one asset or an
-        equicorrelated flat family under the default directions, else 2n."""
+        """Standard normals per row that ``draw`` maps: n for one asset or a
+        flat family with an equicorrelated center, else 2n."""
         return self._n_normals
+
+    @property
+    def up(self) -> np.ndarray:
+        """The raising branch limit, the all-ones matrix."""
+        return np.ones((self.n_assets, self.n_assets))
+
+    @property
+    def down(self) -> np.ndarray:
+        """The lowering branch limit, the identity."""
+        return np.eye(self.n_assets)
 
     @property
     def n_assets(self) -> int:
         return self.center.shape[0]
-
-    def direction(self, kappa: int) -> np.ndarray:
-        return self.up if kappa else self.down
 
     def evaluate(self, u: float, kappa: int) -> np.ndarray:
         """Correlation matrix at state ``u`` on branch ``kappa``."""
@@ -250,7 +258,7 @@ class CorrelationFamily:
         xi = self.mode
         u2 = u * u
         scale = 1.0 / np.sqrt(1.0 + np.square(xi) * u2)
-        num = self.center + u2 * np.outer(xi, xi) * self.direction(kappa)
+        num = self.center + u2 * np.outer(xi, xi) * (self.up if kappa else self.down)
         out = num * np.outer(scale, scale)
         np.fill_diagonal(out, 1.0)
         return out
@@ -259,15 +267,11 @@ class CorrelationFamily:
         """Per-row a_p' R(u_p, kappa_p) a_p for loadings ``a`` of shape (p, n).
 
         S(u) and the center term are shared by both branches; only the
-        direction term depends on ``kappa``.  A scalar ``kappa`` evaluates
-        that one branch, a per-row array selects between both.
+        limit term c'Dc, (sum c)^2 raising and sum c^2 lowering, depends on
+        ``kappa``, a scalar or one flag per row.
         """
         _, b, c = self._scaled(a, u)
-        if np.ndim(kappa) == 0:
-            along = _form(c, self.direction(kappa))
-        else:
-            along = np.where(kappa > 0, _form(c, self.up), _form(c, self.down))
-        return _form(b, self.center) + np.square(u) * along
+        return _form(b, self.center) + np.square(u) * _limit_form(c, kappa)
 
     def quad_form_slope(self, a: np.ndarray, u: np.ndarray, kappa: int):
         """``quad_form`` on one branch and its derivative in lambda = u^2 / (1 + u^2).
@@ -277,17 +281,19 @@ class CorrelationFamily:
 
             df/dlambda = [-(Cb).(w b) + c'Dc - u^2 (Dc).(w c)] (1 + u^2)^2
 
-        since d(u^2)/dlambda = (1 + u^2)^2.  The derivative reuses the two
-        matrix products of the value; the value has ``quad_form``'s bits.
+        since d(u^2)/dlambda = (1 + u^2)^2.  (Dc).(w c) is (sum c)(sum w c)
+        raising and sum w c^2 lowering, so the center product is the only
+        matrix product; the value has ``quad_form``'s bits.
         """
         scale, b, c = self._scaled(a, u)
         cb = b @ self.center
-        dc = c @ self.direction(kappa)
-        along = np.einsum("pi,pi->p", dc, c)
+        along = _limit_form(c, kappa)
         u2 = np.square(u)
         value = np.einsum("pi,pi->p", cb, b) + u2 * along
         w = np.square(self.mode[None, :] * scale)
-        slope = along - np.einsum("pi,pi->p", cb, w * b) - u2 * np.einsum("pi,pi->p", dc, w * c)
+        wc = w * c
+        cross = _row_sum(c) * _row_sum(wc) if kappa else np.einsum("pi,pi->p", c, wc)
+        slope = along - np.einsum("pi,pi->p", cb, w * b) - u2 * cross
         return value, slope * np.square(1.0 + u2)
 
     def _scaled(self, a: np.ndarray, u: np.ndarray):
@@ -299,10 +305,10 @@ class CorrelationFamily:
     def mean_correlation(self, lam: np.ndarray, kappa) -> np.ndarray:
         """Mean off-diagonal entry of each row's member at lambda = u^2 / (1 + u^2).
 
-        In flat mode it is m_C + lambda (m_D - m_C) from the mean entries of
-        the center and of the branch limit, fixed at construction; other
-        modes evaluate (1'R1 - n) / (n (n - 1)) by ``quad_form`` with
-        all-ones loadings at ``state_u(lam)``.
+        In flat mode it is m_C + lambda (m_D - m_C) from the center's mean
+        entry m_C, fixed at construction, and the branch limit's m_D, 1
+        raising and 0 lowering; other modes evaluate (1'R1 - n) / (n (n - 1))
+        by ``quad_form`` with all-ones loadings at ``state_u(lam)``.
         """
         n = self.n_assets
         if n == 1:
@@ -322,11 +328,10 @@ class CorrelationFamily:
         equicorrelated family maps n normals by alpha z + beta (1'z) 1 at
         each row's level rho'.  Every other family maps 2n normals by
         S(u) (L_C z1 + u Xi L_D z2) at u = ``state_u(lam)``, from the
-        Cholesky factors of the center and of both branch directions, so a
-        draw costs the same few matrix products whatever the states are.
-        Under the default directions L_D z2 is z2's first entry (raising)
-        or z2 itself (lowering), and in flat mode S(u) is one scale per
-        row; both shortcuts give the general map's bits.
+        Cholesky factor of the center, so a draw costs one matrix product
+        whatever the states are.  L_D z2 is z2's first entry (raising) or
+        z2 itself (lowering), and in flat mode S(u) is one scale per row;
+        both shortcuts give the general map's bits.
         """
         n = self.mode.size
         if n == 1:
@@ -339,20 +344,6 @@ class CorrelationFamily:
             return x
         u = state_u(lam)
         z1, z2 = z[:, :n], z[:, n:]
-        if self._ones_up and self._eye_down:
-            along = np.where(kappa[:, None] > 0, z2[:, :1], z2)
-        else:
-            down, up = self._chol_dirs
-            along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
+        along = np.where(kappa[:, None] > 0, z2[:, :1], z2)
         xu = u[:, None] if self.flat_mode else self.mode[None, :] * u[:, None]
         return (z1 @ self._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
-
-    def limit_forms(self, a: np.ndarray, diag: np.ndarray):
-        """Per-row a_p' L a_p at the raising and the lowering limit L.
-
-        ``diag`` is sum a_i^2, which is the lowering form under the identity
-        direction; the all-ones direction gives (sum a_i)^2.
-        """
-        up = np.square(a.sum(axis=1)) if self._ones_up else _form(a, self.up)
-        down = diag if self._eye_down else _form(a, self.down)
-        return up, down

@@ -1,7 +1,8 @@
 """Risk-neutral densities and local volatility from a smooth call surface.
 
 The implied density is the discounted second strike derivative of the call
-price and the distribution function follows from the first derivative:
+price, ``CallSurface.evaluate(...).d2_strike / df``, and the distribution
+function follows from the first derivative:
 
     pdf(T, K) = d2C/dK2 / DF(T)
     cdf(T, K) = 1 + (dC/dK) / DF(T)
@@ -33,7 +34,6 @@ from .errors import PricingError, SurfaceError
 from .marketdata.surfaces import CallSurface
 
 __all__ = [
-    "implied_density",
     "cumulative",
     "InverseCdfTable",
     "inverse_cdf",
@@ -43,23 +43,12 @@ __all__ = [
     "calibrate_local_vol",
 ]
 
-#: default floors of the local variance ratio
+#: floors and cap of the local variance ratio
 VOL_FLOOR = 0.01
 VOL_CAP = 5.0
 CONVEXITY_FLOOR = 1e-12  # dimensionless butterfly factor floor
 #: first time of every calibrated local vol grid; the horizon must lie past it
 FIRST_GRID_TIME = 1e-3
-
-
-def implied_density(cs: CallSurface, expiry: float, strike):
-    """Implied terminal density at the given strikes.
-
-    Negative values are returned as computed; the surface counts them under
-    ``negative_density`` so callers can flag butterfly arbitrage.
-    """
-    ev = cs.evaluate(expiry, strike)
-    out = ev.d2_strike / ev.df
-    return float(out[0]) if np.ndim(strike) == 0 else out
 
 
 def cumulative(cs: CallSurface, expiry: float, strike):
@@ -176,7 +165,7 @@ def inverse_cdf(cs: CallSurface, expiry: float) -> InverseCdfTable:
 # local volatility
 
 
-def local_vol(cs: CallSurface, t: float, spot, *, floors=None):
+def local_vol(cs: CallSurface, t: float, spot):
     """Pointwise local volatility of the asset behind ``cs`` at time ``t``.
 
     The ratio of call derivatives is evaluated after cancelling their
@@ -192,24 +181,23 @@ def local_vol(cs: CallSurface, t: float, spot, *, floors=None):
     clipped variances are counted on ``cs.counters``.
     """
     view = cs.variance_view(t, spot)
-    out = _floored_vol(cs.counters, view.w_t, view.convexity, floors)
+    out = _floored_vol(cs.counters, view.w_t, view.convexity)
     return float(out[0]) if np.ndim(spot) == 0 else out
 
 
-def _floored_vol(counters: Counter, numerator, denominator, floors=None) -> np.ndarray:
+def _floored_vol(counters: Counter, numerator, denominator) -> np.ndarray:
     """Local vol from the cancelled ratio (dw/dT) / convexity, floored and clipped.
 
     Any array shape works; the floor and clip counts go to ``counters``.
     """
-    vol_floor, vol_cap, g_floor = floors or (VOL_FLOOR, VOL_CAP, CONVEXITY_FLOOR)
     n_num = int(np.count_nonzero(numerator < 0.0))
-    n_den = int(np.count_nonzero(denominator < g_floor))
+    n_den = int(np.count_nonzero(denominator < CONVEXITY_FLOOR))
     if n_num:
         counters["numerator_floored"] += n_num
     if n_den:
         counters["denominator_floored"] += n_den
-    variance = np.maximum(numerator, 0.0) / np.maximum(denominator, g_floor)
-    clipped = np.clip(variance, vol_floor**2, vol_cap**2)
+    variance = np.maximum(numerator, 0.0) / np.maximum(denominator, CONVEXITY_FLOOR)
+    clipped = np.clip(variance, VOL_FLOOR**2, VOL_CAP**2)
     n_clip = int(np.count_nonzero(clipped != variance))
     if n_clip:
         counters["variance_clipped"] += n_clip
@@ -344,7 +332,7 @@ def calibrate_local_vol(
     The log-spot grid is centred on the spot.  Its half-width is six
     total standard deviations of the at-the-money variance at the horizon
     (scaled linearly in time past the last quote), and at least the quoted
-    moneyness span plus 0.5.  Local vols use the default floors and cap.
+    moneyness span plus 0.5.  Local vols use the module's floors and cap.
     The time grid runs from ``FIRST_GRID_TIME`` to the horizon, which must
     lie past it.
     """

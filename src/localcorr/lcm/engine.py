@@ -87,6 +87,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.block_size < 1:
             raise EngineError("n_paths and block_size must be positive")
+        if self.n_threads is not None and self.n_threads < 1:
+            raise EngineError(f"n_threads must be at least 1, got {self.n_threads!r}")
         if self.steps_per_year < 1:
             raise EngineError("steps_per_year must be positive")
         if self.lv_times < 1 or self.lv_spots < 1:
@@ -107,13 +109,16 @@ class SimulationConfig:
 
     def resolve_threads(self) -> int:
         if self.n_threads is not None:
-            return max(1, int(self.n_threads))
+            return int(self.n_threads)
         env = os.environ.get(THREADS_ENV)
         if env:
             try:
-                return max(1, int(env))
+                threads = int(env)
             except ValueError:
-                raise EngineError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+                threads = 0  # reported below, like a count under 1
+            if threads < 1:
+                raise EngineError(f"{THREADS_ENV} must be an integer of at least 1, got {env!r}")
+            return threads
         return 1
 
 

@@ -15,11 +15,12 @@ flat mode both branches are linear in it,
 
     a' R a = (1 - lambda) cov_center + lambda cov_limit,
 
-with cov_limit = cov_up raising and cov_down lowering, so one closed form
+with cov_limit = cov_up = (sum a_i)^2 raising, under the all-ones limit,
+and diag = sum a_i^2 lowering, under the identity, so one closed form
 lambda = (target - cov_center) / (cov_limit - cov_center) solves every
 flat family, equicorrelated or not.  For non-flat modes a safeguarded
 Newton iteration in lambda (rtsafe, Numerical Recipes 9.4) starts from
-that same ratio.  The reachable band is [cov_down, cov_up] from the two
+that same ratio.  The reachable band is [diag, cov_up] from the two
 branch limits; targets outside it are clamped to the extreme state and
 flagged as dispersion bound violations rather than raised, so long
 simulations can report a violation fraction instead of dying on one bad
@@ -30,8 +31,7 @@ The cap is one number, ``_LAM_MAX`` = 1e6 / (1 + 1e6) in lambda; ``U_MAX``
 is its image under ``state_u``, about 1e3.  Flagged rows take the cap,
 and a row at it counts as clamped.
 
-On the lowering branch under the identity direction cov_limit is
-diag = sum a_i^2, so the root is
+On the lowering branch cov_limit is diag, so the root is
 lambda = (cov_center - target) / (cov_center - diag), in u
 u^2 = (cov_center - target) / (target - diag): both subtract diag,
 honoring the unit diagonal of the family members.  A widely quoted
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corrfam import CorrelationFamily, _form, state_u
+from ..corrfam import CorrelationFamily, _form, _limit_form, state_u
 from ..errors import CorrelationError
 
 __all__ = [
@@ -73,11 +73,10 @@ U_MAX = float(state_u(_LAM_MAX))
 class CovarianceTerms:
     """Quadratic forms of the loading vectors against the family anchors.
 
-    All entries are in price^2 per year.  ``diag`` is sum a_i^2.
-    ``cov_up`` and ``cov_down`` are the branch limits of the configured
-    family; under the default raising and lowering directions they are
-    (sum a_i)^2 and ``diag``, and an equicorrelated center's ``cov_center``
-    is (1 - rho) ``diag`` + rho (sum a_i)^2.
+    All entries are in price^2 per year.  ``cov_up`` = (sum a_i)^2 and
+    ``diag`` = sum a_i^2 are the forms at the raising and the lowering
+    branch limit, and an equicorrelated center's ``cov_center`` is
+    (1 - rho) ``diag`` + rho ``cov_up``.
     """
 
     a: np.ndarray  # (paths, n) dollar vol loadings
@@ -85,7 +84,6 @@ class CovarianceTerms:
     cov_center: np.ndarray
     diag: np.ndarray
     cov_up: np.ndarray
-    cov_down: np.ndarray
 
     def __post_init__(self):
         for name in ("a", "target", "cov_center"):
@@ -111,8 +109,8 @@ def covariance_terms(
     a = spots * vols * weights[None, :]
     basket = spots @ weights
     target = np.square(np.atleast_1d(np.asarray(index_vol, dtype=float))) * np.square(basket)
-    diag = np.einsum("pi,pi->p", a, a)
-    cov_up, cov_down = family.limit_forms(a, diag)
+    diag = _limit_form(a, 0)
+    cov_up = _limit_form(a, 1)
     rho = family._equi_rho
     if rho is None:
         cov_center = _form(a, family.center)
@@ -124,7 +122,6 @@ def covariance_terms(
         cov_center=cov_center,
         diag=diag,
         cov_up=cov_up,
-        cov_down=cov_down,
     )
 
 
@@ -177,7 +174,7 @@ def _band(terms: CovarianceTerms):
     tol = scale * _REL_EPS
     gap = target - terms.cov_center  # a gap beyond tol also fixes the branch
     violated_high = (gap > tol) & (target >= terms.cov_up - tol)
-    violated_low = (gap < -tol) & (target <= terms.cov_down + tol)
+    violated_low = (gap < -tol) & (target <= terms.diag + tol)
     return scale, gap >= 0.0, violated_high, violated_low
 
 
@@ -240,7 +237,7 @@ def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolut
     scale, raising, violated_high, violated_low = _band(terms)
     violated = violated_high | violated_low
     kappa = raising.astype(np.int64)
-    c_lim = np.where(raising, terms.cov_up, terms.cov_down)
+    c_lim = np.where(raising, terms.cov_up, terms.diag)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = (target - c0) / (c_lim - c0)
     if family.flat_mode:
@@ -284,17 +281,15 @@ class BoundsReport:
 
 
 def check_dispersion_bounds(terms: CovarianceTerms) -> BoundsReport:
-    """Count targets escaping the reachable band [cov_down, cov_up].
+    """Count targets escaping the reachable band [diag, cov_up].
 
-    Under default directions the band is [diag, (sum a_i)^2], the
-    no-arbitrage corridor between fully independent and comonotone
-    constituents.  The counts are the flags ``solve_state`` raises on the
-    same terms.
+    The band [sum a_i^2, (sum a_i)^2] is the no-arbitrage corridor between
+    fully independent and comonotone constituents.  The counts are the
+    flags ``solve_state`` raises on the same terms.
     """
     target = terms.target
     scale, _, high, low = _band(terms)
-    lower = terms.cov_down
-    worst_low = float(np.max((lower - target) / scale, initial=0.0))
+    worst_low = float(np.max((terms.diag - target) / scale, initial=0.0))
     worst_high = float(np.max((target - terms.cov_up) / scale, initial=0.0))
     return BoundsReport(
         n_checked=int(target.size),

@@ -148,6 +148,18 @@ def test_calibrate_rejects_horizons_at_or_before_the_first_grid_time(
 # price
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_price_rejects_thread_counts_below_one(snapshot_path, tmp_path, threads):
+    res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path),
+                "--threads", threads, "price", "--maturity", "1.0", "--paths", "1000",
+                "--steps-per-year", "25"])
+    assert res.exit_code == 1
+    err = _error_payload(res)["error"]
+    assert err["type"] == "EngineError"
+    assert f"n_threads must be at least 1, got {threads}" in err["message"]
+    assert not (tmp_path / "price.json").exists()
+
+
 @pytest.mark.parametrize("maturity", ["0.0005", "0.001"])
 def test_price_rejects_maturities_at_or_before_the_first_grid_time(
         snapshot_path, tmp_path, maturity):

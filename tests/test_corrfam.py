@@ -1,6 +1,7 @@
 """Tests for the correlation family, PSD helpers, the state sweep, and the exact sampler."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -116,8 +117,17 @@ def test_family_center_and_limits():
     assert np.allclose(fam.down, np.eye(2))
 
 
+def test_branch_limits_are_fixed():
+    """The family has two fields; the limits are all ones and the identity, not options."""
+    center = np.array([[1.0, 0.5], [0.5, 1.0]])
+    assert [f.name for f in dataclasses.fields(CorrelationFamily)] == ["center", "mode"]
+    for limit in ("up", "down"):
+        with pytest.raises(TypeError):
+            CorrelationFamily(center=center, **{limit: np.eye(2)})
+
+
 def test_family_midpoint_hand_values():
-    """At u = 1 the flat-mode blend averages center and direction."""
+    """At u = 1 the flat-mode blend averages center and branch limit."""
     fam = CorrelationFamily(center=np.array([[1.0, 0.5], [0.5, 1.0]]))
     up = fam.evaluate(1.0, 1)
     down = fam.evaluate(1.0, 0)
@@ -140,8 +150,6 @@ def test_family_random_sweep_stays_admissible(rng):
         fam = CorrelationFamily(
             center=random_correlation(rng, n),
             mode=rng.uniform(0.3, 3.0, size=n) if rng.random() < 0.5 else None,
-            up=random_correlation(rng, n) if rng.random() < 0.3 else None,
-            down=random_correlation(rng, n) if rng.random() < 0.3 else None,
         )
         u = float(rng.uniform(0.0, 50.0))
         kappa = int(rng.integers(0, 2))
@@ -237,19 +245,15 @@ def _lam(u):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 8),
-    custom_up=st.booleans(),
-    custom_down=st.booleans(),
     kappa=st.sampled_from((0, 1)),
     u=st.floats(0.0, U_MAX),
 )
-def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kappa, u):
+def test_sampler_reproduces_family_exactly(seed, n, kappa, u):
     """The draw's linear map M = [S L_C, u S Xi L_D] has M M' = R(u, kappa)."""
     gen = np.random.default_rng(seed)
     fam = CorrelationFamily(
         center=random_correlation(gen, n),
         mode=gen.uniform(0.2, 5.0, size=n),
-        up=random_correlation(gen, n) if custom_up else None,
-        down=random_correlation(gen, n) if custom_down else None,
     )
     # one asset draws one normal; every other family here draws 2n
     m = fam.n_normals
@@ -280,19 +284,15 @@ def test_sampler_reproduces_family_exactly(seed, n, custom_up, custom_down, kapp
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 8),
-    custom_up=st.booleans(),
-    custom_down=st.booleans(),
     kappa=st.sampled_from((0, 1)),
     lam=st.floats(0.01, 0.99),
 )
-def test_quad_form_slope_is_the_lambda_derivative(seed, n, custom_up, custom_down, kappa, lam):
+def test_quad_form_slope_is_the_lambda_derivative(seed, n, kappa, lam):
     """quad_form_slope returns quad_form's bits and its derivative in lambda = u^2/(1+u^2)."""
     gen = np.random.default_rng(seed)
     fam = CorrelationFamily(
         center=random_correlation(gen, n),
         mode=gen.uniform(0.2, 5.0, size=n),
-        up=random_correlation(gen, n) if custom_up else None,
-        down=random_correlation(gen, n) if custom_down else None,
     )
     loads = gen.standard_normal((4, n))
 
@@ -311,20 +311,14 @@ def test_quad_form_slope_is_the_lambda_derivative(seed, n, custom_up, custom_dow
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 10),
-    custom_up=st.booleans(),
-    custom_down=st.booleans(),
     per_row=st.booleans(),
     us=st.lists(st.floats(0.0, U_MAX), min_size=1, max_size=6),
 )
-def test_flat_mean_correlation_matches_quad_form(seed, n, custom_up, custom_down, per_row, us):
+def test_flat_mean_correlation_matches_quad_form(seed, n, per_row, us):
     """Flat mode's mean correlation, linear in lambda = u^2 / (1 + u^2), is 1'R1 from
     quad_form with unit loadings."""
     gen = np.random.default_rng(seed)
-    fam = CorrelationFamily(
-        center=random_correlation(gen, n),
-        up=random_correlation(gen, n) if custom_up else None,
-        down=random_correlation(gen, n) if custom_down else None,
-    )
+    fam = CorrelationFamily(center=random_correlation(gen, n))
     assert fam.flat_mode
     u = np.array([0.0, U_MAX, *us])
     kappas = [gen.integers(0, 2, size=u.size)] if per_row else [0, 1]
@@ -347,7 +341,7 @@ def test_flat_mean_correlation_matches_quad_form(seed, n, custom_up, custom_down
 )
 def test_default_direction_draw_is_the_matrix_map_bit_for_bit(seed, n, flat, us):
     """Without products, draw still returns S(u) (L_C z1 + u Xi L_D z2)'s exact bits
-    at u = state_u(lambda)."""
+    at u = state_u(lambda), with L_D the Cholesky factor of the branch limit."""
     gen = np.random.default_rng(seed)
     fam = CorrelationFamily(
         center=random_correlation(gen, n),
@@ -367,7 +361,7 @@ def test_default_direction_draw_is_the_matrix_map_bit_for_bit(seed, n, flat, us)
     assert fam.n_normals == 2 * n
     z = gen.standard_normal((u.size, 2 * n))
     z1, z2 = z[:, :n], z[:, n:]
-    down, up = fam._chol_dirs
+    up, down = cholesky_lower(fam.up), cholesky_lower(fam.down)
     along = np.where(kappa[:, None] > 0, z2 @ up.T, z2 @ down.T)
     xu = fam.mode[None, :] * u[:, None]
     expected = (z1 @ fam._chol_center.T + xu * along) / np.sqrt(1.0 + np.square(xu))
@@ -400,14 +394,11 @@ def test_equicorrelation_draw_reproduces_family_exactly(n, rho, kappa, u):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_general_families_draw_two_normals_per_asset(n):
-    """A two-block center, a non-unit mode or custom directions keep the 2n-normal map."""
+    """A two-block center or a non-unit mode keeps the 2n-normal map."""
     flat = flat_correlation(n, 0.4)
     block = flat.copy()
     block[: n // 2, n // 2 :] = block[n // 2 :, : n // 2] = 0.1
-    custom = flat_correlation(n, 0.8)
     assert CorrelationFamily(center=flat).n_normals == n
     assert CorrelationFamily(center=flat, mode=np.linspace(1.0, 2.0, n)).n_normals == 2 * n
-    assert CorrelationFamily(center=flat, up=custom).n_normals == 2 * n
-    assert CorrelationFamily(center=flat, down=custom).n_normals == 2 * n
     if n > 2:  # every 2 x 2 center is equicorrelated
         assert CorrelationFamily(center=block).n_normals == 2 * n

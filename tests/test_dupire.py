@@ -9,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import lognorm
 
+from localcorr import dupire
 from localcorr.dupire import (
     LocalVolGather,
     LocalVolSurface,
     _monotone_projection,
     calibrate_local_vol,
     cumulative,
-    implied_density,
     inverse_cdf,
     local_vol,
 )
@@ -126,10 +126,11 @@ def test_local_vol_scale_invariance():
         assert np.allclose(lv1, lv2, rtol=1e-12, atol=0)
 
 
-def test_local_vol_floors_and_counters():
+def test_local_vol_floors_and_counters(monkeypatch):
     cs, fc = _flat_surface(vol=0.2)
     before = cs.counters["variance_clipped"]
-    lv = local_vol(cs, 1.0, fc.forward(1.0), floors=(0.5, 5.0, 1e-12))
+    monkeypatch.setattr(dupire, "VOL_FLOOR", 0.5)
+    lv = local_vol(cs, 1.0, fc.forward(1.0))
     assert lv == 0.5
     assert cs.counters["variance_clipped"] == before + 1
 
@@ -138,13 +139,19 @@ def test_local_vol_floors_and_counters():
 # densities and distribution functions
 
 
+def _density(cs, expiry, strikes):
+    """The implied density, the surface's discounted second strike derivative."""
+    ev = cs.evaluate(expiry, strikes)
+    return ev.d2_strike / ev.df
+
+
 def test_density_matches_lognormal():
     cs, fc = _flat_surface(vol=0.25, dividend=0.0)
     t = 1.0
     f = fc.forward(t)
     s = 0.25 * np.sqrt(t)
     strikes = f * np.linspace(0.6, 1.5, 19)
-    dens = implied_density(cs, t, strikes)
+    dens = _density(cs, t, strikes)
     ref = lognorm.pdf(strikes, s, scale=f * np.exp(-0.5 * s * s))
     assert np.max(np.abs(dens - ref) / ref) < 1e-9
 
@@ -154,7 +161,7 @@ def test_density_integrates_to_one():
     t = 1.5
     f = fc.forward(t)
     strikes = np.linspace(0.05 * f, 6.0 * f, 4000)
-    dens = implied_density(cs, t, strikes)
+    dens = _density(cs, t, strikes)
     mass = np.trapezoid(dens, strikes)
     assert abs(mass - 1.0) < 1e-4
 

@@ -604,6 +604,12 @@ def test_thread_resolution(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "abc")
     with pytest.raises(EngineError):
         SimulationConfig().resolve_threads()
+    monkeypatch.setenv(THREADS_ENV, "0")
+    with pytest.raises(EngineError):
+        SimulationConfig().resolve_threads()
+    for bad in (0, -2):
+        with pytest.raises(EngineError):
+            SimulationConfig(n_threads=bad)
 
 
 def test_calibration_validation():

@@ -43,7 +43,6 @@ def test_hand_worked_quadratic_forms():
     assert abs(terms.cov_center[0] - 300.0) < 1e-10
     assert abs(terms.diag[0] - 200.0) < 1e-10
     assert abs(terms.cov_up[0] - 400.0) < 1e-10
-    assert abs(terms.cov_down[0] - 200.0) < 1e-10
     assert abs(terms.target[0] - 350.0) < 1e-9
 
 
@@ -185,18 +184,16 @@ def test_non_flat_mode_roots_reprice(rng):
     assert np.max(rel) < 1e-8
 
 
-def _random_family(gen, n, flat, custom_up, custom_down):
+def _random_family(gen, n, flat):
     return CorrelationFamily(
         center=random_correlation(gen, n),
         mode=None if flat else gen.uniform(0.2, 5.0, size=n),
-        up=random_correlation(gen, n) if custom_up else None,
-        down=random_correlation(gen, n) if custom_down else None,
     )
 
 
 def _flat_family(n, frac):
     """flat:<rho> with rho = 0 for ``frac`` None, else a fraction ``frac`` of the
-    way from -1/(n - 1) to 1; flat mode and the default directions."""
+    way from -1/(n - 1) to 1, in flat mode."""
     lo = -1.0 / (n - 1)
     rho = 0.0 if frac is None else lo + frac * (1.0 - lo)
     fam = CorrelationFamily(center=flat_correlation(n, rho))
@@ -224,11 +221,9 @@ def _random_loadings(gen, n_paths, n):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
-    custom_up=st.booleans(),
-    custom_down=st.booleans(),
     kappa=st.sampled_from((0, 1)),
 )
-def test_non_flat_root_reprices_reachable_targets(seed, n, custom_up, custom_down, kappa):
+def test_non_flat_root_reprices_reachable_targets(seed, n, kappa):
     """Targets f(u*) on a branch, u* in [0, 50], are solved to 1e-12 relative.
 
     A branch of a center with negative entries need not be monotone, so the
@@ -237,7 +232,7 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, custom_up, custom_dow
     inside the band; then the branch's two ends bracket it.
     """
     gen = np.random.default_rng(seed)
-    fam = _random_family(gen, n, False, custom_up, custom_down)
+    fam = _random_family(gen, n, False)
     spots, vols, weights = _random_loadings(gen, 32, n)
     u_star = gen.uniform(0.0, 50.0, size=32)
     target = fam.quad_form(spots * vols * weights[None, :], u_star, kappa)
@@ -245,7 +240,7 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, custom_up, custom_dow
     sol = solve_state(terms, fam)
     assert np.all((sol.u >= 0.0) & (sol.u <= U_MAX))
     _, raising, high, low = _band(terms)
-    c_lim = terms.cov_up if kappa else terms.cov_down
+    c_lim = terms.cov_up if kappa else terms.diag
     between = (terms.target - terms.cov_center) * (c_lim - terms.target) >= 0.0
     reachable = (raising == bool(kappa)) & between & ~high & ~low
     cov = fam.quad_form(terms.a, sol.u, sol.kappa)
@@ -258,11 +253,9 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, custom_up, custom_dow
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
     flat=st.booleans(),
-    custom_up=st.booleans(),
-    custom_down=st.booleans(),
     equi=_EQUI,
 )
-def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down, equi):
+def test_violation_flags_are_the_band_test(seed, n, flat, equi):
     """solve_state flags exactly the band helper's targets, and the preflight counts them.
 
     ``equi`` other than False replaces the family by an equicorrelated one
@@ -270,12 +263,12 @@ def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down
     is exactly when its u is ``U_MAX``, and no u exceeds it.
     """
     gen = np.random.default_rng(seed)
-    fam = _random_family(gen, n, flat, custom_up, custom_down)
+    fam = _random_family(gen, n, flat)
     if equi is not False and n > 1:
         fam = _flat_family(n, equi)
     spots, vols, weights = _random_loadings(gen, 24, n)
     terms = covariance_terms(spots, vols, weights, 0.2, fam)
-    c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.cov_down
+    c0, c_up, c_dn = terms.cov_center, terms.cov_up, terms.diag
     # across and beyond the band, with rows exactly on both edges and on the center
     target = c_dn + gen.uniform(-0.3, 1.3, size=24) * (c_up - c_dn)
     target[:3], target[3:6], target[6:9] = c_up[:3], c_dn[3:6], c0[6:9]
@@ -302,24 +295,21 @@ def test_violation_flags_are_the_band_test(seed, n, flat, custom_up, custom_down
     n=st.integers(2, 8),
     flat=st.booleans(),
     identity_center=st.booleans(),
-    custom_up=st.booleans(),
-    custom_down=st.booleans(),
     equi=_EQUI,
 )
-def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, custom_up, custom_down,
-                                          equi):
+def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, equi):
     """Whichever side of the center a branch limit sits on, or on it, no row misses silently.
 
-    Custom directions can put a limit on the far side of the center, and an
-    identity center makes the default lowering branch degenerate; a target
-    such a branch cannot reach must be flagged, and every other target is
-    repriced to 1e-12 relative.  ``equi`` other than False replaces the
-    family by an equicorrelated one.
+    A center with negative entries can put the lowering limit diag on the
+    far side of the center, and an identity center makes the lowering
+    branch degenerate; a target such a branch cannot reach must be flagged,
+    and every other target is repriced to 1e-12 relative.  ``equi`` other
+    than False replaces the family by an equicorrelated one.
     """
     gen = np.random.default_rng(seed)
-    fam = _random_family(gen, n, flat, custom_up, custom_down)
+    fam = _random_family(gen, n, flat)
     if identity_center:
-        fam = CorrelationFamily(center=np.eye(n), mode=fam.mode, up=fam.up, down=fam.down)
+        fam = CorrelationFamily(center=np.eye(n), mode=fam.mode)
     if equi is not False:
         fam = _flat_family(n, equi)
     spots, vols, weights = _random_loadings(gen, 32, n)
@@ -339,18 +329,17 @@ def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, custom
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
-    kind=st.sampled_from(("flat", "identity", "custom")),
+    kind=st.sampled_from(("flat", "identity", "random")),
     gap=st.one_of(st.just(1e-9), st.just(2.4e-7), st.floats(1e-9, 2.0)),
-    custom_up=st.booleans(),
 )
-def test_flat_solve_is_exact_in_lambda(seed, n, kind, gap, custom_up):
+def test_flat_solve_is_exact_in_lambda(seed, n, kind, gap):
     """In flat mode every unflagged row has (1 - lambda) c0 + lambda c_lim = target
     to 1e-14 relative, on either branch.
 
     ``flat`` takes flat:<rho> with rho ``gap`` above -1/(n - 1), up to 1, so the
     singular end 1 + (n - 1) rho -> 0 is covered (rho = -1 + 2.4e-7 at n = 2
-    among them); ``custom`` takes a random center with a custom raising or
-    lowering direction.  Loadings and targets are those of
+    among them); ``random`` takes a random center, which is not
+    equicorrelated beyond two assets.  Loadings and targets are those of
     ``test_every_row_is_repriced_or_flagged``.
     """
     gen = np.random.default_rng(seed)
@@ -359,7 +348,8 @@ def test_flat_solve_is_exact_in_lambda(seed, n, kind, gap, custom_up):
     elif kind == "identity":
         fam = CorrelationFamily(center=np.eye(n))
     else:
-        fam = _random_family(gen, n, True, custom_up, not custom_up)
+        fam = _random_family(gen, n, True)
+        assert n == 2 or fam._equi_rho is None
     assert fam.flat_mode
     spots, vols, weights = _random_loadings(gen, 32, n)
     terms = covariance_terms(spots, vols, weights, 0.2, fam)
@@ -368,7 +358,7 @@ def test_flat_solve_is_exact_in_lambda(seed, n, kind, gap, custom_up):
     terms = dataclasses.replace(terms, target=target)
     sol = solve_state(terms, fam)
     flagged = sol.violated_high | sol.violated_low
-    c_lim = np.where(sol.kappa > 0, terms.cov_up, terms.cov_down)
+    c_lim = np.where(sol.kappa > 0, terms.cov_up, terms.diag)
     solved = (1.0 - sol.lam) * terms.cov_center + sol.lam * c_lim
     err = np.abs(solved - target)
     assert np.all(flagged | (err <= 1e-14 * target)), (err / target)[~flagged].max()
@@ -399,6 +389,29 @@ def test_one_live_loading_rows_are_flagged_or_central(n, rho):
         assert np.array_equal(sol.kappa, raising.astype(int))
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(level))
         assert high[1] and low[2]
+
+
+def test_a_negative_center_puts_the_lowering_limit_on_the_far_side():
+    """Under flat:-0.2 at n = 3 with balanced loadings cov_center < diag, so the
+    lowering limit lies above the center: every target below the center is
+    flagged low at the cap, and every target between the center and cov_up,
+    diag included, reprices to 1e-12 on the raising branch."""
+    fam = CorrelationFamily(center=flat_correlation(3, -0.2))
+    spots = np.tile([100.0, 101.0, 99.0], (8, 1))
+    vols = np.full((8, 3), 0.25)
+    terms = covariance_terms(spots, vols, np.full(3, 1.0 / 3.0), 0.2, fam)
+    c0, c_up, diag = terms.cov_center, terms.cov_up, terms.diag
+    assert np.all(c0 < diag)
+    frac = np.linspace(0.1, 0.9, 4)
+    target = np.concatenate([c0[:4] * (1.0 - frac), c0[4:] + frac * (c_up[4:] - c0[4:])])
+    assert np.any(target[4:] < diag[4:]) and np.any(target[4:] > diag[4:])
+    terms = dataclasses.replace(terms, target=target)
+    sol = solve_state(terms, fam)
+    assert np.all(sol.violated_low[:4]) and np.all(sol.lam[:4] == _LAM_MAX)
+    assert not np.any((sol.violated_high | sol.violated_low)[4:])
+    assert np.array_equal(sol.kappa, np.repeat([0, 1], 4))
+    cov = fam.quad_form(terms.a[4:], sol.u[4:], sol.kappa[4:])
+    assert np.all(np.abs(cov - target[4:]) <= 1e-12 * target[4:])
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,8 +3,8 @@
 Constituent terminal laws come from the option surfaces through monotone
 inverse-CDF tables, so each marginal reprices its own vanilla strip by
 construction; the copula correlation is the only free input.  Sampling
-runs in a fixed number of independent partitions and the spread of
-per-partition prices gives the standard error estimate.
+draws scrambled Sobol points in a fixed number of independent partitions,
+and the spread of per-partition prices gives the standard error estimate.
 
 Deep in-the-money basket calls are priced on the out-of-the-money side
 and carried across by parity against the exact basket forward, which
@@ -24,7 +24,7 @@ from .corrfam import cholesky_lower, repair_psd, validate_correlation
 from .dupire import InverseCdfTable, inverse_cdf
 from .errors import CorrelationError, PricingError
 from .marketdata.snapshot import MarketSnapshot
-from .rng import sobol_seed, substream
+from .rng import sobol_seed
 
 __all__ = [
     "CopulaSpec",
@@ -53,14 +53,11 @@ class CopulaSpec:
 
     correlation: np.ndarray | None = None
     n_samples: int = 1 << 16
-    sampler: str = "sobol"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < MIN_SAMPLES:
             raise PricingError(f"need at least {MIN_SAMPLES} samples")
-        if self.sampler not in ("sobol", "pseudo"):
-            raise PricingError(f"unknown sampler {self.sampler!r}")
         if self.correlation is not None:
             object.__setattr__(
                 self, "correlation", repair_psd(validate_correlation(self.correlation))
@@ -68,11 +65,8 @@ class CopulaSpec:
 
     @property
     def partition_size(self) -> int:
-        """Samples per partition; rounded up to a power of 2 for Sobol."""
-        base = -(-self.n_samples // _PARTITIONS)
-        if self.sampler == "pseudo":
-            return base
-        return 1 << max(0, int(np.ceil(np.log2(base))))
+        """Samples per partition, rounded up to a power of 2 for Sobol."""
+        return 1 << int(np.ceil(np.log2(-(-self.n_samples // _PARTITIONS))))
 
     @property
     def total_samples(self) -> int:
@@ -130,16 +124,11 @@ def _basket_forward(snapshot: MarketSnapshot, expiry: float) -> float:
 
 def _normal_cube(spec: CopulaSpec, dim: int) -> np.ndarray:
     """Independent standard normals, shaped (partitions, block, dim)."""
-    n_p = spec.partition_size
-    cube = np.empty((_PARTITIONS, n_p, dim))
-    if spec.sampler == "pseudo":
-        for p in range(_PARTITIONS):
-            cube[p] = substream(spec.seed, p).standard_normal((n_p, dim))
-        return cube
+    m = int(np.log2(spec.partition_size))
+    cube = np.empty((_PARTITIONS, spec.partition_size, dim))
     for p in range(_PARTITIONS):
         eng = qmc.Sobol(d=dim, scramble=True, seed=sobol_seed(spec.seed, p))
-        u = eng.random_base2(int(np.log2(n_p))) if n_p > 1 else eng.random(1)
-        cube[p] = ndtri(np.clip(u, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS))
+        cube[p] = ndtri(np.clip(eng.random_base2(m), _UNIFORM_EPS, 1.0 - _UNIFORM_EPS))
     return cube
 
 

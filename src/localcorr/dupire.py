@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .errors import PricingError, SurfaceError
 from .marketdata.surfaces import CallSurface
@@ -60,44 +61,6 @@ def cumulative(cs: CallSurface, expiry: float, strike):
     if n_clip:
         cs.counters["cdf_clipped"] += n_clip
     return float(clipped[0]) if np.ndim(strike) == 0 else clipped
-
-
-def _monotone_projection(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto non-decreasing sequences.
-
-    Points are pushed one by one and each pooled mean is
-    ``(top * w_top + v * w) / (w_top + w)`` in push order.  A run of ``y``
-    that does not decrease is pushed in bulk once the stack top is at or
-    below its first value, since none of its points would pool; this
-    skips the per-point loop without changing a pooled bit.  An input
-    without a drop comes back as a float copy.
-    """
-    out = np.array(y, dtype=float)
-    starts = np.flatnonzero(out[1:] < out[:-1]) + 1
-    if starts.size == 0:
-        return out
-    ys = out.tolist()
-    run_ends = starts.tolist() + [len(ys)]
-    vals: list[float] = []
-    weights: list[int] = []
-    i = k = 0
-    while i < len(ys):
-        if not vals or vals[-1] <= ys[i]:
-            while run_ends[k] <= i:
-                k += 1
-            vals.extend(ys[i:run_ends[k]])
-            weights.extend([1] * (run_ends[k] - i))
-            i = run_ends[k]
-            continue
-        vals.append(ys[i])
-        weights.append(1)
-        while len(vals) > 1 and vals[-1] < vals[-2]:
-            w = weights.pop()
-            v2 = vals.pop()
-            vals[-1] = (vals[-1] * weights[-1] + v2 * w) / (weights[-1] + w)
-            weights[-1] += w
-        i += 1
-    return np.repeat(vals, weights)
 
 
 @dataclass(eq=False)
@@ -156,8 +119,7 @@ def inverse_cdf(cs: CallSurface, expiry: float) -> InverseCdfTable:
     x_max = cs.x_hi + TAIL_WIDTH * np.sqrt(w_hi) + 0.5
     x_grid = np.linspace(x_min, x_max, CDF_GRID_POINTS)
     strikes = prof_forward * np.exp(x_grid)
-    raw = cumulative(cs, expiry, strikes)
-    mono = _monotone_projection(np.asarray(raw))
+    mono = isotonic_regression(cumulative(cs, expiry, strikes)).x
     return InverseCdfTable(expiry=float(expiry), log_strikes=np.log(strikes), cdf=mono)
 
 
@@ -220,9 +182,9 @@ def _blend_rows(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
 class LocalVolSurface:
     """Tabulated local volatility on a (time, log spot) grid.
 
-    The grid is rectangular in (time, log spot); evaluation is bilinear and
-    queries outside the grid are clamped to the edge, which matches the flat
-    extrapolation of the implied surface behind it.
+    The grid is rectangular in (time, log spot).  :class:`LocalVolGather`
+    reads it bilinearly and clamps queries outside the grid to the edge,
+    which matches the flat extrapolation of the implied surface behind it.
     """
 
     asset_id: str
@@ -237,23 +199,14 @@ class LocalVolSurface:
         if np.any(np.diff(self.times) <= 0) or np.any(np.diff(self.log_spots) <= 0):
             raise SurfaceError("local vol grid axes must be strictly increasing")
 
-    def time_slice(self, t: float) -> np.ndarray:
-        """Vol row at time ``t``; linear blend of the bracketing grid rows."""
-        return _blend_rows(self.times, self.values, t)
-
-    def __call__(self, t: float, spot):
-        row = self.time_slice(t)
-        s = np.atleast_1d(np.asarray(spot, dtype=float))
-        out = np.interp(np.log(s), self.log_spots, row)
-        return float(out[0]) if np.ndim(spot) == 0 else out
-
 
 class LocalVolGather:
     """Local vols of several surfaces read in one pass over uniform log-spot grids.
 
     Column c of a (paths, columns) query of log spots reads surface c, so a
     query covers any leading run of the surfaces.  Each value equals
-    ``np.interp(x[:, c], lv.log_spots, lv.time_slice(t))`` bit for bit.
+    ``np.interp(x[:, c], lv.log_spots, _blend_rows(lv.times, lv.values, t))``
+    bit for bit.
     The query is clipped into the grid; a cell index estimated from the
     uniform spacing is corrected to numpy's bracket
     log_spots[j] <= x < log_spots[j + 1]; and the value is numpy's
@@ -261,7 +214,7 @@ class LocalVolGather:
     grid gets one more node at +inf that repeats the last vol with slope 0,
     so the last node needs no special case.  The surfaces are flattened
     into one table, surface c starting at offset c (m + 1), and their rows
-    are blended in time per call exactly as ``time_slice`` does.
+    are blended in time per call by ``_blend_rows``.
     """
 
     def __init__(self, surfaces: Sequence[LocalVolSurface]):

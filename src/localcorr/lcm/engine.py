@@ -71,7 +71,9 @@ class SimulationConfig:
     "clamp" pins the state at the cap ``state.U_MAX`` and counts it,
     "strict" aborts the run.  ``forced_state`` is a test hook fixing
     (u, kappa) for every step, bypassing the solver entirely; u lies in
-    the solver's range [0, ``state.U_MAX``].
+    the solver's range [0, ``state.U_MAX``].  The counts ``n_paths``,
+    ``block_size``, ``n_threads``, ``lv_times`` and ``lv_spots`` must be
+    integers; numpy integers pass and bools do not.
     """
 
     n_paths: int = 100_000
@@ -85,6 +87,12 @@ class SimulationConfig:
     forced_state: tuple[float, int] | None = None
 
     def __post_init__(self):
+        for name in ("n_paths", "block_size", "n_threads", "lv_times", "lv_spots"):
+            value = getattr(self, name)
+            if value is None and name == "n_threads":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise EngineError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1 or self.block_size < 1:
             raise EngineError("n_paths and block_size must be positive")
         if self.n_threads is not None and self.n_threads < 1:

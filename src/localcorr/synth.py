@@ -154,10 +154,6 @@ class SyntheticRecipe:
 # building blocks
 
 
-def _flat_curve(rate: float) -> RateCurve:
-    return RateCurve.flat(rate)
-
-
 def _grid_surface(vol_fn, forward_curve, maturities, moneyness) -> VolSurface:
     """Sample ``vol_fn(T, x)`` on forward-moneyness strike rows."""
     mats = np.asarray(maturities, dtype=float)
@@ -225,7 +221,7 @@ def _provisional(recipe: SyntheticRecipe, discount, quotes, weights) -> MarketSn
     index = AssetQuote(
         asset_id=recipe.index_id,
         spot=index_spot,
-        dividend_curve=_flat_curve(0.0),
+        dividend_curve=RateCurve.flat(0.0),
         vol_surface=VolSurface(maturities=mats, strikes=strikes, vols=vols),
     )
     return MarketSnapshot(
@@ -302,11 +298,11 @@ def build_snapshot(recipe: SyntheticRecipe) -> MarketSnapshot:
     against the dispersion band along homothetic spot rays, and a recipe
     whose index market escapes the band is rejected.
     """
-    discount = _flat_curve(recipe.rate)
+    discount = RateCurve.flat(recipe.rate)
     weights = recipe.resolved_weights()
     quotes = []
     for a in recipe.assets:
-        div = _flat_curve(a.dividend)
+        div = RateCurve.flat(a.dividend)
         fc = ForwardCurve(a.spot, discount, div)
         surface = _grid_surface(a.vols, fc, recipe.maturities, recipe.moneyness)
         quotes.append(AssetQuote(a.asset_id, a.spot, div, surface))

@@ -1,5 +1,7 @@
 """Copula basket pricing tests against conditioning and Black oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,7 +149,7 @@ def test_basket_call_increases_with_correlation():
     assert prices[2] - prices[0] > 3.0 * err
 
 
-def test_sobol_beats_pseudo():
+def test_sobol_price_matches_quadrature():
     snap = _pair_snapshot()
     fwd = 0.5 * 100.0 * np.exp(0.02) + 0.5 * 120.0 * np.exp(0.02)
     df = np.exp(-0.02)
@@ -159,13 +161,7 @@ def test_sobol_beats_pseudo():
     quasi = copula_basket_call(
         snap, CopulaSpec(correlation=corr, n_samples=1 << 16, seed=11), EXPIRY, [fwd]
     )
-    pseudo = copula_basket_call(
-        snap,
-        CopulaSpec(correlation=corr, n_samples=1 << 16, seed=11, sampler="pseudo"),
-        EXPIRY, [fwd],
-    )
-    assert quasi.stderrs[0] < pseudo.stderrs[0]
-    assert abs(pseudo.prices[0] - want) < 5.0 * pseudo.stderrs[0]
+    assert abs(quasi.prices[0] - want) < 5.0 * quasi.stderrs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +259,15 @@ def test_skew_comparison_steepened_market():
 def test_spec_validation():
     with pytest.raises(PricingError):
         CopulaSpec(n_samples=500)
-    with pytest.raises(PricingError):
-        CopulaSpec(sampler="quasi")
+    # scrambled Sobol is the one sampler
+    assert [f.name for f in dataclasses.fields(CopulaSpec)] == ["correlation", "n_samples", "seed"]
+    with pytest.raises(TypeError):
+        CopulaSpec(sampler="pseudo")
     with pytest.raises(CorrelationError):
         CopulaSpec(correlation=np.array([[1.0, 0.9], [0.9, 0.5]]))
     spec = CopulaSpec(n_samples=1000)
     assert spec.partition_size == 64  # next power of 2 above 63
     assert spec.total_samples == 1024
-    pseudo = CopulaSpec(n_samples=1000, sampler="pseudo")
-    assert pseudo.partition_size == 63
-    assert pseudo.total_samples == 1008
 
 
 def test_pricing_validation():
@@ -356,14 +351,12 @@ def _smiled_basket(n, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 4), rho=st.floats(0.0, 0.95), sampler=st.sampled_from(["sobol", "pseudo"]),
-       seed=st.integers(0, 2**31 - 1), n_samples=st.sampled_from([1000, 3000]),
+@given(n=st.integers(1, 4), rho=st.floats(0.0, 0.95), seed=st.integers(0, 2**31 - 1),
+       n_samples=st.sampled_from([1000, 3000]),
        expiries=st.lists(st.sampled_from([0.25, 1.0, 2.0, 2.7]), min_size=2, max_size=3))
-def test_basket_prices_are_the_per_partition_draw_bit_for_bit(n, rho, sampler, seed, n_samples,
-                                                              expiries):
+def test_basket_prices_are_the_per_partition_draw_bit_for_bit(n, rho, seed, n_samples, expiries):
     snap = _smiled_basket(n, seed)
-    spec = CopulaSpec(correlation=flat_correlation(n, rho), n_samples=n_samples,
-                      sampler=sampler, seed=seed)
+    spec = CopulaSpec(correlation=flat_correlation(n, rho), n_samples=n_samples, seed=seed)
     cube = _normal_cube(spec, n)
     chol = cholesky_lower(spec.correlation)
     for expiry in expiries:  # one spec across maturities, as the synthetic generator prices
@@ -375,10 +368,10 @@ def test_basket_prices_are_the_per_partition_draw_bit_for_bit(n, rho, sampler, s
         assert got.counters == {"clamped": clamped}
 
 
-@pytest.mark.parametrize("sampler", ["sobol", "pseudo"])
+@pytest.mark.parametrize("sampler", ["sobol"])
 def test_fit_flat_correlation_is_the_per_partition_draw_bit_for_bit(sampler):
     snap = _pair_snapshot()
-    spec = CopulaSpec(n_samples=2000, sampler=sampler, seed=5)
+    spec = CopulaSpec(n_samples=2000, seed=5)
     cube = _normal_cube(spec, 2)
     index_cs = snap.call_surface("IDX")
     strike = index_cs.forward(EXPIRY)
@@ -417,11 +410,10 @@ def _per_element_baskets(u, tables, weights):
     return baskets, clamped
 
 
-@pytest.mark.parametrize("sampler", ["sobol", "pseudo"])
+@pytest.mark.parametrize("sampler", ["sobol"])
 def test_copula_baskets_are_per_element_inversions(monkeypatch, sampler):
     snap = _smiled_basket(3, 7)
-    spec = CopulaSpec(correlation=flat_correlation(3, 0.6), n_samples=1000, sampler=sampler,
-                      seed=3)
+    spec = CopulaSpec(correlation=flat_correlation(3, 0.6), n_samples=1000, seed=3)
     seen = []
     priced = copula._prices_from_baskets
 

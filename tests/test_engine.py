@@ -9,6 +9,7 @@ import pytest
 
 from localcorr.copula import flat_correlation
 from localcorr.corrfam import CorrelationFamily
+from localcorr.dupire import _blend_rows
 from localcorr.errors import BoundViolationError, EngineError, PricingError, SnapshotError
 from localcorr.lcm import engine
 from localcorr.lcm.engine import (
@@ -612,6 +613,14 @@ def test_thread_resolution(monkeypatch):
             SimulationConfig(n_threads=bad)
 
 
+@pytest.mark.parametrize("field", ["n_paths", "block_size", "n_threads", "lv_times", "lv_spots"])
+@pytest.mark.parametrize("value", [True, 2.5, 300.0, np.float64(4.0), "8"])
+def test_counts_must_be_integers(field, value):
+    with pytest.raises(EngineError, match=f"{field} must be an integer"):
+        SimulationConfig(**{field: value})
+    assert getattr(SimulationConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_calibration_validation():
     cfg = SimulationConfig(n_paths=500, steps_per_year=5, seed=2)
     snap = flat_snapshot([("AAA", 100.0, 0.2), ("BBB", 120.0, 0.25)], [0.5, 0.5], 0.198)
@@ -652,7 +661,7 @@ def test_local_vol_row_is_np_interp_bit_for_bit():
         got = market.local_vol_row(t, x)
         assert np.array_equal(market.local_vol_row(t, ln_spots), got[:, :5])
         for c, lv in enumerate(surfaces):
-            want = np.interp(x[:, c], lv.log_spots, lv.time_slice(t))
+            want = np.interp(x[:, c], lv.log_spots, _blend_rows(lv.times, lv.values, t))
             assert np.array_equal(got[:, c].view(np.int64), want.view(np.int64))
 
 

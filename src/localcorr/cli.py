@@ -22,6 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._inputs import is_number_rows, read_json
 from .copula import CopulaSpec, flat_correlation, skew_comparison
 from .corrfam import CorrelationFamily
 from .dupire import calibrate_local_vol
@@ -83,15 +84,6 @@ def _write_manifest(out_dir, command, params, seed, input_path, started):
         handle.write("\n")
 
 
-def _read_json(path):
-    """The JSON value in ``path``; malformed JSON raises a ``RecipeError`` naming the file."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise RecipeError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -111,17 +103,16 @@ def _parse_center(center: str, n: int) -> np.ndarray:
             raise RecipeError(f"bad flat correlation in --center {center!r}") from None
         return flat_correlation(n, rho)
     try:
-        raw = _read_json(center)
+        raw = read_json(center, RecipeError)
     except OSError as exc:
         raise RecipeError(f"cannot read correlation file {center!r}: {exc}") from exc
     mat = raw.get("matrix", raw) if isinstance(raw, dict) else raw
-    try:
-        arr = np.asarray(mat, dtype=float)
-    except (TypeError, ValueError):
-        raise RecipeError(f"correlation file {center!r} holds non-numeric entries") from None
-    if arr.shape != (n, n):
-        raise RecipeError(f"correlation file has shape {arr.shape}, expected ({n}, {n})")
-    return arr
+    if not is_number_rows(mat):
+        raise RecipeError(f"correlation file {center!r} holds non-numeric entries, "
+                          "expected a list of number lists")
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise RecipeError(f"correlation file {center!r} has the wrong shape, expected ({n}, {n})")
+    return np.asarray(mat, dtype=float)
 
 
 def _parse_strikes(raw: str) -> list:
@@ -207,7 +198,7 @@ def _command(name: str):
 @_command("synth")
 def synth(state: CliState, path):
     """Generate a synthetic market snapshot from a recipe file."""
-    raw = _read_json(path)
+    raw = read_json(path, RecipeError)
     recipe = recipe_from_dict(raw)
     snapshot = build_snapshot(recipe)
     out = state.output_dir / "snapshot.json"

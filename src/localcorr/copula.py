@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
+from ._inputs import is_integer
 from .corrfam import cholesky_lower, repair_psd, validate_correlation
 from .dupire import InverseCdfTable, inverse_cdf
 from .errors import CorrelationError, PricingError
@@ -49,6 +50,7 @@ class CopulaSpec:
     """Correlation and sampling configuration for copula basket pricing.
 
     ``correlation`` may stay None for operations that fit or sweep it.
+    ``n_samples`` and ``seed`` must be integers; numpy integers pass.
     """
 
     correlation: np.ndarray | None = None
@@ -56,6 +58,10 @@ class CopulaSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise PricingError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < MIN_SAMPLES:
             raise PricingError(f"need at least {MIN_SAMPLES} samples")
         if self.correlation is not None:

@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .._inputs import is_integer
 from ..corrfam import CorrelationFamily
 from ..dupire import LocalVolGather, LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
@@ -71,9 +72,8 @@ class SimulationConfig:
     "clamp" pins the state at the cap ``state.U_MAX`` and counts it,
     "strict" aborts the run.  ``forced_state`` is a test hook fixing
     (u, kappa) for every step, bypassing the solver entirely; u lies in
-    the solver's range [0, ``state.U_MAX``].  The counts ``n_paths``,
-    ``block_size``, ``n_threads``, ``lv_times`` and ``lv_spots`` must be
-    integers; numpy integers pass and bools do not.
+    the solver's range [0, ``state.U_MAX``].  The counts and the seed
+    must be integers; numpy integers pass and bools and floats do not.
     """
 
     n_paths: int = 100_000
@@ -87,11 +87,10 @@ class SimulationConfig:
     forced_state: tuple[float, int] | None = None
 
     def __post_init__(self):
-        for name in ("n_paths", "block_size", "n_threads", "lv_times", "lv_spots"):
+        for name in ("n_paths", "steps_per_year", "seed", "block_size", "n_threads",
+                     "lv_times", "lv_spots"):
             value = getattr(self, name)
-            if value is None and name == "n_threads":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value) and not (value is None and name == "n_threads"):
                 raise EngineError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1 or self.block_size < 1:
             raise EngineError("n_paths and block_size must be positive")

@@ -2,7 +2,6 @@
 from .black import black_call, black_put, black_vega, implied_vol
 from .curves import BlendedYieldCurve, ForwardCurve, RateCurve
 from .snapshot import (
-    SNAPSHOT_SCHEMA,
     AssetQuote,
     IndexComposition,
     MarketSnapshot,
@@ -31,5 +30,4 @@ __all__ = [
     "save_snapshot",
     "snapshot_from_dict",
     "snapshot_to_dict",
-    "SNAPSHOT_SCHEMA",
 ]

@@ -13,8 +13,13 @@ The snapshot file format is a single JSON object:
         ...
       ],
       "index": {"id": "IDX", "spot": 431.5, "vols": {...}},
-      "composition": [{"id": "A0", "weight": 0.25}, ...]
+      "composition": [{"id": "A0", "weight": 0.25}, ...],
+      "generator": {...}
     }
+
+Every key but ``generator`` is required.  Loading checks the JSON type of
+each field it reads, and the first missing or ill-typed one raises
+``SnapshotError`` naming its path, e.g. ``assets[0].spot``.
 
 The index dividend yield is never read from the file; it is derived from the
 constituent forwards so that the index forward equals the weighted sum of
@@ -25,13 +30,14 @@ weights are rescaled proportionally; a larger gap is an error.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
-from ..errors import SnapshotError, SurfaceError
+from .._inputs import NUMBER, OBJECT, TEXT, is_number_rows, is_numbers, read_field, read_json
+from ..errors import SnapshotError
 from .curves import BlendedYieldCurve, ForwardCurve, RateCurve
 from .surfaces import CallSurface, VolSurface
 
@@ -43,67 +49,7 @@ __all__ = [
     "save_snapshot",
     "snapshot_from_dict",
     "snapshot_to_dict",
-    "SNAPSHOT_SCHEMA",
 ]
-
-_CURVE_ROW = lambda key: {
-    "type": "object",
-    "required": ["t", key],
-    "properties": {"t": {"type": "number"}, key: {"type": "number"}},
-}
-
-_VOLS = {
-    "type": "object",
-    "required": ["maturities", "strikes", "values"],
-    "properties": {
-        "maturities": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "strikes": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-        "values": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-    },
-}
-
-SNAPSHOT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["as_of", "discount_curve", "assets", "index", "composition"],
-    "properties": {
-        "as_of": {"type": "string"},
-        "discount_curve": {"type": "array", "items": _CURVE_ROW("r"), "minItems": 1},
-        "assets": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id", "spot", "dividend_curve", "vols"],
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "spot": {"type": "number"},
-                    "dividend_curve": {"type": "array", "items": _CURVE_ROW("q"), "minItems": 1},
-                    "vols": _VOLS,
-                },
-            },
-        },
-        "index": {
-            "type": "object",
-            "required": ["id", "spot", "vols"],
-            "properties": {
-                "id": {"type": "string", "minLength": 1},
-                "spot": {"type": "number"},
-                "vols": _VOLS,
-            },
-        },
-        "composition": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id", "weight"],
-                "properties": {"id": {"type": "string"}, "weight": {"type": "number"}},
-            },
-        },
-        "generator": {"type": "object"},
-    },
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,73 +189,74 @@ class MarketSnapshot:
 # JSON round trip
 
 
-def _curve_from_rows(rows, key) -> RateCurve:
-    return RateCurve.from_pairs([(row["t"], row[key]) for row in rows])
+_get = functools.partial(read_field, error=SnapshotError)
+
+_ID = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_OBJECTS = (lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(e, dict) for e in v),
+            "a non-empty list of objects")
+_MATURITIES = (lambda v: is_numbers(v) and len(v) > 0, "a non-empty list of numbers")
+_ROWS = (is_number_rows, "a list of number lists")
 
 
-def _vols_from_dict(d) -> VolSurface:
-    mats = d["maturities"]
-    strikes = d["strikes"]
-    values = d["values"]
-    if len(strikes) != len(mats) or len(values) != len(mats):
-        raise SurfaceError("vols: strikes/values rows must match maturities")
-    return VolSurface(
-        maturities=np.asarray(mats, float),
-        strikes=tuple(np.asarray(r, float) for r in strikes),
-        vols=tuple(np.asarray(r, float) for r in values),
-    )
+def _entries(obj, path) -> list:
+    """``(path[i], entry)`` for each object of the non-empty list at ``path``."""
+    return [(f"{path}[{i}]", entry) for i, entry in enumerate(_get(obj, path, _OBJECTS))]
+
+
+def _read_curve(obj, path, key) -> list:
+    """The ``(t, key)`` pairs of the curve rows at ``path``."""
+    return [(_get(row, f"{p}.t", NUMBER), _get(row, f"{p}.{key}", NUMBER))
+            for p, row in _entries(obj, path)]
+
+
+def _read_vols(obj, path) -> tuple:
+    """The maturities, strike rows and vol rows of the surface at ``path``."""
+    vols = _get(obj, path, OBJECT)
+    return tuple(_get(vols, f"{path}.{key}", kind) for key, kind in
+                 (("maturities", _MATURITIES), ("strikes", _ROWS), ("values", _ROWS)))
 
 
 def snapshot_from_dict(raw: dict) -> MarketSnapshot:
+    """Read every field with its JSON type checked, then build the snapshot;
+    a well-typed but bad value fails in the object that holds it."""
+    if not isinstance(raw, dict):
+        raise SnapshotError(f"snapshot must be an object, got {type(raw).__name__}")
+    as_of = _get(raw, "as_of", TEXT)
+    discount = _read_curve(raw, "discount_curve", "r")
+    assets = [
+        (_get(entry, f"{p}.id", _ID), _get(entry, f"{p}.spot", NUMBER),
+         _read_curve(entry, f"{p}.dividend_curve", "q"), _read_vols(entry, f"{p}.vols"))
+        for p, entry in _entries(raw, "assets")
+    ]
+    idx = _get(raw, "index", OBJECT)
+    index_id, index_spot = _get(idx, "index.id", _ID), _get(idx, "index.spot", NUMBER)
+    index_vols = _read_vols(idx, "index.vols")
+    comp = [(_get(row, f"{p}.id", TEXT), _get(row, f"{p}.weight", NUMBER))
+            for p, row in _entries(raw, "composition")]
+    meta = _get(raw, "generator", OBJECT) if "generator" in raw else {}
     try:
-        jsonschema.validate(raw, SNAPSHOT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SnapshotError(f"snapshot schema violation: {exc.message}") from exc
-    try:
-        as_of = _dt.date.fromisoformat(raw["as_of"])
+        date = _dt.date.fromisoformat(as_of)
     except ValueError as exc:
-        raise SnapshotError(f"bad as_of date: {raw['as_of']!r}") from exc
-    discount = _curve_from_rows(raw["discount_curve"], "r")
-    assets = []
-    for entry in raw["assets"]:
-        assets.append(
-            AssetQuote(
-                asset_id=entry["id"],
-                spot=float(entry["spot"]),
-                dividend_curve=_curve_from_rows(entry["dividend_curve"], "q"),
-                vol_surface=_vols_from_dict(entry["vols"]),
-            )
-        )
-    idx = raw["index"]
-    index = AssetQuote(
-        asset_id=idx["id"],
-        spot=float(idx["spot"]),
-        dividend_curve=RateCurve.flat(0.0),  # placeholder; yield is derived
-        vol_surface=_vols_from_dict(idx["vols"]),
-    )
-    comp = IndexComposition(
-        ids=tuple(row["id"] for row in raw["composition"]),
-        weights=np.array([row["weight"] for row in raw["composition"]], float),
-    )
-    meta = dict(raw.get("generator", {}))
+        raise SnapshotError(f"bad as_of date: {as_of!r}") from exc
     return MarketSnapshot(
-        as_of=as_of,
-        discount_curve=discount,
-        assets=tuple(assets),
-        index=index,
-        composition=comp,
-        meta=meta,
+        as_of=date,
+        discount_curve=RateCurve.from_pairs(discount),
+        assets=tuple(
+            AssetQuote(asset_id, float(spot), RateCurve.from_pairs(dividends), VolSurface(*vols))
+            for asset_id, spot, dividends, vols in assets
+        ),
+        # the index dividend curve is a placeholder; its yield is derived
+        index=AssetQuote(index_id, float(index_spot), RateCurve.flat(0.0), VolSurface(*index_vols)),
+        composition=IndexComposition(
+            tuple(i for i, _ in comp), np.array([w for _, w in comp], float)
+        ),
+        meta=dict(meta),
     )
 
 
 def load_snapshot(path) -> MarketSnapshot:
     """Parse and validate a snapshot file."""
-    with open(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{path}: not valid JSON ({exc})") from exc
-    return snapshot_from_dict(raw)
+    return snapshot_from_dict(read_json(path, SnapshotError))
 
 
 def _curve_rows(curve: RateCurve, key):

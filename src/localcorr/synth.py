@@ -25,6 +25,7 @@ import datetime as _dt
 
 import numpy as np
 
+from ._inputs import INTEGER, NUMBER, NUMBERS, TEXT, is_number, is_number_rows, is_numbers
 from .copula import CopulaSpec, copula_basket_call, flat_correlation
 from .corrfam import CorrelationFamily, validate_correlation
 from .errors import PricingError, RecipeError
@@ -362,24 +363,15 @@ def recipe_to_dict(recipe: SyntheticRecipe) -> dict:
     return out
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
-
-
 #: JSON type test and description for each declared recipe field type;
 #: ``object`` is the correlation, a flat level or a center matrix
 _JSON_TYPES = {
-    "float": (_is_number, "a number"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple": (_is_numbers, "a list of numbers"),
-    "tuple | None": (lambda v: v is None or _is_numbers(v), "a list of numbers or null"),
-    "object": (lambda v: _is_number(v) or isinstance(v, list) and all(map(_is_numbers, v)),
-               "a number or a list of number lists"),
+    "float": NUMBER,
+    "int": INTEGER,
+    "str": TEXT,
+    "tuple": NUMBERS,
+    "tuple | None": (lambda v: v is None or is_numbers(v), "a list of numbers or null"),
+    "object": (lambda v: is_number(v) or is_number_rows(v), "a number or a list of number lists"),
 }
 
 

@@ -444,8 +444,9 @@ def _set_asset(**fields):
     (_set_recipe(maturities="abc"), "'maturities'"),
     (_set_recipe(rate=True), "'rate'"),
     (_set_recipe(as_of=20240628), "'as_of'"),
+    (_set_asset(spot=10**400), "'spot'"),  # no float value
 ], ids=["spot-str", "vol-bool", "id-int", "seed-str", "samples-float", "corr-str",
-        "corr-vector", "maturities-str", "rate-bool", "as-of-int"])
+        "corr-vector", "maturities-str", "rate-bool", "as-of-int", "spot-huge"])
 def test_recipe_fields_of_the_wrong_json_type_fail(tmp_path, corrupt, named):
     raw = _recipe_dict()
     corrupt(raw)
@@ -455,14 +456,58 @@ def test_recipe_fields_of_the_wrong_json_type_fail(tmp_path, corrupt, named):
     assert named in _assert_single_error(res, tmp_path, "snapshot.json", "RecipeError")
 
 
+_DELETE = object()
+
+
+def _put(*keys, value):
+    """Set the snapshot field at ``keys``, or delete it for ``_DELETE``."""
+    def corrupt(raw):
+        *parents, last = keys
+        node = raw
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        return raw
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_put("index", value=_DELETE), "missing field index"),
+    (_put("assets", value=[]), "assets must be a non-empty list"),
+    (_put("assets", 0, "spot", value="100"), "assets[0].spot"),
+    (_put("assets", 0, "spot", value=True), "assets[0].spot"),
+    (_put("assets", 0, "spot", value=10**400), "assets[0].spot"),  # no float value
+    (_put("assets", 1, "id", value=""), "assets[1].id"),
+    (_put("assets", 0, "vols", "strikes", 1, 2, value="abc"), "assets[0].vols.strikes"),
+    (_put("composition", 1, value=0.5), "composition must be a non-empty list of objects"),
+    (lambda raw: [raw], "snapshot must be an object"),
+    (_put("generator", value="copula"), "generator must be an object"),
+], ids=["no-index", "no-assets", "spot-str", "spot-bool", "spot-huge", "id-empty",
+        "strike-str", "composition-number", "top-level-list", "generator-str"])
+def test_snapshot_fields_of_the_wrong_json_type_fail(snapshot_path, tmp_path, corrupt, named):
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(json.dumps(corrupt(json.loads(snapshot_path.read_text()))))
+    res = _run(["--input", str(bad), "--output-dir", str(tmp_path), "price",
+                "--maturity", "1.0", *_SMALL_RUN])
+    assert named in _assert_single_error(res, tmp_path, "price.json", "SnapshotError")
+
+
 @pytest.mark.parametrize("text, named", [
     ('{"assets": [{"asset_id": "AAA"', "not valid JSON"),  # truncated recipe
     ('{"matrix": [[1.0, 0.3], [0.3', "not valid JSON"),  # truncated center file
     ('"a"', "non-numeric"),
     ('[[1.0, "a"], ["a", 1.0]]', "non-numeric"),
     ('{"matrix": {"a": 1}}', "non-numeric"),
+    ('[["1", "0.3"], ["0.3", "1"]]', "non-numeric"),
+    ('[[true, 0.3], [0.3, true]]', "non-numeric"),
+    (f'[[1, 1{"0" * 400}], [0.3, 1]]', "non-numeric"),  # an integer with no float value
+    (f'[[1, 0.3], [0.3, 1{"0" * 5000}]]', "not valid JSON"),  # past Python's digit limit
 ], ids=["truncated-recipe", "truncated-center", "center-string", "center-strings",
-        "center-object"])
+        "center-object", "center-numeric-strings", "center-bools", "center-huge",
+        "center-too-many-digits"])
 def test_malformed_recipe_and_center_files_fail(snapshot_path, tmp_path, text, named):
     bad = tmp_path / "input.json"
     bad.write_text(text)

@@ -265,6 +265,11 @@ def test_spec_validation():
         CopulaSpec(sampler="pseudo")
     with pytest.raises(CorrelationError):
         CopulaSpec(correlation=np.array([[1.0, 0.9], [0.9, 0.5]]))
+    for name in ("n_samples", "seed"):
+        for bad in (True, 5000.5, 4096.0, np.float64(4096.0), "4096"):
+            with pytest.raises(PricingError, match=f"{name} must be an integer"):
+                CopulaSpec(**{name: bad})
+    assert CopulaSpec(n_samples=np.int64(4096), seed=np.int64(3)).seed == 3
     spec = CopulaSpec(n_samples=1000)
     assert spec.partition_size == 64  # next power of 2 above 63
     assert spec.total_samples == 1024

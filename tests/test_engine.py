@@ -613,7 +613,8 @@ def test_thread_resolution(monkeypatch):
             SimulationConfig(n_threads=bad)
 
 
-@pytest.mark.parametrize("field", ["n_paths", "block_size", "n_threads", "lv_times", "lv_spots"])
+@pytest.mark.parametrize("field", ["n_paths", "steps_per_year", "seed", "block_size", "n_threads",
+                                   "lv_times", "lv_spots"])
 @pytest.mark.parametrize("value", [True, 2.5, 300.0, np.float64(4.0), "8"])
 def test_counts_must_be_integers(field, value):
     with pytest.raises(EngineError, match=f"{field} must be an integer"):

@@ -2,8 +2,8 @@
 
 A number is a JSON integer or float, never a bool, a string or an integer
 too large for a float; ``NaN`` and ``Infinity`` pass here and fail in the
-domain objects.  Counts and seeds, in files and configs, are integers:
-numpy integers pass, bools and integral floats do not.
+domain objects.  Counts and seeds, in files and configs, are integers in
+the int64 range: numpy integers pass, bools and integral floats do not.
 """
 from __future__ import annotations
 
@@ -24,9 +24,15 @@ def read_json(path, error):
             raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_number(value) -> bool:
-    return isinstance(value, float) or (
-        is_integer(value) and abs(value) <= sys.float_info.max)
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def is_numbers(value) -> bool:
@@ -38,13 +44,14 @@ def is_number_rows(value) -> bool:
 
 
 def is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """A count or seed: an integer that a numpy int64 holds."""
+    return _is_int(value) and _INT64.min <= value <= _INT64.max
 
 
 #: ``(test, description)`` kinds for ``read_field``
 NUMBER = (is_number, "a number")
 NUMBERS = (is_numbers, "a list of numbers")
-INTEGER = (is_integer, "an integer")
+INTEGER = (is_integer, "an integer in the int64 range")
 TEXT = (lambda v: isinstance(v, str), "a string")
 OBJECT = (lambda v: isinstance(v, dict), "an object")
 

@@ -345,8 +345,7 @@ def diagnose(state: CliState, path, strikes, maturity, paths, steps_per_year, se
     cube = simulate(market, config)
     rows = []
     for m in moneyness:
-        kind = "put" if m <= 1.0 else "call"
-        rows.append((m, kind, average_correlation(cube, m, kind)))
+        rows.append((m, "put" if m <= 1.0 else "call", average_correlation(cube, m)))
     rows.append(("all", "none", average_correlation(cube)))
     out = state.output_dir / "diagnose.csv"
     _write_csv(out, ["strike", "conditioning", "average_correlation_pct"], rows)

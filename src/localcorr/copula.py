@@ -50,7 +50,8 @@ class CopulaSpec:
     """Correlation and sampling configuration for copula basket pricing.
 
     ``correlation`` may stay None for operations that fit or sweep it.
-    ``n_samples`` and ``seed`` must be integers; numpy integers pass.
+    ``n_samples`` and ``seed`` must be integers in the int64 range; numpy
+    integers pass.
     """
 
     correlation: np.ndarray | None = None
@@ -61,7 +62,7 @@ class CopulaSpec:
         for name in ("n_samples", "seed"):
             value = getattr(self, name)
             if not is_integer(value):
-                raise PricingError(f"{name} must be an integer, got {value!r}")
+                raise PricingError(f"{name} must be an integer in the int64 range, got {value!r}")
         if self.n_samples < MIN_SAMPLES:
             raise PricingError(f"need at least {MIN_SAMPLES} samples")
         if self.correlation is not None:
@@ -331,17 +332,12 @@ def skew_comparison(
 
     ``rho`` defaults to the level fitted to the at-the-money index
     price, so the comparison isolates the shape of the smile rather than
-    its level.  An explicit ``spec.correlation`` also suppresses the fit
-    when it is an equicorrelation matrix.
+    its level.  ``spec.correlation`` is not read: the copula always runs
+    at the flat level ``rho``.
     """
     n = snapshot.weights.size
     if rho is None:
-        if spec.correlation is not None:
-            off = spec.correlation[~np.eye(n, dtype=bool)]
-            if off.size and np.ptp(off) < 1e-12:
-                rho = float(off[0])
-        if rho is None:
-            rho = fit_flat_correlation(snapshot, spec, expiry)
+        rho = fit_flat_correlation(snapshot, spec, expiry)
     moneyness = np.atleast_1d(np.asarray(moneyness, dtype=float))
     index_cs = snapshot.call_surface(snapshot.index.asset_id)
     fwd = index_cs.forward(expiry)

@@ -73,7 +73,9 @@ class SimulationConfig:
     "strict" aborts the run.  ``forced_state`` is a test hook fixing
     (u, kappa) for every step, bypassing the solver entirely; u lies in
     the solver's range [0, ``state.U_MAX``].  The counts and the seed
-    must be integers; numpy integers pass and bools and floats do not.
+    must be integers in the int64 range; numpy integers pass and bools
+    and floats do not.  Local vol is tabulated on the default grid of
+    :func:`~localcorr.dupire.calibrate_local_vol`.
     """
 
     n_paths: int = 100_000
@@ -81,25 +83,20 @@ class SimulationConfig:
     seed: int = 0
     block_size: int = 4096
     n_threads: int | None = None
-    lv_times: int = 64
-    lv_spots: int = 161
     bounds_policy: str = "clamp"
     forced_state: tuple[float, int] | None = None
 
     def __post_init__(self):
-        for name in ("n_paths", "steps_per_year", "seed", "block_size", "n_threads",
-                     "lv_times", "lv_spots"):
+        for name in ("n_paths", "steps_per_year", "seed", "block_size", "n_threads"):
             value = getattr(self, name)
             if not is_integer(value) and not (value is None and name == "n_threads"):
-                raise EngineError(f"{name} must be an integer, got {value!r}")
+                raise EngineError(f"{name} must be an integer in the int64 range, got {value!r}")
         if self.n_paths < 1 or self.block_size < 1:
             raise EngineError("n_paths and block_size must be positive")
         if self.n_threads is not None and self.n_threads < 1:
             raise EngineError(f"n_threads must be at least 1, got {self.n_threads!r}")
         if self.steps_per_year < 1:
             raise EngineError("steps_per_year must be positive")
-        if self.lv_times < 1 or self.lv_spots < 1:
-            raise EngineError("lv_times and lv_spots must be positive")
         if self.bounds_policy not in ("clamp", "strict"):
             raise EngineError(f"unknown bounds policy {self.bounds_policy!r}")
         if self.forced_state is not None:
@@ -210,7 +207,12 @@ def calibrate_market(
     horizon: float,
     config: SimulationConfig | None = None,
 ) -> CalibratedMarket:
-    """Build local vol tables, the step grid and the forward increments."""
+    """Build local vol tables, the step grid and the forward increments.
+
+    Every constituent and the index is tabulated on the default grid of
+    :func:`~localcorr.dupire.calibrate_local_vol`; ``config`` sets only
+    the steps per year.
+    """
     config = config or SimulationConfig()
     if not 0.0 < horizon < np.inf:
         raise EngineError(f"horizon must be positive and finite, got {horizon!r}")
@@ -221,10 +223,7 @@ def calibrate_market(
     times = np.linspace(0.0, horizon, n_steps + 1)
     fwds = np.stack([snapshot.forward_curve(a).forward(times) for a in ids], axis=1)
     local_vols = [  # the constituents, then the index
-        calibrate_local_vol(
-            snapshot.call_surface(a), horizon,
-            n_times=config.lv_times, n_spots=config.lv_spots,
-        )
+        calibrate_local_vol(snapshot.call_surface(a), horizon)
         for a in (*ids, snapshot.index.asset_id)
     ]
     return CalibratedMarket(
@@ -552,31 +551,21 @@ def price_european(
 # diagnostics on simulated cubes
 
 
-def average_correlation(
-    cube: PathCube,
-    strike: float | None = None,
-    kind: str | None = None,
-) -> float:
+def average_correlation(cube: PathCube, strike: float | None = None) -> float:
     """Average pairwise correlation along the paths, in percent.
 
     Unconditional when ``strike`` is None.  With a strike (in terms of
     the initial basket level), paths are weighted by the indicator of
-    finishing in the money: a put below the money, a call above, unless
-    ``kind`` ("put" or "call") overrides that convention.
+    finishing in the money: below the strike for a strike at or below 1
+    (a put), above it otherwise (a call).
     """
     per_path = cube.path_mean_correlation
     if strike is None:
         return float(per_path.mean() * 100.0)
-    basket0 = float(cube.spots0 @ cube.weights)
+    level = strike * float(cube.spots0 @ cube.weights)
     terminal = cube.basket(-1)
-    if kind is None:
-        kind = "put" if strike <= 1.0 else "call"
-    if kind not in ("put", "call"):
-        raise PricingError(f"unknown conditioning kind {kind!r}")
-    level = strike * basket0
-    in_money = terminal < level if kind == "put" else terminal > level
-    count = int(np.count_nonzero(in_money))
-    if count == 0:
+    in_money = terminal < level if strike <= 1.0 else terminal > level
+    if not in_money.any():
         return float("nan")
     return float(per_path[in_money].mean() * 100.0)
 
@@ -592,26 +581,18 @@ def probe_bounds(market: CalibratedMarket) -> BoundsReport:
 
     Scales every constituent to m times its forward, for m from 0.5 to
     1.5 in steps of 0.05, at 20 evenly spaced dates up to the horizon,
-    and tests whether the index local variance target stays inside the
-    reachable covariance band.  A cheap preflight before long runs; the
-    per-step violation fraction in simulation diagnostics is the
-    authoritative in-sample measure.
+    and tests in one band check whether the index local variance target
+    stays inside the reachable covariance band.  A cheap preflight before
+    long runs; the per-step violation fraction in simulation diagnostics
+    is the authoritative in-sample measure.
     """
-    reports = []
     weights = market.weights
     dates = np.linspace(market.horizon / _PROBE_DATES, market.horizon, _PROBE_DATES)
     fwds = np.stack([market.snapshot.forward_curve(a).forward(dates) for a in market.asset_ids],
                     axis=1)
-    for t, fwd in zip(dates, fwds):
-        spots = _PROBE_MONEYNESS[:, None] * fwd[None, :]
-        query = np.column_stack([np.log(spots), np.log(spots @ weights)])
-        vols = market.local_vol_row(float(t), query)
-        terms = covariance_terms(spots, vols[:, :-1], weights, vols[:, -1], market.family)
-        reports.append(check_dispersion_bounds(terms))
-    return BoundsReport(
-        n_checked=sum(r.n_checked for r in reports),
-        n_low=sum(r.n_low for r in reports),
-        n_high=sum(r.n_high for r in reports),
-        worst_low=max(r.worst_low for r in reports),
-        worst_high=max(r.worst_high for r in reports),
-    )
+    spots = (_PROBE_MONEYNESS[None, :, None] * fwds[:, None, :]).reshape(-1, weights.size)
+    query = np.column_stack([np.log(spots), np.log(spots @ weights)])
+    vols = np.concatenate([market.local_vol_row(float(t), rows)
+                           for t, rows in zip(dates, np.split(query, _PROBE_DATES))])
+    terms = covariance_terms(spots, vols[:, :-1], weights, vols[:, -1], market.family)
+    return check_dispersion_bounds(terms)

@@ -333,8 +333,7 @@ def build_snapshot(recipe: SyntheticRecipe) -> MarketSnapshot:
 
     if recipe.generator == "copula-consistent":
         family = CorrelationFamily(center=recipe.center_matrix())
-        config = SimulationConfig(lv_times=48, lv_spots=121)
-        market = calibrate_market(snapshot, family, float(recipe.maturities[-1]), config)
+        market = calibrate_market(snapshot, family, float(recipe.maturities[-1]))
         report = probe_bounds(market)
         if not report.ok:
             raise RecipeError(

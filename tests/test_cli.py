@@ -66,6 +66,21 @@ def steep_snapshot_path(tmp_path_factory):
 # synth
 
 
+def test_json_log_lines(tmp_path):
+    """Under --log json every stderr line is one object with level, name and message."""
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(_recipe_dict(generator="steepened", steepen=0.06)))
+    res = _run(["--input", str(recipe), "--output-dir", str(tmp_path), "--log", "json", "synth"])
+    assert res.exit_code == 0, res.output
+    lines = res.stderr.splitlines()
+    assert lines
+    for line in lines:
+        record = json.loads(line)
+        assert set(record) == {"level", "name", "message"}
+    assert record == {"level": "info", "name": "localcorr",
+                      "message": f"wrote {tmp_path / 'snapshot.json'}"}
+
+
 def test_synth_outputs_and_manifest(snapshot_path):
     snap = load_snapshot(snapshot_path)
     assert snap.composition.ids == ("AAA", "BBB")
@@ -445,8 +460,13 @@ def _set_asset(**fields):
     (_set_recipe(rate=True), "'rate'"),
     (_set_recipe(as_of=20240628), "'as_of'"),
     (_set_asset(spot=10**400), "'spot'"),  # no float value
+    # counts past int64
+    (_set_recipe(n_samples=10**400), "'n_samples'"),
+    (_set_recipe(generator="lcm-ground-truth", generator_paths=10**400), "'generator_paths'"),
+    (_set_recipe(generator="lcm-ground-truth", generator_steps=10**400), "'generator_steps'"),
 ], ids=["spot-str", "vol-bool", "id-int", "seed-str", "samples-float", "corr-str",
-        "corr-vector", "maturities-str", "rate-bool", "as-of-int", "spot-huge"])
+        "corr-vector", "maturities-str", "rate-bool", "as-of-int", "spot-huge", "samples-huge",
+        "paths-huge", "steps-huge"])
 def test_recipe_fields_of_the_wrong_json_type_fail(tmp_path, corrupt, named):
     raw = _recipe_dict()
     corrupt(raw)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localcorr.corrfam import (
+    REPAIR_TOL,
     CorrelationFamily,
     cholesky_lower,
     repair_psd,
@@ -57,18 +58,15 @@ def test_repair_psd_identity_on_clean_input():
 
 
 def test_repair_psd_fixes_small_negative_eigenvalue():
-    # rank-one-ish matrix pushed just barely indefinite
-    base = np.array([[1.0, 0.999999, 0.999999],
-                     [0.999999, 1.0, 0.999999],
-                     [0.999999, 0.999999, 1.0]])
-    bumped = base - 2e-9 * np.eye(3)
-    bumped = bumped + np.diag(1.0 - np.diag(bumped))
-    jitter = base.copy()
-    jitter[0, 1] = jitter[1, 0] = 1.0 - 1e-12
-    fixed = repair_psd(jitter)
+    # three assets just past the equicorrelation floor -1/2: eigenvalue 1 + 2 rho = -2e-9
+    mat = np.full((3, 3), -0.5 - 1e-9)
+    np.fill_diagonal(mat, 1.0)
+    assert REPAIR_TOL < _min_eigenvalue(mat) < 0.0
+    fixed = repair_psd(mat)
+    assert np.array_equal(fixed, fixed.T)
+    assert np.array_equal(np.diag(fixed), np.ones(3))
     assert _min_eigenvalue(fixed) >= -1e-12
-    np.fill_diagonal(fixed, 1.0)
-    assert np.allclose(np.diag(fixed), 1.0)
+    assert np.max(np.abs(fixed - mat)) < 1e-7
 
 
 def test_repair_psd_rejects_strongly_indefinite():

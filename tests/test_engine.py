@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: calibration, simulation, pricing, diagnostics."""
 
 import dataclasses
+import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,7 +10,7 @@ import pytest
 
 from localcorr.copula import flat_correlation
 from localcorr.corrfam import CorrelationFamily
-from localcorr.dupire import _blend_rows
+from localcorr.dupire import _blend_rows, calibrate_local_vol
 from localcorr.errors import BoundViolationError, EngineError, PricingError, SnapshotError
 from localcorr.lcm import engine
 from localcorr.lcm.engine import (
@@ -22,7 +23,7 @@ from localcorr.lcm.engine import (
     probe_bounds,
     simulate,
 )
-from localcorr.lcm.state import U_MAX
+from localcorr.lcm.state import U_MAX, BoundsReport, check_dispersion_bounds, covariance_terms
 from localcorr.marketdata.snapshot import IndexComposition, MarketSnapshot
 
 from localcorr.marketdata.curves import RateCurve
@@ -359,11 +360,8 @@ def test_forced_state_pins_correlation():
     assert np.all(cube.path_mean_correlation == 0.5)
     assert average_correlation(cube) == 50.0
     assert average_correlation(cube, strike=0.9) == 50.0
-    assert average_correlation(cube, strike=0.9, kind="call") == 50.0
     # nothing finishes below 30 percent of the initial level in a year
     assert np.isnan(average_correlation(cube, strike=0.3))
-    with pytest.raises(PricingError):
-        average_correlation(cube, strike=0.9, kind="digital")
     # forced runs bypass the solver, and the diagnostics say so
     assert cube.diagnostics.n_solved == 0
     assert cube.diagnostics.mean_correlation == 0.0
@@ -394,7 +392,6 @@ def test_downside_states_raise_correlation():
     mid = average_correlation(cube)
     assert lo > hi + 2.0
     assert lo > mid - 0.5 and mid > hi - 0.5
-    assert lo == average_correlation(cube, strike=0.85, kind="put")
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +548,44 @@ def test_probe_bounds_clean_inside_band():
     assert report.worst_low == 0.0 and report.worst_high == 0.0
 
 
+def _probe_per_date(market):
+    """The bounds probe as one band check per date, summed and maxed by hand: the reference."""
+    dates = np.linspace(market.horizon / engine._PROBE_DATES, market.horizon,
+                        engine._PROBE_DATES)
+    reports = []
+    for t in dates:
+        fwd = np.array([market.snapshot.forward_curve(a).forward(t) for a in market.asset_ids])
+        spots = engine._PROBE_MONEYNESS[:, None] * fwd[None, :]
+        query = np.column_stack([np.log(spots), np.log(spots @ market.weights)])
+        vols = market.local_vol_row(float(t), query)
+        terms = covariance_terms(spots, vols[:, :-1], market.weights, vols[:, -1], market.family)
+        reports.append(check_dispersion_bounds(terms))
+    return BoundsReport(
+        n_checked=sum(r.n_checked for r in reports),
+        n_low=sum(r.n_low for r in reports),
+        n_high=sum(r.n_high for r in reports),
+        worst_low=max(r.worst_low for r in reports),
+        worst_high=max(r.worst_high for r in reports),
+    )
+
+
+@pytest.mark.parametrize("mode", [None, (1.0, 1.5, 2.0)])
+def test_probe_bounds_is_the_per_date_reduction(mode):
+    """One band check over every ray and date reports what the per-date checks add up to."""
+    center = np.array([[1.0, 0.4, 0.3], [0.4, 1.0, 0.5], [0.3, 0.5, 1.0]])
+    recipe = SyntheticRecipe(
+        assets=(AssetRecipe("AAA"), AssetRecipe("BBB", spot=80.0, base_vol=0.25),
+                AssetRecipe("CCC", spot=120.0)),
+        correlation=center.tolist(), weights=(0.5, 0.3, 0.2), generator="steepened",
+        n_samples=1 << 14,
+    )
+    family = CorrelationFamily(center=center, mode=None if mode is None else np.array(mode))
+    market = calibrate_market(build_snapshot(recipe), family, 2.5)
+    report = probe_bounds(market)
+    assert report.n_low > 0 and report.n_high > 0
+    assert report == _probe_per_date(market)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -585,10 +620,6 @@ def test_config_validation():
         SimulationConfig(steps_per_year=0)
     with pytest.raises(EngineError):
         SimulationConfig(bounds_policy="retry")
-    # local vol grids need at least one time and one spot
-    for grid in [{"lv_times": 0}, {"lv_times": -3}, {"lv_spots": 0}, {"lv_spots": -1}]:
-        with pytest.raises(EngineError, match="lv_times and lv_spots"):
-            SimulationConfig(**grid)
     # a forced state needs u in the solver's range [0, U_MAX] and a branch flag of 0 or 1
     for forced in [(np.nan, 1), (np.inf, 0), (-0.5, 1), (1.0, 2), (1.0, -1), (1.0,), "up",
                    (1e160, 1), (2 * U_MAX, 0)]:
@@ -613,10 +644,29 @@ def test_thread_resolution(monkeypatch):
             SimulationConfig(n_threads=bad)
 
 
-@pytest.mark.parametrize("field", ["n_paths", "steps_per_year", "seed", "block_size", "n_threads",
-                                   "lv_times", "lv_spots"])
-@pytest.mark.parametrize("value", [True, 2.5, 300.0, np.float64(4.0), "8"])
+_COUNTS = ["n_paths", "steps_per_year", "seed", "block_size", "n_threads"]
+#: every settable value of the engine; the local vol grid is not one of them
+_CONFIG_FIELDS = [*_COUNTS, "bounds_policy", "forced_state"]
+#: retired grid sizes, which the config must refuse whatever their value
+_RETIRED = ["lv_times", "lv_spots"]
+
+
+def test_settable_surface_is_pinned():
+    """A removed knob cannot come back unnoticed."""
+    assert [f.name for f in dataclasses.fields(SimulationConfig)] == _CONFIG_FIELDS
+    with pytest.raises(TypeError):
+        SimulationConfig(lv_times=64)
+    assert list(inspect.signature(average_correlation).parameters) == ["cube", "strike"]
+
+
+@pytest.mark.parametrize("field", [*_COUNTS, *_RETIRED])
+@pytest.mark.parametrize("value", [True, 2.5, 300.0, np.float64(4.0), "8",
+                                   pytest.param(10**400, id="10**400")])
 def test_counts_must_be_integers(field, value):
+    if field in _RETIRED:
+        with pytest.raises(TypeError):
+            SimulationConfig(**{field: value})
+        return
     with pytest.raises(EngineError, match=f"{field} must be an integer"):
         SimulationConfig(**{field: value})
     assert getattr(SimulationConfig(**{field: np.int64(3)}), field) == 3
@@ -666,11 +716,16 @@ def test_local_vol_row_is_np_interp_bit_for_bit():
             assert np.array_equal(got[:, c].view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("grid", [{"lv_spots": 1}, {"lv_times": 1}])
+@pytest.mark.parametrize("grid", [{"n_spots": 1}, {"n_times": 1}])
 def test_single_node_local_vol_grids_price(grid):
-    cfg1 = SimulationConfig(n_paths=2000, steps_per_year=20, seed=41, block_size=500, **grid)
+    """A hand-built market on one-node local vol grids prices through the gather's one-node rule."""
+    cfg1 = SimulationConfig(n_paths=2000, steps_per_year=20, seed=41, block_size=500)
     cfg2 = dataclasses.replace(cfg1, n_threads=2)
     market = _two_asset_market(cfg1)
+    surfaces = [calibrate_local_vol(market.snapshot.call_surface(a), market.horizon, **grid)
+                for a in (*market.asset_ids, market.snapshot.index.asset_id)]
+    assert all(1 in lv.values.shape for lv in surfaces)
+    market = dataclasses.replace(market, local_vols=surfaces[:-1], index_local_vol=surfaces[-1])
     payoffs = [PayoffSpec("index_call", 110.0), PayoffSpec("worst_of_put", 0.9)]
     res1, diag1 = price_european(market, payoffs, cfg1)
     res2, diag2 = price_european(market, payoffs, cfg2)

@@ -1,5 +1,7 @@
 """Synthetic market generator tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from localcorr.synth import (
     VOL_MIN,
     AssetRecipe,
     SyntheticRecipe,
+    _fill_gaps,
     build_snapshot,
     recipe_from_dict,
     recipe_to_dict,
@@ -97,6 +100,35 @@ def test_ground_truth_generator_matches_copula_at_the_money():
     for t in (0.5, 1.0):
         fwd = cs_c.forward(t)
         assert cs_g.implied_vol(t, fwd) == pytest.approx(cs_c.implied_vol(t, fwd), abs=4e-3)
+
+
+def test_weighted_matrix_recipe_builds_and_round_trips():
+    """Explicit weights and a center matrix reach the snapshot and survive JSON."""
+    center = [[1.0, 0.4, 0.3], [0.4, 1.0, 0.5], [0.3, 0.5, 1.0]]
+    recipe = SyntheticRecipe(
+        assets=(AssetRecipe("AAA"), AssetRecipe("BBB", spot=80.0, base_vol=0.25),
+                AssetRecipe("CCC", spot=120.0)),
+        correlation=center, weights=(0.5, 0.3, 0.2), generator="steepened",
+        maturities=(0.5, 1.0), n_samples=1 << 14,
+    )
+    snap = build_snapshot(recipe)
+    assert np.array_equal(snap.weights, [0.5, 0.3, 0.2])
+    assert snap.index.spot == pytest.approx(0.5 * 100.0 + 0.3 * 80.0 + 0.2 * 120.0)
+    raw = recipe_to_dict(recipe)
+    assert raw["correlation"] == center and raw["weights"] == [0.5, 0.3, 0.2]
+    assert recipe_to_dict(recipe_from_dict(json.loads(json.dumps(raw)))) == raw
+    assert snap.meta["recipe"] == raw
+
+
+def test_fill_gaps_interpolates_inside_and_holds_the_ends():
+    vals = np.array([np.nan, 0.2, np.nan, 0.3, np.inf, np.nan])
+    filled = _fill_gaps(vals, "T=1")
+    assert np.array_equal(filled, [0.2, 0.2, 0.25, 0.3, 0.3, 0.3])
+    assert np.isnan(vals[0])  # the input is left as it was
+    clean = np.array([0.2, 0.3])
+    assert _fill_gaps(clean, "T=1") is clean
+    with pytest.raises(RecipeError, match="T=2"):
+        _fill_gaps(np.full(4, np.nan), "T=2")
 
 
 def test_build_is_reproducible():

@@ -4,10 +4,13 @@ A number is a JSON integer or float, never a bool, a string or an integer
 too large for a float; ``NaN`` and ``Infinity`` pass here and fail in the
 domain objects.  Counts and seeds, in files and configs, are integers in
 the int64 range: numpy integers pass, bools and integral floats do not.
+A count whose float64 arrays have more bytes than numpy can describe fails
+before anything is allocated.
 """
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 import sys
 
@@ -46,6 +49,18 @@ def is_number_rows(value) -> bool:
 def is_integer(value) -> bool:
     """A count or seed: an integer that a numpy int64 holds."""
     return _is_int(value) and _INT64.min <= value <= _INT64.max
+
+
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def check_describable(shape, what: str, error) -> None:
+    """Raise ``error`` when a float64 array of ``shape`` has more bytes than
+    numpy's ``intp`` holds, which numpy refuses at once; ``what`` names the
+    count that asked for it, e.g. ``"n_samples = 4611686018427387904"``."""
+    if math.prod(shape) * 8 > _MAX_BYTES:
+        raise error(f"{what} needs a float64 array of shape {tuple(shape)}, "
+                    f"more than numpy can describe")
 
 
 #: ``(test, description)`` kinds for ``read_field``

@@ -151,7 +151,7 @@ def _fail(exc: Exception):
               help="Directory receiving all output artifacts.")
 @click.option("--seed", type=int, default=0, help="Base random seed.")
 @click.option("--threads", type=int, default=None,
-              help="Worker threads; overrides the LOCALCORR_THREADS environment variable.")
+              help="Worker processes; overrides the LOCALCORR_THREADS environment variable.")
 @click.option("--log", "log_format", type=click.Choice(["text", "json"]), default="text",
               help="Log line format on stderr.")
 @click.pass_context

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
-from ._inputs import is_integer
+from ._inputs import check_describable, is_integer
 from .corrfam import cholesky_lower, repair_psd, validate_correlation
 from .dupire import InverseCdfTable, inverse_cdf
 from .errors import CorrelationError, PricingError
@@ -132,7 +132,9 @@ def _basket_forward(snapshot: MarketSnapshot, expiry: float) -> float:
 def _normal_cube(spec: CopulaSpec, dim: int) -> np.ndarray:
     """Independent standard normals, shaped (partitions, block, dim)."""
     m = int(np.log2(spec.partition_size))
-    cube = np.empty((_PARTITIONS, spec.partition_size, dim))
+    shape = (_PARTITIONS, spec.partition_size, dim)
+    check_describable(shape, f"n_samples = {spec.n_samples}", PricingError)
+    cube = np.empty(shape)
     for p in range(_PARTITIONS):
         eng = qmc.Sobol(d=dim, scramble=True, seed=sobol_seed(spec.seed, p))
         cube[p] = ndtri(np.clip(eng.random_base2(m), _UNIFORM_EPS, 1.0 - _UNIFORM_EPS))

@@ -213,7 +213,7 @@ class CorrelationFamily:
             self.mode = np.asarray(self.mode, dtype=float)
             if self.mode.shape != (n,) or np.any(self.mode <= 0.0):
                 raise CorrelationError("mode vector must be positive, one entry per asset")
-        # built once and only read afterwards, so worker threads share them safely
+        # built once and only read afterwards, so every block reads the same factors
         self._chol_center = cholesky_lower(self.center)
         #: True when every mode entry is one; enables closed-form inversion
         self.flat_mode = bool(np.all(self.mode == 1.0))

@@ -12,7 +12,7 @@ violations, both of which are surfaced in diagnostics.
 Paths run in fixed-size blocks, each with its own counter-based random
 substream, and block results are reduced in block order.  Prices are
 therefore bit-identical for a given seed no matter how many worker
-threads execute the blocks.
+processes execute the blocks (see ``_map_blocks``).
 
 A block's per-step path arrays (log spots, increments, normals) have
 shape (paths, assets) but are column-major, so each asset's paths are
@@ -24,19 +24,25 @@ layout.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
-from .._inputs import is_integer
+from .._inputs import check_describable, is_integer
 from ..corrfam import CorrelationFamily
 from ..dupire import LocalVolGather, LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
 from ..marketdata.snapshot import MarketSnapshot
 from ..rng import substream
 from .state import U_MAX, BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
+
+#: context of the block workers; None where the platform cannot fork, and
+#: the blocks then run in-process
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 __all__ = [
     "SimulationConfig",
@@ -70,7 +76,9 @@ class SimulationConfig:
 
     ``bounds_policy`` decides what a dispersion bound violation does:
     "clamp" pins the state at the cap ``state.U_MAX`` and counts it,
-    "strict" aborts the run.  ``forced_state`` is a test hook fixing
+    "strict" aborts the run.  ``n_threads`` counts the worker processes
+    that run the path blocks (unset: ``LOCALCORR_THREADS``, else 1);
+    results do not depend on it.  ``forced_state`` is a test hook fixing
     (u, kappa) for every step, bypassing the solver entirely; u lies in
     the solver's range [0, ``state.U_MAX``].  The counts and the seed
     must be integers in the int64 range; numpy integers pass and bools
@@ -220,6 +228,8 @@ def calibrate_market(
     if family.n_assets != len(ids):
         raise EngineError(f"family has {family.n_assets} assets, composition has {len(ids)}")
     n_steps = max(1, int(np.ceil(config.steps_per_year * horizon)))
+    check_describable((n_steps + 1, len(ids)),
+                      f"steps_per_year = {config.steps_per_year} at horizon {horizon!r}", EngineError)
     times = np.linspace(0.0, horizon, n_steps + 1)
     fwds = np.stack([snapshot.forward_curve(a).forward(times) for a in ids], axis=1)
     local_vols = [  # the constituents, then the index
@@ -360,26 +370,73 @@ def _run_block(
     return (spot_rec, state_rec, moff_sum), sums
 
 
-def _block_plan(config: SimulationConfig) -> list[int]:
-    n_blocks = -(-config.n_paths // config.block_size)
-    sizes = [config.block_size] * n_blocks
-    sizes[-1] = config.n_paths - config.block_size * (n_blocks - 1)
-    return sizes
+def _serve(worker, conn) -> None:
+    """Worker process loop: run each block index received and send back its outcome."""
+    for b in iter(conn.recv, None):
+        try:
+            outcome = True, worker(b)
+        except Exception as exc:
+            outcome = False, exc
+        conn.send(outcome)
 
 
 def _map_blocks(worker, n_blocks: int, threads: int):
-    """``worker(b)`` for every block, in block order.
+    """``worker(b)`` for every block, in block order, on ``min(threads, n_blocks)`` processes.
 
-    When a block raises, the blocks not yet started are cancelled before
-    the error propagates, so a failing run stops after those in flight.
+    The workers are forked, so ``worker`` reaches them without pickling:
+    only block indices go out and block results come back.  The parent
+    hands out one block at a time.  When a block raises, no other block
+    is handed out, the workers still running are killed and the error
+    re-raises here; a worker that dies raises ``EngineError`` naming its
+    block.  Every worker is joined before this returns.  One worker, one
+    block, a daemonic caller (which may not start processes) or a
+    platform without ``fork`` run the blocks in-process.
     """
-    if threads == 1:
+    n_workers = min(threads, n_blocks)
+    if n_workers == 1 or _FORK is None or _FORK.current_process().daemon:
         return [worker(b) for b in range(n_blocks)]
-    pool = ThreadPoolExecutor(max_workers=threads)
+    results = [None] * n_blocks
+    pending = iter(range(n_blocks))
+    workers, busy = [], {}  # busy: parent pipe end -> (process, block)
+
+    def hand_out(proc, conn):
+        b = next(pending, None)
+        if b is not None:
+            busy[conn] = proc, b
+            conn.send(b)
+
     try:
-        return [f.result() for f in [pool.submit(worker, b) for b in range(n_blocks)]]
+        for _ in range(n_workers):
+            conn, child_conn = _FORK.Pipe()
+            proc = _FORK.Process(target=_serve, args=(worker, child_conn), daemon=True)
+            proc.start()
+            workers.append((proc, conn))
+            child_conn.close()  # so the parent reads EOF once the worker is gone
+            hand_out(proc, conn)
+        while busy:
+            for conn in wait(list(busy)):
+                proc, b = busy.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise EngineError(f"the worker process running block {b} died "
+                                      f"(exit code {proc.exitcode})") from None
+                if not ok:
+                    raise value
+                results[b] = value
+                hand_out(proc, conn)
+        for _, conn in workers:
+            conn.send(None)
+        return results
+    except BaseException:
+        for proc, _ in workers:
+            proc.kill()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for proc, conn in workers:
+            proc.join()
+            conn.close()
 
 
 def _run_blocks(market: CalibratedMarket, config: SimulationConfig, slice_steps: list[int],
@@ -389,13 +446,19 @@ def _run_blocks(market: CalibratedMarket, config: SimulationConfig, slice_steps:
     ``reduce`` runs in the worker, so a block's records are dropped once
     reduced.  The diagnostic sums add up in block order.
     """
-    sizes = _block_plan(config)
+    size = config.block_size
+    n = market.n_assets
+    # the widest of a block's buffers: local-vol query, normals, records
+    width = max(n + 1, market.family.n_normals, len(slice_steps) * n)
+    check_describable((min(size, config.n_paths), width), f"block_size = {size}", EngineError)
 
     def worker(b: int):
-        records, sums = _run_block(market, config, b, sizes[b], slice_steps)
+        n_block = min(size, config.n_paths - b * size)
+        records, sums = _run_block(market, config, b, n_block, slice_steps)
         return reduce(*records), sums
 
-    outcomes = _map_blocks(worker, len(sizes), config.resolve_threads())
+    n_blocks = -(-config.n_paths // size)
+    outcomes = _map_blocks(worker, n_blocks, config.resolve_threads())
     total = np.zeros_like(outcomes[0][1])
     for _, sums in outcomes:
         total += sums
@@ -454,6 +517,8 @@ def simulate(
     """
     config = config or SimulationConfig()
     slice_steps, snapped = _snap_slice_steps(market, dates if dates is not None else [market.horizon])
+    check_describable((config.n_paths, market.n_assets, len(slice_steps)),
+                      f"n_paths = {config.n_paths}", EngineError)
     results, diag = _run_blocks(market, config, slice_steps, lambda *records: records)
     values = np.concatenate([r[0] for r in results], axis=1)  # (dates, paths, assets)
     state = np.concatenate([r[1] for r in results], axis=1)
@@ -505,7 +570,7 @@ def price_european(
     df sqrt((Var(y) - beta Cov(x, y)) / N) (Glasserman, *Monte Carlo
     Methods in Financial Engineering*, 4.1).  Per-block sums of y, y^2,
     x, x^2 and xy are reduced in block order, so results do not depend
-    on the thread count.
+    on the worker count.
     """
     config = config or SimulationConfig()
     if not payoffs:

@@ -3,14 +3,17 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from localcorr.cli import main
-from localcorr.marketdata.snapshot import load_snapshot
+from localcorr.marketdata.snapshot import load_snapshot, save_snapshot
 from localcorr.synth import AssetRecipe, SyntheticRecipe, recipe_to_dict
+
+from helpers import flat_snapshot
 
 MONEYNESS = tuple(np.round(np.arange(0.7, 1.301, 0.05), 10))
 
@@ -173,6 +176,35 @@ def test_price_rejects_thread_counts_below_one(snapshot_path, tmp_path, threads)
     assert err["type"] == "EngineError"
     assert f"n_threads must be at least 1, got {threads}" in err["message"]
     assert not (tmp_path / "price.json").exists()
+
+
+def test_price_json_is_identical_across_worker_processes(snapshot_path, tmp_path):
+    """12,000 paths are three blocks, so 2 and 4 workers each run in worker processes."""
+    blobs = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"t{threads}"
+        res = _run(["--input", str(snapshot_path), "--output-dir", str(out), "--threads", threads,
+                    "price", "--payoff", "worst-of-put", "--maturity", "1.0", "--paths", "12000",
+                    "--steps-per-year", "10", "--strikes", "0.8,0.9"])
+        assert res.exit_code == 0, res.output
+        assert multiprocessing.active_children() == []
+        blobs.append((out / "price.json").read_bytes())
+    assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+    assert json.loads(blobs[0])["n_paths"] == 12000
+
+
+def test_strict_violation_in_a_worker_process_fails_through_the_error_contract(tmp_path):
+    """Index vol above the reachable band: the first step of every block violates."""
+    snap = flat_snapshot([("AAA", 100.0, 0.2), ("BBB", 100.0, 0.3)], [0.5, 0.5], 0.35)
+    path = tmp_path / "snapshot.json"
+    save_snapshot(snap, path)
+    out = tmp_path / "out"
+    res = _run(["--input", str(path), "--output-dir", str(out), "--threads", "2", "price",
+                "--maturity", "1.0", "--paths", "12000", "--steps-per-year", "10",
+                "--center", "flat:0.5", "--bounds-policy", "strict"])
+    message = _assert_single_error(res, out, "price.json", "BoundViolationError")
+    assert message == "4096 dispersion bound violations at t = 0.0000"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("maturity", ["0.0005", "0.001"])
@@ -474,6 +506,24 @@ def test_recipe_fields_of_the_wrong_json_type_fail(tmp_path, corrupt, named):
     recipe.write_text(json.dumps(raw))
     res = _run(["--input", str(recipe), "--output-dir", str(tmp_path), "synth"])
     assert named in _assert_single_error(res, tmp_path, "snapshot.json", "RecipeError")
+
+
+@pytest.mark.parametrize("corrupt, error, named", [
+    (_set_recipe(n_samples=2**62), "PricingError", f"n_samples = {2**62} needs"),
+    (_set_recipe(generator="lcm-ground-truth", generator_paths=2**62), "EngineError",
+     f"n_paths = {2**62} needs"),
+    (_set_recipe(generator="lcm-ground-truth", generator_steps=2**62), "EngineError",
+     f"steps_per_year = {2**62} at horizon 1.5 needs"),
+], ids=["samples", "paths", "steps"])
+def test_recipe_counts_numpy_cannot_describe_fail(tmp_path, corrupt, error, named):
+    """2**62 is refused by numpy at once; the run fails before allocating anything."""
+    raw = _recipe_dict()
+    corrupt(raw)
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(raw))
+    res = _run(["--input", str(recipe), "--output-dir", str(tmp_path), "synth"])
+    message = _assert_single_error(res, tmp_path, "snapshot.json", error)
+    assert named in message and "more than numpy can describe" in message
 
 
 _DELETE = object()

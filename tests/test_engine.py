@@ -2,8 +2,9 @@
 
 import dataclasses
 import inspect
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -420,6 +421,32 @@ def test_thread_count_does_not_change_results():
     assert np.array_equal(cube1.state, cube4.state)
 
 
+def test_simulate_across_worker_processes_keeps_every_bit():
+    """Three blocks and two recorded dates at 1 and 2 workers: the same cube bits."""
+    cfg = SimulationConfig(n_paths=10_000, steps_per_year=20, seed=19, n_threads=1)
+    market = _two_asset_market(cfg, index_vol=0.24)
+    cubes = []
+    for threads in (1, 2):
+        cubes.append(simulate(market, dataclasses.replace(cfg, n_threads=threads),
+                              dates=[0.5, 1.0]))
+        assert multiprocessing.active_children() == []
+    one, two = cubes
+    assert one.dates == two.dates == (0.5, 1.0)
+    for name in ("values", "state", "path_mean_correlation"):
+        a, b = getattr(one, name), getattr(two, name)
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert one.diagnostics == two.diagnostics
+    assert one.diagnostics.n_solved == 10_000 * 20
+
+
+def test_block_size_numpy_cannot_describe_fails_naming_it():
+    """A block of 2**62 paths is refused by numpy at once; nothing is allocated."""
+    market = _two_asset_market(SimulationConfig(steps_per_year=10))
+    huge = SimulationConfig(n_paths=2**62, block_size=2**62, steps_per_year=10)
+    with pytest.raises(EngineError, match=f"block_size = {2**62} needs .* more than numpy"):
+        price_european(market, [PayoffSpec("index_call", 100.0)], huge)
+
+
 def test_simulate_and_price_report_one_set_of_diagnostics():
     """Both entry points reduce the same blocks, at every thread count."""
     snap, fam = _skewed_index_snapshot(amp=0.06, width=0.3)
@@ -497,33 +524,71 @@ def test_strict_bounds_policy_aborts():
     assert not report.ok
 
 
-def test_failing_block_cancels_the_blocks_not_started(monkeypatch):
+def test_failing_block_cancels_the_blocks_not_started():
     """Block 0 raises; only the blocks already in flight may start after it."""
     n_blocks, threads = 64, 2
-    started, lock = [], threading.Lock()
-    released = threading.Event()
-
-    class HoldingPool(ThreadPoolExecutor):
-        """Holds running blocks until the pool has dropped what it will not run."""
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait=False, cancel_futures=cancel_futures)
-            released.set()
-            super().shutdown(wait=wait)
+    flags = multiprocessing.Array("b", n_blocks)  # shared with the forked workers
 
     def worker(b):
-        with lock:
-            started.append(b)
+        flags[b] = 1
         if b == 0:
             raise BoundViolationError("block 0")
-        assert released.wait(timeout=60.0)
+        time.sleep(60.0)  # stays in flight until the worker is stopped
         return b
 
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", HoldingPool)
     with pytest.raises(BoundViolationError, match="block 0"):
         engine._map_blocks(worker, n_blocks, threads)
-    # each worker thread can start one more block before block 0's error is read
+    started = [b for b in range(n_blocks) if flags[b]]
+    # each worker process can start one more block before block 0's error is read
     assert 0 in started and len(started) <= threads + 1
+    assert multiprocessing.active_children() == []
+
+
+def test_strict_violation_in_a_worker_reraises_with_its_message():
+    """Four blocks on two worker processes: the parent raises the worker's error."""
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, block_size=500,
+                           n_threads=2, bounds_policy="strict")
+    snap = flat_snapshot([("AAA", 100.0, 0.2), ("BBB", 100.0, 0.3)], [0.5, 0.5], 0.35)
+    market = calibrate_market(snap, CorrelationFamily(np.array([[1.0, 0.5], [0.5, 1.0]])),
+                              1.0, cfg)
+    with pytest.raises(BoundViolationError,
+                       match=r"^500 dispersion bound violations at t = 0\.0000$"):
+        price_european(market, [PayoffSpec("index_call", 100.0)], cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_raises_engine_error_naming_its_block(monkeypatch):
+    run_block = engine._run_block
+
+    def dying(market, config, b, *args):
+        if b == 1:
+            os._exit(3)
+        return run_block(market, config, b, *args)
+
+    monkeypatch.setattr(engine, "_run_block", dying)
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, block_size=500, n_threads=2)
+    market = _two_asset_market(cfg)
+    with pytest.raises(EngineError, match=r"block 1 died \(exit code 3\)"):
+        price_european(market, [PayoffSpec("index_call", 100.0)], cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_daemonic_caller_runs_the_blocks_in_process():
+    """A daemonic process may not start processes, so its blocks run in-process."""
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, block_size=500, n_threads=2)
+    market = _two_asset_market(cfg)
+    payoffs = [PayoffSpec("index_call", 100.0), PayoffSpec("worst_of_put", 0.9)]
+    want = price_european(market, payoffs, cfg)
+    ctx = multiprocessing.get_context("fork")
+    parent_end, child_end = ctx.Pipe()
+    caller = ctx.Process(target=lambda: child_end.send(price_european(market, payoffs, cfg)),
+                         daemon=True)
+    caller.start()
+    child_end.close()  # a caller that fails closes the pipe, and recv raises EOFError
+    assert parent_end.poll(60.0)
+    assert parent_end.recv() == want
+    caller.join()
+    assert multiprocessing.active_children() == []
 
 
 def test_low_side_bound_violation_is_counted():

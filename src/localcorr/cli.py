@@ -172,8 +172,9 @@ def _command(name: str):
     """Register ``body(state, path, **options) -> (params, seed)`` as command ``name``.
 
     The runner requires ``--input``, times the body and writes the
-    manifest from the returned config parameters and seed.  Domain and
-    I/O errors print one JSON error object to stderr and exit 1.
+    manifest from the returned config parameters and seed.  Domain, I/O
+    and out-of-memory errors print one JSON error object to stderr and
+    exit 1.
     """
 
     def register(body):
@@ -189,6 +190,8 @@ def _command(name: str):
                 _write_manifest(state.output_dir, name, params, seed, state.input_path, started)
             except (LocalCorrError, OSError) as exc:
                 _fail(exc)
+            except MemoryError as exc:  # numpy raises a private subclass
+                _fail(MemoryError(str(exc)))
 
         return run
 

@@ -25,6 +25,16 @@ linear in lambda.  ``state_u`` is the one conversion back to u, which
 quadratic form needs no matrix: a'Da is (sum a_i)^2 raising and
 sum a_i^2 lowering.
 
+Other modes usually take few distinct values.  The assets sharing one
+mode xi_g form a mode group, and every S(u) entry in it is the same
+s_g = 1 / sqrt(1 + xi_g^2 v) at v = u^2 = lambda / (1 - lambda).  So a
+row's a'R a is a form in the G group scales: ``group_forms`` collects the
+per-row group cross-forms A_gh = a_g' C_gh a_h and the group sums of a_i
+and a_i^2 once, and ``group_form_slope`` evaluates the form and its
+lambda slope from them by elementwise work on (rows,) arrays, reading v
+with no square root.  The state solve uses them while the G(G + 1)/2
+pairs number at most n (``grouped``), and ``quad_form_slope`` otherwise.
+
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
 normalisation is a congruence by a positive diagonal.
@@ -56,7 +66,9 @@ has covariance alpha^2 I + (2 alpha beta + n beta^2) 11' = R(u, kappa)
 In flat mode the mean pairwise correlation is linear in lambda too,
 between the center's mean off-diagonal entry and the branch limit's
 (1 raising, 0 lowering), from constants fixed per family, so it costs
-O(1) per path.
+O(1) per path.  Other modes read it off the group scales: with all-ones
+loadings the group cross-forms are the constants K_gh = 1_g' C_gh 1_h,
+so it costs one (rows, G) x (G, G) product per step.
 """
 from __future__ import annotations
 
@@ -185,7 +197,8 @@ class CorrelationFamily:
     The default is flat mode (unit mode vector), under which portfolio
     covariance along either branch is linear in lambda = u^2 / (1 + u^2)
     with a closed-form inverse; for non-flat modes the state solver runs
-    a safeguarded Newton iteration in lambda on ``quad_form_slope``.
+    a safeguarded Newton iteration in lambda, on ``group_form_slope``
+    when ``grouped`` and on ``quad_form_slope`` otherwise.
     The branch limits are fixed: ``up`` is the all-ones matrix and
     ``down`` the identity.  ``draw`` samples any member exactly from
     ``n_normals`` normals per row, through the Cholesky factor of the
@@ -228,6 +241,19 @@ class CorrelationFamily:
         # equicorrelation matrix, else None
         self._equi_rho = rho if self.flat_mode else None
         self._n_normals = n if n == 1 or self._equi_rho is not None else 2 * n
+        # mode groups: the distinct modes xi_g, the assets of each, the pairs
+        # g <= h, and the all-ones forms K_gh = 1_g' C_gh 1_h
+        self._group_xi, group = np.unique(self.mode, return_inverse=True)
+        member = (group[:, None] == np.arange(self._group_xi.size)).astype(float)
+        self._group_index = [np.flatnonzero(col) for col in member.T]
+        self._group_sizes = member.sum(axis=0)
+        self._group_ones = member.T @ self.center @ member
+        size = self._group_xi.size
+        self._group_pairs = [(g, h) for g in range(size) for h in range(g, size)]
+        #: True when the state solve's Newton runs on ``group_forms``: while
+        #: G(G + 1)/2 <= n, a pair loop over (rows,) arrays costs less than
+        #: ``quad_form_slope``'s (rows, n) x (n, n) product per iteration
+        self.grouped = len(self._group_pairs) <= n
 
     @property
     def n_normals(self) -> int:
@@ -302,13 +328,71 @@ class CorrelationFamily:
         b = a * scale
         return scale, b, b * self.mode[None, :]
 
+    def group_forms(self, a: np.ndarray) -> np.ndarray:
+        """Per-row mode-group forms of loadings ``a`` (p, n), stacked as (k, p).
+
+        Every S(u) entry in group g is the same s_g, so a'R a needs only
+        A_gh = a_g' C_gh a_h for each pair g <= h (doubled for g < h), then
+        alpha_g = sum_{i in g} a_i and beta_g = sum_{i in g} a_i^2, in
+        that order.  ``group_form_slope`` reads them.
+        """
+        parts = [a[:, index] for index in self._group_index]
+        forms = []
+        for g, h in self._group_pairs:
+            block = self.center[np.ix_(self._group_index[g], self._group_index[h])]
+            form = np.einsum("pi,pi->p", parts[g] @ block, parts[h])
+            forms.append(form if g == h else 2.0 * form)
+        forms += [_row_sum(part) for part in parts]
+        forms += [np.einsum("pi,pi->p", part, part) for part in parts]
+        return np.stack(forms)
+
+    def group_form_slope(self, forms: np.ndarray, v: np.ndarray, kappa: int):
+        """``quad_form_slope`` from ``group_forms`` columns at v = u^2, on one branch.
+
+        With s_g = 1 / sqrt(1 + xi_g^2 v) and q_g = xi_g^2 s_g^2 the form is
+
+            f = sum_{g<=h} s_g s_h A_gh + v L,
+            L = (sum_g xi_g s_g alpha_g)^2 raising, sum_g q_g beta_g lowering,
+
+        and since ds_g/dv = -q_g s_g / 2 and dv/dlambda = (1 + v)^2,
+
+            df/dlambda = [-sum_{g<=h} (q_g + q_h) s_g s_h A_gh / 2 + L + v dL/dv] (1 + v)^2
+
+        with dL/dv = -(sum xi s alpha)(sum xi s q alpha) raising and
+        -sum q^2 beta lowering.  Every term is elementwise on (p,) arrays.
+        """
+        size = self._group_xi.size
+        pairs, alpha, beta = forms[: -2 * size], forms[-2 * size : -size], forms[-size:]
+        xi = self._group_xi[:, None]
+        s = 1.0 / np.sqrt(1.0 + np.square(xi) * v)
+        q = np.square(xi * s)
+        center = np.zeros(v.size)
+        bend = np.zeros(v.size)
+        for (g, h), form in zip(self._group_pairs, pairs):
+            term = s[g] * s[h] * form
+            center += term
+            bend -= 0.5 * (q[g] + q[h]) * term
+        if kappa:
+            xs = xi * s * alpha
+            along = np.einsum("gp->p", xs)
+            limit, limit_slope = np.square(along), -along * np.einsum("gp,gp->p", xs, q)
+        else:
+            qb = q * beta
+            limit, limit_slope = np.einsum("gp->p", qb), -np.einsum("gp,gp->p", qb, q)
+        value = center + v * limit
+        return value, (bend + limit + v * limit_slope) * np.square(1.0 + v)
+
     def mean_correlation(self, lam: np.ndarray, kappa) -> np.ndarray:
         """Mean off-diagonal entry of each row's member at lambda = u^2 / (1 + u^2).
 
         In flat mode it is m_C + lambda (m_D - m_C) from the center's mean
         entry m_C, fixed at construction, and the branch limit's m_D, 1
-        raising and 0 lowering; other modes evaluate (1'R1 - n) / (n (n - 1))
-        by ``quad_form`` with all-ones loadings at ``state_u(lam)``.
+        raising and 0 lowering.  Other modes evaluate (1'R1 - n) / (n (n - 1))
+        from the mode groups at v = u^2 = lambda / (1 - lambda): with all-ones
+        loadings the group forms are the constants K_gh = 1_g' C_gh 1_h and the
+        group sizes n_g, so 1'R1 = s'K s + v L with L = (sum_g xi_g s_g n_g)^2
+        raising and sum_g xi_g^2 s_g^2 n_g lowering, from each row's (p, G)
+        scales s_g.
         """
         n = self.n_assets
         if n == 1:
@@ -316,7 +400,12 @@ class CorrelationFamily:
         if self.flat_mode:
             down, up = self._mean_steps
             return self._mean_center + lam * np.where(kappa > 0, up, down)
-        total = self.quad_form(np.ones((lam.size, n)), state_u(lam), kappa)
+        v = lam / (1.0 - lam)
+        s = 1.0 / np.sqrt(1.0 + np.square(self._group_xi)[None, :] * v[:, None])
+        xs = s * self._group_xi[None, :]
+        up = np.square(xs @ self._group_sizes)
+        down = np.square(xs) @ self._group_sizes
+        total = np.einsum("pg,pg->p", s @ self._group_ones, s) + v * np.where(kappa > 0, up, down)
         return (total - n) / (n * (n - 1))
 
     def draw(self, z: np.ndarray, lam: np.ndarray, kappa: np.ndarray,

@@ -526,6 +526,25 @@ def test_recipe_counts_numpy_cannot_describe_fail(tmp_path, corrupt, error, name
     assert named in message and "more than numpy can describe" in message
 
 
+def test_an_allocation_the_machine_cannot_hold_fails_through_the_error_contract(
+        tmp_path, monkeypatch):
+    """A count numpy can describe but memory cannot hold raises numpy's private
+    MemoryError subclass; the run reports it as MemoryError and writes nothing."""
+
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def build_snapshot(recipe):
+        raise _ArrayMemoryError("Unable to allocate 1.00 EiB for an array")
+
+    monkeypatch.setattr("localcorr.cli.build_snapshot", build_snapshot)
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(_recipe_dict()))
+    res = _run(["--input", str(recipe), "--output-dir", str(tmp_path), "synth"])
+    message = _assert_single_error(res, tmp_path, "snapshot.json", "MemoryError")
+    assert message == "Unable to allocate 1.00 EiB for an array"
+
+
 _DELETE = object()
 
 

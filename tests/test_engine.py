@@ -471,6 +471,30 @@ def test_simulate_and_price_report_one_set_of_diagnostics():
         assert 0.0 < value < 1.0
 
 
+def test_mode_group_solve_keeps_every_bit_across_workers():
+    """A family whose two mode groups send Newton through the group forms prices and
+    simulates bit for bit alike at 1, 2 and 4 workers."""
+    snap, fam = _skewed_index_snapshot(amp=0.06, width=0.3)
+    fam = CorrelationFamily(fam.center, mode=np.array([1.0, 1.5, 1.5]))
+    assert fam.grouped
+    cfg = SimulationConfig(n_paths=1500, steps_per_year=20, seed=3, block_size=500)
+    market = calibrate_market(snap, fam, 1.0, cfg)
+    book = [PayoffSpec("index_call", 100.0), PayoffSpec("worst_of_put", 0.9)]
+    runs = []
+    for threads in (1, 2, 4):
+        run = dataclasses.replace(cfg, n_threads=threads)
+        res, diag = price_european(market, book, run)
+        cube = simulate(market, run)
+        runs.append(([(r.price, r.stderr) for r in res], diag, cube))
+    prices, diag, cube = runs[0]
+    assert 0.0 < diag.violation_fraction < 1.0
+    for other_prices, other_diag, other_cube in runs[1:]:
+        assert other_prices == prices and other_diag == diag
+        assert np.array_equal(other_cube.values, cube.values)
+        assert np.array_equal(other_cube.state, cube.state)
+        assert np.array_equal(other_cube.path_mean_correlation, cube.path_mean_correlation)
+
+
 def test_partial_last_block():
     cfg = SimulationConfig(n_paths=1000, steps_per_year=10, seed=21, block_size=300)
     market = _two_asset_market(cfg)

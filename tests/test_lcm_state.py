@@ -184,11 +184,40 @@ def test_non_flat_mode_roots_reprice(rng):
     assert np.max(rel) < 1e-8
 
 
-def _random_family(gen, n, flat):
-    return CorrelationFamily(
-        center=random_correlation(gen, n),
-        mode=None if flat else gen.uniform(0.2, 5.0, size=n),
+def test_grouped_families_solve_on_the_group_forms(rng, monkeypatch):
+    """Two mode groups of four assets make 3 <= 4 pairs, so Newton never calls
+    quad_form_slope, and every row reprices to 1e-12."""
+    fam = CorrelationFamily(
+        center=random_correlation(rng, 4), mode=np.array([0.5, 2.0, 0.5, 2.0])
     )
+    assert fam.grouped
+    terms = _random_terms(rng, 800, fam)
+
+    def refuse(*args):
+        raise AssertionError("quad_form_slope called")
+
+    monkeypatch.setattr(CorrelationFamily, "quad_form_slope", refuse)
+    sol = solve_state(terms, fam)
+    assert sol.n_violations == 0
+    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+    assert np.max(np.abs(cov - terms.target) / terms.target) < 1e-12
+
+
+def _random_family(gen, n, flat, groups=None):
+    """A random center in flat mode, or with one mode per asset drawn from
+    uniform(0.2, 5): a value each for ``groups`` None, else from ``groups``
+    drawn values, so that assets share mode groups."""
+    center = random_correlation(gen, n)
+    if flat:
+        return CorrelationFamily(center=center)
+    if groups is None:
+        return CorrelationFamily(center=center, mode=gen.uniform(0.2, 5.0, size=n))
+    values = gen.uniform(0.2, 5.0, size=groups)
+    return CorrelationFamily(center=center, mode=values[gen.integers(0, groups, size=n)])
+
+
+#: mode groups of ``_random_family``: a mode per asset, one shared mode, or two
+_GROUPS = st.sampled_from((None, 1, 2))
 
 
 def _flat_family(n, frac):
@@ -222,17 +251,19 @@ def _random_loadings(gen, n_paths, n):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
     kappa=st.sampled_from((0, 1)),
+    groups=_GROUPS,
 )
-def test_non_flat_root_reprices_reachable_targets(seed, n, kappa):
+def test_non_flat_root_reprices_reachable_targets(seed, n, kappa, groups):
     """Targets f(u*) on a branch, u* in [0, 50], are solved to 1e-12 relative.
 
     A branch of a center with negative entries need not be monotone, so the
     root found may differ from u*.  A target is reachable when it selects
     the drawn branch and lies between the center and that branch's limit,
-    inside the band; then the branch's two ends bracket it.
+    inside the band; then the branch's two ends bracket it.  Shared modes
+    (``groups`` 1 or 2) send the solve through the mode-group forms.
     """
     gen = np.random.default_rng(seed)
-    fam = _random_family(gen, n, False)
+    fam = _random_family(gen, n, False, groups)
     spots, vols, weights = _random_loadings(gen, 32, n)
     u_star = gen.uniform(0.0, 50.0, size=32)
     target = fam.quad_form(spots * vols * weights[None, :], u_star, kappa)
@@ -254,8 +285,9 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, kappa):
     n=st.integers(1, 6),
     flat=st.booleans(),
     equi=_EQUI,
+    groups=_GROUPS,
 )
-def test_violation_flags_are_the_band_test(seed, n, flat, equi):
+def test_violation_flags_are_the_band_test(seed, n, flat, equi, groups):
     """solve_state flags exactly the band helper's targets, and the preflight counts them.
 
     ``equi`` other than False replaces the family by an equicorrelated one
@@ -263,7 +295,7 @@ def test_violation_flags_are_the_band_test(seed, n, flat, equi):
     is exactly when its u is ``U_MAX``, and no u exceeds it.
     """
     gen = np.random.default_rng(seed)
-    fam = _random_family(gen, n, flat)
+    fam = _random_family(gen, n, flat, groups)
     if equi is not False and n > 1:
         fam = _flat_family(n, equi)
     spots, vols, weights = _random_loadings(gen, 24, n)
@@ -296,8 +328,9 @@ def test_violation_flags_are_the_band_test(seed, n, flat, equi):
     flat=st.booleans(),
     identity_center=st.booleans(),
     equi=_EQUI,
+    groups=_GROUPS,
 )
-def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, equi):
+def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, equi, groups):
     """Whichever side of the center a branch limit sits on, or on it, no row misses silently.
 
     A center with negative entries can put the lowering limit diag on the
@@ -307,7 +340,7 @@ def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, equi):
     than False replaces the family by an equicorrelated one.
     """
     gen = np.random.default_rng(seed)
-    fam = _random_family(gen, n, flat)
+    fam = _random_family(gen, n, flat, groups)
     if identity_center:
         fam = CorrelationFamily(center=np.eye(n), mode=fam.mode)
     if equi is not False:

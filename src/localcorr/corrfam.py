@@ -32,8 +32,9 @@ row's a'R a is a form in the G group scales: ``group_forms`` collects the
 per-row group cross-forms A_gh = a_g' C_gh a_h and the group sums of a_i
 and a_i^2 once, and ``group_form_slope`` evaluates the form and its
 lambda slope from them by elementwise work on (rows,) arrays, reading v
-with no square root.  The state solve uses them while the G(G + 1)/2
-pairs number at most n (``grouped``), and ``quad_form_slope`` otherwise.
+with no square root.  The state solve's Newton runs on them for every
+non-flat family; ``quad_form_slope`` evaluates the same form from the
+loadings at u.
 
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
@@ -197,8 +198,7 @@ class CorrelationFamily:
     The default is flat mode (unit mode vector), under which portfolio
     covariance along either branch is linear in lambda = u^2 / (1 + u^2)
     with a closed-form inverse; for non-flat modes the state solver runs
-    a safeguarded Newton iteration in lambda, on ``group_form_slope``
-    when ``grouped`` and on ``quad_form_slope`` otherwise.
+    a safeguarded Newton iteration in lambda on ``group_form_slope``.
     The branch limits are fixed: ``up`` is the all-ones matrix and
     ``down`` the identity.  ``draw`` samples any member exactly from
     ``n_normals`` normals per row, through the Cholesky factor of the
@@ -250,10 +250,6 @@ class CorrelationFamily:
         self._group_ones = member.T @ self.center @ member
         size = self._group_xi.size
         self._group_pairs = [(g, h) for g in range(size) for h in range(g, size)]
-        #: True when the state solve's Newton runs on ``group_forms``: while
-        #: G(G + 1)/2 <= n, a pair loop over (rows,) arrays costs less than
-        #: ``quad_form_slope``'s (rows, n) x (n, n) product per iteration
-        self.grouped = len(self._group_pairs) <= n
 
     @property
     def n_normals(self) -> int:

@@ -20,16 +20,13 @@ and diag = sum a_i^2 lowering, under the identity, so one closed form
 lambda = (target - cov_center) / (cov_limit - cov_center) solves every
 flat family, equicorrelated or not.  For non-flat modes a safeguarded
 Newton iteration in lambda (rtsafe, Numerical Recipes 9.4) starts from
-that same ratio.  When the family's mode groups allow it (``grouped``:
-G(G + 1)/2 <= n for G distinct modes), each row's group forms are taken
-once per call and an iteration is elementwise work on them at
-v = lambda / (1 - lambda); otherwise an iteration evaluates
-``quad_form_slope`` on the row's loadings at u.  The reachable band is
-[diag, cov_up] from the two branch limits; targets outside it are
-clamped to the extreme state and flagged as dispersion bound violations
-rather than raised, so long simulations can report a violation fraction
-instead of dying on one bad step.  The solver and the preflight ``check_dispersion_bounds`` share one
-band test.
+that same ratio.  Each row's mode-group forms are taken once per call,
+and an iteration is elementwise work on them at v = lambda / (1 - lambda).
+The reachable band is [diag, cov_up] from the two branch limits; targets
+outside it are clamped to the extreme state and flagged as dispersion
+bound violations rather than raised, so long simulations can report a
+violation fraction instead of dying on one bad step.  The solver and the
+preflight ``check_dispersion_bounds`` share one band test.
 
 The cap is one number, ``_LAM_MAX`` = 1e6 / (1 + 1e6) in lambda; ``U_MAX``
 is its image under ``state_u``, about 1e3.  Flagged rows take the cap,
@@ -192,11 +189,9 @@ def _newton_branch(
 ) -> np.ndarray:
     """Safeguarded Newton in lambda on one branch from the start ``lam``; returns lambda per row.
 
-    A ``grouped`` family forms the rows' ``group_forms`` once, and each
-    iteration gathers the active rows' (rows,) forms and evaluates
-    ``group_form_slope`` at v = lambda / (1 - lambda); other families
-    evaluate ``quad_form_slope`` on the active rows' loadings at
-    u = ``state_u(lambda)``.
+    The rows' ``group_forms`` are taken once, and each iteration gathers
+    the active rows' (rows,) forms and evaluates ``group_form_slope`` at
+    v = lambda / (1 - lambda).
 
     The sign bracket [lo, hi] keeps the residual below the target at lo and
     above it at hi (mirrored on the lowering branch), so it holds a root
@@ -208,15 +203,7 @@ def _newton_branch(
     a few ulp is no stop signal, because converged rows keep swinging by
     that much.
     """
-    if family.grouped:
-        forms = family.group_forms(a)
-
-        def evaluate(rows, x):
-            return family.group_form_slope(forms[:, rows], x / (1.0 - x), branch)
-    else:
-        def evaluate(rows, x):
-            return family.quad_form_slope(a[rows], state_u(x), branch)
-
+    forms = family.group_forms(a)
     sign = 1.0 if branch else -1.0
     tol = _REL_EPS * np.abs(c_lim)
     lo = np.zeros(target.size)
@@ -224,7 +211,7 @@ def _newton_branch(
     rows = np.arange(target.size)
     for _ in range(_MAX_ITERS):
         x = lam[rows]
-        val, slope = evaluate(rows, x)
+        val, slope = family.group_form_slope(forms[:, rows], x / (1.0 - x), branch)
         resid = val - target[rows]
         below = sign * resid < 0.0
         lo_r = np.where(below, x, lo[rows])

@@ -325,8 +325,6 @@ def test_group_form_slope_is_quad_form_slope(seed, n, groups, u):
     reads it, with one group, two groups or a mode per asset."""
     gen = np.random.default_rng(seed)
     fam = CorrelationFamily(center=random_correlation(gen, n), mode=_grouped_modes(gen, n, groups))
-    size = fam._group_xi.size
-    assert fam.grouped == (size * (size + 1) // 2 <= n)
     loads = gen.standard_normal((4, n))
     lam = np.full(4, _lam(u))
     forms = fam.group_forms(loads)
@@ -340,39 +338,19 @@ def test_group_form_slope_is_quad_form_slope(seed, n, groups, u):
         assert np.all(np.abs(group_slope - slope) <= 1e-12 * scale * np.square(1.0 + v))
 
 
-def test_mode_groups_of_a_two_block_family():
-    """Two groups of five: the group sizes, the all-ones forms K_gh and the pair rule."""
-    center = np.full((10, 10), 0.2)
-    center[:5, :5] = center[5:, 5:] = 0.8
-    np.fill_diagonal(center, 1.0)
-    fam = CorrelationFamily(center=center, mode=np.repeat([1.5, 1.0], 5))
-    assert fam._group_xi.tolist() == [1.0, 1.5]
-    assert [index.tolist() for index in fam._group_index] == [[5, 6, 7, 8, 9], [0, 1, 2, 3, 4]]
-    assert np.allclose(fam._group_ones, [[21.0, 5.0], [5.0, 21.0]], rtol=0.0, atol=1e-13)
-    assert fam.grouped
-    # ten distinct modes make 55 pairs, so Newton keeps quad_form_slope
-    assert not CorrelationFamily(center=center, mode=np.linspace(1.0, 2.0, 10)).grouped
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 10),
     per_row=st.booleans(),
     us=st.lists(st.floats(0.0, U_MAX), min_size=1, max_size=6),
-    groups=st.sampled_from(("flat", 1, 2, None)),
 )
-def test_mean_correlation_matches_quad_form(seed, n, per_row, us, groups):
-    """The mean correlation is (1'R1 - n) / (n (n - 1)) from quad_form with unit loadings:
-    linear in lambda = u^2 / (1 + u^2) in flat mode, and from the constant group sums
-    with one group, two groups or a mode per asset otherwise."""
+def test_flat_mean_correlation_matches_quad_form(seed, n, per_row, us):
+    """Flat mode's mean correlation, linear in lambda = u^2 / (1 + u^2), is 1'R1 from
+    quad_form with unit loadings."""
     gen = np.random.default_rng(seed)
-    center = random_correlation(gen, n)
-    if groups == "flat":
-        fam = CorrelationFamily(center=center)
-        assert fam.flat_mode
-    else:
-        fam = CorrelationFamily(center=center, mode=_grouped_modes(gen, n, groups))
+    fam = CorrelationFamily(center=random_correlation(gen, n))
+    assert fam.flat_mode
     u = np.array([0.0, U_MAX, *us])
     kappas = [gen.integers(0, 2, size=u.size)] if per_row else [0, 1]
     for kappa in kappas:
@@ -381,8 +359,30 @@ def test_mean_correlation_matches_quad_form(seed, n, per_row, us, groups):
             assert np.array_equal(level, np.zeros(u.size))
             continue
         oracle = (fam.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
-        # a mean correlation lies in [-1, 1], so an absolute bound is one of its range
-        assert np.all(np.abs(level - oracle) <= (1e-13 if fam.flat_mode else 1e-12))
+        # a mean correlation lies in [-1, 1], so 1e-13 absolute is 1e-13 of its range
+        assert np.all(np.abs(level - oracle) <= 1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 10),
+    per_row=st.booleans(),
+    us=st.lists(st.floats(0.0, U_MAX), min_size=1, max_size=6),
+    groups=st.sampled_from((None, 1, 2)),
+)
+def test_grouped_mean_correlation_matches_quad_form(seed, n, per_row, us, groups):
+    """Other modes' mean correlation, from the constant group sums, is 1'R1 from
+    quad_form with unit loadings, with one group, two groups or a mode per asset."""
+    gen = np.random.default_rng(seed)
+    fam = CorrelationFamily(center=random_correlation(gen, n), mode=_grouped_modes(gen, n, groups))
+    u = np.array([0.0, U_MAX, *us])
+    kappas = [gen.integers(0, 2, size=u.size)] if per_row else [0, 1]
+    for kappa in kappas:
+        level = fam.mean_correlation(_lam(u), kappa)
+        oracle = (fam.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
+        # a mean correlation lies in [-1, 1], so 1e-12 absolute is 1e-12 of its range
+        assert np.all(np.abs(level - oracle) <= 1e-12)
 
 
 @settings(max_examples=300, deadline=None)

@@ -185,12 +185,11 @@ def test_non_flat_mode_roots_reprice(rng):
 
 
 def test_grouped_families_solve_on_the_group_forms(rng, monkeypatch):
-    """Two mode groups of four assets make 3 <= 4 pairs, so Newton never calls
-    quad_form_slope, and every row reprices to 1e-12."""
+    """Newton runs on the mode-group forms and never calls quad_form_slope, and
+    every row of a two-group family reprices to 1e-12."""
     fam = CorrelationFamily(
         center=random_correlation(rng, 4), mode=np.array([0.5, 2.0, 0.5, 2.0])
     )
-    assert fam.grouped
     terms = _random_terms(rng, 800, fam)
 
     def refuse(*args):
@@ -216,7 +215,8 @@ def _random_family(gen, n, flat, groups=None):
     return CorrelationFamily(center=center, mode=values[gen.integers(0, groups, size=n)])
 
 
-#: mode groups of ``_random_family``: a mode per asset, one shared mode, or two
+#: mode groups of ``_random_family``: a mode per asset, one shared mode, or two;
+#: the tests drawing it take three times their examples, so each keeps its count
 _GROUPS = st.sampled_from((None, 1, 2))
 
 
@@ -246,7 +246,7 @@ def _random_loadings(gen, n_paths, n):
     return spots, vols, weights / weights.sum()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=900, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
@@ -279,7 +279,7 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, kappa, groups):
     assert np.all(rel[reachable] < 1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
@@ -321,7 +321,7 @@ def test_violation_flags_are_the_band_test(seed, n, flat, equi, groups):
     assert np.all(low[3:6][c0[3:6] - c_dn[3:6] > 1e-12 * c_up[3:6]])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=900, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),

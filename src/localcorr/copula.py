@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from ._inputs import check_describable, is_integer
 from .corrfam import cholesky_lower, repair_psd, validate_correlation
@@ -131,6 +130,8 @@ def _basket_forward(snapshot: MarketSnapshot, expiry: float) -> float:
 
 def _normal_cube(spec: CopulaSpec, dim: int) -> np.ndarray:
     """Independent standard normals, shaped (partitions, block, dim)."""
+    from scipy.stats import qmc  # slow to load, and only copula builds need it
+
     m = int(np.log2(spec.partition_size))
     shape = (_PARTITIONS, spec.partition_size, dim)
     check_describable(shape, f"n_samples = {spec.n_samples}", PricingError)

@@ -32,9 +32,9 @@ row's a'R a is a form in the G group scales: ``group_forms`` collects the
 per-row group cross-forms A_gh = a_g' C_gh a_h and the group sums of a_i
 and a_i^2 once, and ``group_form_slope`` evaluates the form and its
 lambda slope from them by elementwise work on (rows,) arrays, reading v
-with no square root.  The state solve's Newton runs on them for every
-non-flat family; ``quad_form_slope`` evaluates the same form from the
-loadings at u.
+with no square root, each row on its own branch.  The state solve's
+Newton runs on them for every non-flat family; ``quad_form_slope``
+evaluates the same form from the loadings at u.
 
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
@@ -224,7 +224,7 @@ class CorrelationFamily:
             self.mode = np.ones(n)
         else:
             self.mode = np.asarray(self.mode, dtype=float)
-            if self.mode.shape != (n,) or np.any(self.mode <= 0.0):
+            if self.mode.shape != (n,) or not np.all(np.isfinite(self.mode) & (self.mode > 0.0)):
                 raise CorrelationError("mode vector must be positive, one entry per asset")
         # built once and only read afterwards, so every block reads the same factors
         self._chol_center = cholesky_lower(self.center)
@@ -342,8 +342,8 @@ class CorrelationFamily:
         forms += [np.einsum("pi,pi->p", part, part) for part in parts]
         return np.stack(forms)
 
-    def group_form_slope(self, forms: np.ndarray, v: np.ndarray, kappa: int):
-        """``quad_form_slope`` from ``group_forms`` columns at v = u^2, on one branch.
+    def group_form_slope(self, forms: np.ndarray, v: np.ndarray, kappa):
+        """``quad_form_slope`` from ``group_forms`` columns at v = u^2, on branch ``kappa``.
 
         With s_g = 1 / sqrt(1 + xi_g^2 v) and q_g = xi_g^2 s_g^2 the form is
 
@@ -356,6 +356,8 @@ class CorrelationFamily:
 
         with dL/dv = -(sum xi s alpha)(sum xi s q alpha) raising and
         -sum q^2 beta lowering.  Every term is elementwise on (p,) arrays.
+        ``kappa`` is a scalar or one flag per row: both branches' limit terms
+        are formed and each row takes its own.
         """
         size = self._group_xi.size
         pairs, alpha, beta = forms[: -2 * size], forms[-2 * size : -size], forms[-size:]
@@ -368,13 +370,13 @@ class CorrelationFamily:
             term = s[g] * s[h] * form
             center += term
             bend -= 0.5 * (q[g] + q[h]) * term
-        if kappa:
-            xs = xi * s * alpha
-            along = np.einsum("gp->p", xs)
-            limit, limit_slope = np.square(along), -along * np.einsum("gp,gp->p", xs, q)
-        else:
-            qb = q * beta
-            limit, limit_slope = np.einsum("gp->p", qb), -np.einsum("gp,gp->p", qb, q)
+        xs, qb = xi * s * alpha, q * beta
+        along = np.einsum("gp->p", xs)
+        limit, limit_slope = np.where(
+            kappa > 0,
+            (np.square(along), -along * np.einsum("gp,gp->p", xs, q)),
+            (np.einsum("gp->p", qb), -np.einsum("gp,gp->p", qb, q)),
+        )
         value = center + v * limit
         return value, (bend + limit + v * limit_slope) * np.square(1.0 + v)
 

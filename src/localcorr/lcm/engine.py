@@ -498,6 +498,8 @@ class PathCube:
 
 
 def _snap_slice_steps(market: CalibratedMarket, dates) -> tuple[list[int], list[float]]:
+    if len(dates) == 0 or not np.all(np.isfinite(dates)):
+        raise EngineError(f"record dates must be finite and at least one, got {list(dates)!r}")
     steps = sorted({int(np.argmin(np.abs(market.times - t))) for t in dates})
     return steps, [float(market.times[k]) for k in steps]
 
@@ -511,7 +513,8 @@ def simulate(
     """Run all paths, recording the cross-section at the given dates.
 
     Dates snap to the nearest step boundary; the default records only
-    the horizon.  Memory is paths x assets x dates, so keep the date
+    the horizon.  An empty list or a non-finite date raises
+    ``EngineError``.  Memory is paths x assets x dates, so keep the date
     list short for large runs and use :func:`price_european` when only
     terminal payoffs matter.
     """

@@ -18,10 +18,12 @@ flat mode both branches are linear in it,
 with cov_limit = cov_up = (sum a_i)^2 raising, under the all-ones limit,
 and diag = sum a_i^2 lowering, under the identity, so one closed form
 lambda = (target - cov_center) / (cov_limit - cov_center) solves every
-flat family, equicorrelated or not.  For non-flat modes a safeguarded
+flat family, equicorrelated or not.  For non-flat modes one safeguarded
 Newton iteration in lambda (rtsafe, Numerical Recipes 9.4) starts from
-that same ratio.  Each row's mode-group forms are taken once per call,
-and an iteration is elementwise work on them at v = lambda / (1 - lambda).
+that same ratio and runs every row of the step at once, each on its own
+branch; a row freezes once it has converged.  Each row's mode-group
+forms are taken once per call, and an iteration is elementwise work on
+them at v = lambda / (1 - lambda).
 The reachable band is [diag, cov_up] from the two branch limits; targets
 outside it are clamped to the extreme state and flagged as dispersion
 bound violations rather than raised, so long simulations can report a
@@ -179,51 +181,42 @@ def _band(terms: CovarianceTerms):
     return scale, gap >= 0.0, violated_high, violated_low
 
 
-def _newton_branch(
-    a: np.ndarray,
-    family: CorrelationFamily,
-    branch: int,
-    target: np.ndarray,
-    lam: np.ndarray,
-    c_lim: np.ndarray,
-) -> np.ndarray:
-    """Safeguarded Newton in lambda on one branch from the start ``lam``; returns lambda per row.
+def _newton(a: np.ndarray, family: CorrelationFamily, kappa: np.ndarray, target: np.ndarray,
+            lam: np.ndarray, c_lim: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton in lambda from ``lam``, every row at once on its branch ``kappa``.
 
-    The rows' ``group_forms`` are taken once, and each iteration gathers
-    the active rows' (rows,) forms and evaluates ``group_form_slope`` at
-    v = lambda / (1 - lambda).
+    The rows' ``group_forms`` are taken once, and each iteration evaluates
+    ``group_form_slope`` on every row at v = lambda / (1 - lambda).  Rows
+    outside ``live`` start frozen, and a row freezes once its residual is
+    within ``_REL_EPS`` of ``c_lim``; the loop ends when none is live.  The
+    evaluation is elementwise per row, so a frozen row moves no other bits.
 
     The sign bracket [lo, hi] keeps the residual below the target at lo and
     above it at hi (mirrored on the lowering branch), so it holds a root
     even where the branch is not monotone.  A Newton step strictly
     outside the bracket is replaced by one bisection step.  A step onto a
     bracket end is kept: near the root a step rounds onto the point just
-    evaluated, which is a bracket end.  A row stops once its residual is
-    within ``_REL_EPS`` of ``c_lim`` and leaves the active set; a step of
-    a few ulp is no stop signal, because converged rows keep swinging by
-    that much.
+    evaluated, which is a bracket end.  A step of a few ulp is no stop
+    signal, because converged rows keep swinging by that much.
     """
     forms = family.group_forms(a)
-    sign = 1.0 if branch else -1.0
+    sign = np.where(kappa > 0, 1.0, -1.0)
     tol = _REL_EPS * np.abs(c_lim)
     lo = np.zeros(target.size)
     hi = np.full(target.size, _LAM_MAX)
-    rows = np.arange(target.size)
     for _ in range(_MAX_ITERS):
-        x = lam[rows]
-        val, slope = family.group_form_slope(forms[:, rows], x / (1.0 - x), branch)
-        resid = val - target[rows]
-        below = sign * resid < 0.0
-        lo_r = np.where(below, x, lo[rows])
-        hi_r = np.where(below, hi[rows], x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - resid / slope
-        step = np.where((step >= lo_r) & (step <= hi_r), step, 0.5 * (lo_r + hi_r))
-        live = np.abs(resid) > tol[rows]
-        rows = rows[live]
-        lam[rows], lo[rows], hi[rows] = step[live], lo_r[live], hi_r[live]
-        if rows.size == 0:
+        val, slope = family.group_form_slope(forms, lam / (1.0 - lam), kappa)
+        resid = val - target
+        live = live & (np.abs(resid) > tol)
+        if not live.any():
             break
+        below = sign * resid < 0.0
+        lo = np.where(below, lam, lo)
+        hi = np.where(below, hi, lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = lam - resid / slope
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        lam = np.where(live, step, lam)
     return lam
 
 
@@ -234,7 +227,8 @@ def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolut
     lambda = (target - cov_center) / (cov_limit - cov_center) on its
     branch, clipped to [0, ``_LAM_MAX``], which is exact in flat mode; a
     row at the center takes 0 there.  Other modes refine every unflagged
-    row by safeguarded Newton in lambda, at most ``_MAX_ITERS`` iterations.
+    row by one safeguarded Newton in lambda over all rows, at most
+    ``_MAX_ITERS`` iterations; flagged rows start frozen.
     Targets outside the reachable band take ``_LAM_MAX`` on the relevant
     branch and are flagged, and callers decide how much violation to
     tolerate.
@@ -252,12 +246,7 @@ def solve_state(terms: CovarianceTerms, family: CorrelationFamily) -> StateSolut
         lam[np.abs(target - c0) <= scale * _REL_EPS] = 0.0
     else:
         lam = np.where(np.isfinite(lam), np.clip(lam, 0.0, _LAM_MAX), 0.5 * _LAM_MAX)
-        for branch, mask in ((1, raising), (0, ~raising)):
-            rows = np.flatnonzero(mask & ~violated)
-            if rows.size:
-                lam[rows] = _newton_branch(
-                    terms.a[rows], family, branch, target[rows], lam[rows], c_lim[rows]
-                )
+        lam = _newton(terms.a, family, kappa, target, lam, c_lim, ~violated)
     lam[violated] = _LAM_MAX
     return StateSolution(
         kappa=kappa,

@@ -4,11 +4,16 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import localcorr
 from localcorr.cli import main
 from localcorr.marketdata.snapshot import load_snapshot, save_snapshot
 from localcorr.synth import AssetRecipe, SyntheticRecipe, recipe_to_dict
@@ -633,3 +638,13 @@ def test_decode_one_asset_needs_a_given_rho(one_asset_snapshot_path, tmp_path):
     _, rows = _read_csv(tmp_path / "decode.csv")
     assert len(rows) == 6
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    """``scipy.stats`` is slow to import and only the copula's Sobol draw needs it,
+    so loading the command line leaves it out."""
+    src = str(Path(localcorr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, localcorr.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

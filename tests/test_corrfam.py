@@ -165,6 +165,9 @@ def test_family_validates_inputs():
         CorrelationFamily(center=center, mode=np.array([1.0, -1.0]))
     with pytest.raises(CorrelationError):
         CorrelationFamily(center=center, mode=np.array([1.0, 1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(CorrelationError, match="mode vector must be positive"):
+            CorrelationFamily(center=center, mode=np.array([1.0, bad]))
     fam = CorrelationFamily(center=center)
     with pytest.raises(CorrelationError):
         fam.evaluate(-1.0, 1)
@@ -318,24 +321,31 @@ def _grouped_modes(gen, n, groups):
     n=st.integers(1, 8),
     groups=st.sampled_from((None, 1, 2)),
     u=st.one_of(st.just(0.0), st.just(U_MAX), st.floats(0.0, U_MAX)),
+    mixed=st.lists(st.sampled_from((0, 1)), min_size=4, max_size=4),
 )
-def test_group_form_slope_is_quad_form_slope(seed, n, groups, u):
+def test_group_form_slope_is_quad_form_slope(seed, n, groups, u, mixed):
     """The mode-group forms give quad_form_slope's value and slope in lambda to 1e-12
     relative on both branches, at v = lambda / (1 - lambda) as the state solve
-    reads it, with one group, two groups or a mode per asset."""
+    reads it, with one group, two groups or a mode per asset.  A per-row branch
+    vector gives each row the bits of its branch's scalar call."""
     gen = np.random.default_rng(seed)
     fam = CorrelationFamily(center=random_correlation(gen, n), mode=_grouped_modes(gen, n, groups))
     loads = gen.standard_normal((4, n))
     lam = np.full(4, _lam(u))
+    v = lam / (1.0 - lam)
     forms = fam.group_forms(loads)
     # |a'R a| <= (sum |a_i|)^2, and the slope carries the factor (1 + v)^2 of dv/dlambda
     scale = np.square(np.abs(loads).sum(axis=1))
+    by_branch = []
     for kappa in (0, 1):
         value, slope = fam.quad_form_slope(loads, state_u(lam), kappa)
-        v = lam / (1.0 - lam)
         group_value, group_slope = fam.group_form_slope(forms, v, kappa)
         assert np.all(np.abs(group_value - value) <= 1e-12 * scale)
         assert np.all(np.abs(group_slope - slope) <= 1e-12 * scale * np.square(1.0 + v))
+        by_branch.append((group_value, group_slope))
+    kappa = np.array(mixed)
+    for got, down, up in zip(fam.group_form_slope(forms, v, kappa), *by_branch):
+        assert np.array_equal(got, np.where(kappa > 0, up, down))
 
 
 @settings(max_examples=300, deadline=None)

@@ -526,6 +526,16 @@ def test_recorded_dates_snap_and_dedup():
     assert reordered.dates == (0.25, 1.0)
 
 
+@pytest.mark.parametrize("dates", [[], [np.nan], [np.inf], [-np.inf], [0.5, np.nan]])
+def test_empty_or_non_finite_record_dates_raise(dates):
+    """argmin over NaN or infinite gaps would record at t = 0, and no date would
+    leave an empty cube, so both fail before any path runs."""
+    cfg = SimulationConfig(n_paths=64, steps_per_year=10, seed=31)
+    market = _two_asset_market(cfg)
+    with pytest.raises(EngineError, match="record dates must be finite and at least one"):
+        simulate(market, cfg, dates=dates)
+
+
 # ---------------------------------------------------------------------------
 # dispersion bounds
 

@@ -202,6 +202,39 @@ def test_grouped_families_solve_on_the_group_forms(rng, monkeypatch):
     assert np.max(np.abs(cov - terms.target) / terms.target) < 1e-12
 
 
+def test_flagged_rows_stay_frozen(rng, monkeypatch):
+    """One Newton runs every row of a step: raising and lowering rows reprice to
+    1e-12, and flagged rows start frozen, take the cap and hold no iteration open."""
+    fam = CorrelationFamily(
+        center=random_correlation(rng, 4), mode=np.array([0.5, 2.0, 0.5, 2.0])
+    )
+    terms = _random_terms(rng, 600, fam)
+    target = terms.target.copy()
+    target[:50] = 1.5 * terms.cov_up[:50]
+    target[50:100] = 0.5 * terms.diag[50:100]
+    terms = dataclasses.replace(terms, target=target)
+    calls = []
+    evaluate = CorrelationFamily.group_form_slope
+
+    def counted(self, forms, v, kappa):
+        calls.append(v.size)
+        return evaluate(self, forms, v, kappa)
+
+    monkeypatch.setattr(CorrelationFamily, "group_form_slope", counted)
+    sol = solve_state(terms, fam)
+    flagged = sol.violated_high | sol.violated_low
+    assert np.count_nonzero(sol.violated_high[:50]) == 50
+    assert np.count_nonzero(sol.violated_low[50:100]) == 50
+    assert not flagged[100:].any()
+    assert np.all(sol.lam[flagged] == _LAM_MAX)
+    solved = ~flagged
+    assert 0 < np.count_nonzero(sol.kappa[solved]) < np.count_nonzero(solved)
+    cov = fam.quad_form(terms.a[solved], sol.u[solved], sol.kappa[solved])
+    assert np.max(np.abs(cov - target[solved]) / target[solved]) < 1e-12
+    assert 0 < len(calls) <= 16  # far below _MAX_ITERS = 64
+    assert calls == [600] * len(calls)
+
+
 def _random_family(gen, n, flat, groups=None):
     """A random center in flat mode, or with one mode per asset drawn from
     uniform(0.2, 5): a value each for ``groups`` None, else from ``groups``

@@ -315,6 +315,7 @@ def price_cmd(state: CliState, path, payoff, strikes, maturity, paths, steps_per
                 "strike": r.payoff.strike,
                 "price": r.price,
                 "stderr": r.stderr,
+                "variance_ratio": r.variance_ratio,
             }
             for m, r in zip(moneyness, results)
         ],

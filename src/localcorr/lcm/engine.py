@@ -9,6 +9,12 @@ through two fixed Cholesky factors.  Index vanillas are then repriced
 by construction, up to time discretisation and dispersion bound
 violations, both of which are surfaced in diagnostics.
 
+Every family member has a unit diagonal, so each asset's correlated
+normal is N(0, 1) given the past whatever the state, and its sum over
+the steps, the asset's driver, is exactly Brownian.  ``price_european``
+regresses every payoff on the terminal basket and on Black-Scholes twins
+driven by those drivers, all with exactly known means.
+
 Paths run in fixed-size blocks, each with its own counter-based random
 substream, and block results are reduced in block order.  Prices are
 therefore bit-identical for a given seed no matter how many worker
@@ -35,6 +41,7 @@ from .._inputs import check_describable, is_integer
 from ..corrfam import CorrelationFamily
 from ..dupire import LocalVolGather, LocalVolSurface, calibrate_local_vol
 from ..errors import BoundViolationError, EngineError, PricingError
+from ..marketdata.black import black_call, black_put
 from ..marketdata.snapshot import MarketSnapshot
 from ..rng import substream
 from .state import U_MAX, BoundsReport, check_dispersion_bounds, covariance_terms, solve_state
@@ -167,6 +174,7 @@ class PriceResult:
     stderr: float
     n_paths: int
     df: float
+    variance_ratio: float  # residual variance of the estimator over the plain variance
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +300,9 @@ def _run_block(
 
     The records are the cross-sections and signed states at ``slice_steps``
     (for a date, the state in force on the step starting there; the last
-    step's for the terminal date) and each path's mean-correlation level sum.
+    step's for the terminal date), each path's mean-correlation level sum,
+    and each path's drivers: the sums over the steps of its correlated
+    normals, one column per asset.
     The sums are the ``SimDiagnostics`` counts from ``n_solved`` on, in field
     order and exact in float64, then the level sum over the block.
     """
@@ -315,6 +325,7 @@ def _run_block(
     z_rows = np.empty((n_block, market.family.n_normals))
     z = np.empty_like(z_rows, order="F")
     inc = np.empty((n_block, n), order="F")
+    drivers = np.zeros((n_block, n), order="F")
 
     forced = config.forced_state is not None
     if forced:
@@ -355,6 +366,7 @@ def _run_block(
         rng.standard_normal(out=z_rows)
         z[...] = z_rows
         zc = market.family.draw(z, lam, kappa, level)
+        drivers += zc
         # ln_s += dlog_fwd - 0.5 vols^2 dt, then sqrt(dt) vols zc, in that rounding order
         np.square(vols, out=inc)
         inc *= 0.5
@@ -367,7 +379,7 @@ def _run_block(
 
     if n_steps in slice_pos:
         spot_rec[slice_pos[n_steps]] = np.exp(ln_s)
-    return (spot_rec, state_rec, moff_sum), sums
+    return (spot_rec, state_rec, moff_sum, drivers), sums
 
 
 def _serve(worker, conn) -> None:
@@ -441,7 +453,7 @@ def _map_blocks(worker, n_blocks: int, threads: int):
 
 def _run_blocks(market: CalibratedMarket, config: SimulationConfig, slice_steps: list[int],
                 reduce) -> tuple[list, SimDiagnostics]:
-    """Each block's ``reduce(spot_rec, state_rec, moff_sum)`` in block order, and the diagnostics.
+    """Each block's ``reduce(spot_rec, state_rec, moff_sum, drivers)`` in block order; diagnostics.
 
     ``reduce`` runs in the worker, so a block's records are dropped once
     reduced.  The diagnostic sums add up in block order.
@@ -522,7 +534,9 @@ def simulate(
     slice_steps, snapped = _snap_slice_steps(market, dates if dates is not None else [market.horizon])
     check_describable((config.n_paths, market.n_assets, len(slice_steps)),
                       f"n_paths = {config.n_paths}", EngineError)
-    results, diag = _run_blocks(market, config, slice_steps, lambda *records: records)
+    results, diag = _run_blocks(market, config, slice_steps,
+                                lambda spot_rec, state_rec, moff_sum, _drivers:
+                                (spot_rec, state_rec, moff_sum))
     values = np.concatenate([r[0] for r in results], axis=1)  # (dates, paths, assets)
     state = np.concatenate([r[1] for r in results], axis=1)
     moff = np.concatenate([r[2] for r in results])
@@ -538,24 +552,132 @@ def simulate(
     )
 
 
-def _payoff_values(spec: PayoffSpec, spots: np.ndarray, market: CalibratedMarket) -> np.ndarray:
-    k = spec.strike
-    if spec.kind in ("index_call", "index_put"):
-        level = spots @ market.weights
-        gap = level - k if spec.kind == "index_call" else k - level
-        return np.maximum(gap, 0.0)
-    if spec.kind in ("asset_call", "asset_put"):
-        try:
-            col = market.asset_ids.index(spec.asset_id)
-        except ValueError:
-            raise PricingError(f"payoff references unknown asset {spec.asset_id!r}") from None
-        level = spots[:, col]
-        gap = level - k if spec.kind == "asset_call" else k - level
-        return np.maximum(gap, 0.0)
-    perf = spots / market.spots0[None, :]
-    if spec.kind == "worst_of_put":
-        return np.maximum(k - perf.min(axis=1), 0.0)
-    return np.maximum(perf.max(axis=1) - k, 0.0)
+#: the reported residual variance of a payoff y is at least this many eps E[y^2]
+_RESOLUTION = 16.0
+#: paths per partial sum of a block's moments
+_CHUNK = 128
+#: values per batch of payoffs whose moments are summed together
+_BATCH = 1 << 16
+
+
+class _Controls:
+    """Control variates of a payoff book, built once in the parent before any block runs.
+
+    Every payoff y keeps the basket control x = B_T / E[B_T] - 1 and adds
+    twin vanillas: calls (puts) on the lognormal twins
+    P_i = g_i exp(sigma_i sqrt(T) Z_i - sigma_i^2 T / 2) of its assets, at
+    its strike in performance units, each minus its Black mean.  Z_i is
+    asset i's driver over sqrt(n_steps), g_i = F_i(T) / S_i(0) and sigma_i
+    the snapshot's implied vol at (T, F_i(T)).  Worst-of, best-of and
+    index payoffs take a twin on every asset, a single-asset payoff one on
+    its own asset.  ``moments`` is the reduce that ``_run_blocks`` runs
+    in the workers; ``estimate`` combines the block sums in the parent.
+    """
+
+    def __init__(self, market: CalibratedMarket, payoffs: list[PayoffSpec]):
+        n, horizon = market.n_assets, market.horizon
+        self.market = market
+        self.growth = np.exp(market.dlog_fwd.sum(axis=0))
+        self.basket_mean = float(market.weights @ (market.spots0 * self.growth))
+        surfaces = [market.snapshot.call_surface(a) for a in market.asset_ids]
+        vols = np.array([cs.implied_vol(horizon, cs.forward(horizon)) for cs in surfaces])
+        self.scale = vols * np.sqrt(horizon / market.n_steps)
+        self.shift = 0.5 * np.square(vols) * horizon
+        basket0 = float(market.weights @ market.spots0)
+        # per payoff: its underlier's row in a block's table (basket, worst and best
+        # performance, then each asset's spot), strike, call or put, twin assets and strike
+        plan = []
+        for spec in payoffs:
+            if spec.kind in ("asset_call", "asset_put"):
+                try:
+                    col = market.asset_ids.index(spec.asset_id)
+                except ValueError:
+                    raise PricingError(
+                        f"payoff references unknown asset {spec.asset_id!r}") from None
+                row, assets, k = 3 + col, [col], spec.strike / market.spots0[col]
+            elif spec.kind in ("index_call", "index_put"):
+                row, assets, k = 0, list(range(n)), spec.strike / basket0
+            else:
+                row = 1 if spec.kind == "worst_of_put" else 2
+                assets, k = list(range(n)), spec.strike
+            plan.append((row, spec.strike, spec.kind.endswith("call"), assets, k))
+        self.n_payoffs = len(plan)
+        #: moment rows of a payoff: 1, y, x, then its twins; zero-padded to the widest
+        self.width = 3 + max(len(p[3]) for p in plan)
+        self.groups = []  # the puts, then the calls, with m twins: vectorized together
+        for m, call in sorted({(len(p[3]), p[2]) for p in plan}):
+            pos = np.array([j for j, p in enumerate(plan) if (len(p[3]), p[2]) == (m, call)])
+            row, strike, _, assets, k = (np.array(v) for v in zip(*(plan[j] for j in pos)))
+            black = black_call if call else black_put
+            twin_mean = black(self.growth[assets], k[:, None], horizon, vols[assets])
+            self.groups.append((pos, call, row, strike, assets.T, k, twin_mean.T))
+
+    def moments(self, spot_rec, state_rec, moff_sum, drivers) -> np.ndarray:
+        """One block's sums of a a' per payoff, a = (1, y, x, twins), shape (payoffs, w, w).
+
+        Each sum adds ``_CHUNK``-path partial sums, so its rounding stays
+        near that of pairwise summation, far under the resolution of
+        ``estimate``.
+        """
+        market = self.market
+        spots = spot_rec[0]
+        n_block = spots.shape[0]
+        n_pad = -(-n_block // _CHUNK) * _CHUNK  # zero columns add nothing to any sum
+        under = np.empty((3 + market.n_assets, n_block))
+        under[0] = spots @ market.weights
+        under[3:] = spots.T
+        perf = under[3:] / market.spots0[:, None]
+        np.min(perf, axis=0, out=under[1])
+        np.max(perf, axis=0, out=under[2])
+        x = under[0] / self.basket_mean - 1.0
+        twin_under = (np.exp(drivers * self.scale - self.shift) * self.growth).T
+        out = np.zeros((self.n_payoffs, self.width, self.width))
+        for pos, call, row, strike, assets, k, twin_mean in self.groups:
+            w = 3 + assets.shape[0]
+            step = max(1, _BATCH // (w * n_pad))  # payoffs per batch, so a batch stays in cache
+            a = np.empty((min(step, pos.size), w, n_pad))  # rows 1, y, x, the twins
+            a[:, :, n_block:] = 0.0
+            a[:, 0, :n_block] = 1.0
+            a[:, 2, :n_block] = x
+            for sl in (slice(b, b + step) for b in range(0, pos.size, step)):
+                batch = a[:len(pos[sl])]
+                y, twins = batch[:, 1, :n_block], batch[:, 3:, :n_block].swapaxes(0, 1)
+                # the indices are in range; mode "clip" lets take write to out unbuffered
+                np.take(under, row[sl], axis=0, out=y, mode="clip")
+                np.take(twin_under, assets[:, sl], axis=0, out=twins, mode="clip")
+                for vals, at in ((y, strike[sl, None]), (twins, k[sl, None])):
+                    if call:
+                        vals -= at
+                    else:
+                        np.subtract(at, vals, out=vals)
+                    np.maximum(vals, 0.0, out=vals)
+                twins -= twin_mean[:, sl, None]
+                chunks = batch.reshape(len(batch), w, -1, _CHUNK).swapaxes(1, 2)
+                partial = np.moveaxis(chunks @ chunks.swapaxes(2, 3), 1, -1)
+                out[pos[sl], :w, :w] = np.ascontiguousarray(partial).sum(axis=-1)
+        return out
+
+    def estimate(self, total: np.ndarray, n_paths: int):
+        """Mean, residual variance and plain variance of each payoff from the summed moments.
+
+        The residual variance Var(y) - beta' Cov(c, y) subtracts moments of
+        size E[y^2], so rounding leaves it uncertain by a few eps E[y^2].  It
+        is reported as at least ``_RESOLUTION`` eps E[y^2] and at most
+        Var(y).  The floor binds only where the controls replicate the
+        payoff, as a twin does a constituent vanilla under flat local vol.
+        """
+        moments = total / n_paths
+        means = moments[:, 0, 1:]
+        cov = moments[:, 1:, 1:] - means[:, :, None] * means[:, None, :]
+        floors = _RESOLUTION * np.finfo(float).eps * moments[:, 1, 1]
+        out = []
+        for mean, c, floor in zip(means, cov, floors):
+            # the min-norm fit gives controls of zero variance (padding, one path) no weight
+            beta = np.linalg.lstsq(c[1:, 1:], c[1:, 0], rcond=None)[0]
+            plain = max(c[0, 0], 0.0)
+            resid = min(max(c[0, 0] - beta @ c[1:, 0], floor), plain)
+            out.append((mean[0] - beta @ mean[1:], resid, plain))
+        return out
 
 
 def price_european(
@@ -565,52 +687,40 @@ def price_european(
 ) -> tuple[list[PriceResult], SimDiagnostics]:
     """Price European payoffs at the calibration horizon, streaming blocks.
 
-    Every payoff y is averaged against one control, x = B_T / E[B_T] - 1
-    with B_T the terminal basket: the log-Euler step adds the exact
-    forward increment, so E[B_T] is known exactly and E[x] = 0.  With
-    beta = Cov(x, y) / Var(x) from the same paths, the price is
-    df (mean(y) - beta mean(x)) and the stderr is
-    df sqrt((Var(y) - beta Cov(x, y)) / N) (Glasserman, *Monte Carlo
-    Methods in Financial Engineering*, 4.1).  Per-block sums of y, y^2,
-    x, x^2 and xy are reduced in block order, so results do not depend
-    on the worker count.
+    Every payoff y is regressed on a vector of controls c with known
+    means (see ``_Controls``): the basket control x = B_T / E[B_T] - 1,
+    exact because the log-Euler step adds the exact forward increment,
+    and Black-Scholes twins of the payoff's assets, exact because each
+    asset's driver is a Brownian motion under every correlation state.
+    With beta = Cov(c)^+ Cov(c, y) from the same paths, the price is
+    df (mean(y) - beta' mean(c)) and the stderr is
+    df sqrt((Var(y) - beta' Cov(c, y)) / N) (Glasserman, *Monte Carlo
+    Methods in Financial Engineering*, 4.1); ``variance_ratio`` is that
+    residual variance over Var(y).  Per-block sums of c, y and their
+    products are reduced in block order, so results do not depend on the
+    worker count.  A payoff on an unknown asset raises ``PricingError``
+    before any path is drawn.
     """
     config = config or SimulationConfig()
     if not payoffs:
         raise PricingError("no payoffs given")
-    basket_mean = float(market.weights @ (market.spots0 * np.exp(market.dlog_fwd.sum(axis=0))))
-
-    def block_sums(spot_rec, *_):
-        spots = spot_rec[0]
-        x = spots @ market.weights / basket_mean - 1.0
-        x_sum, x_sq = x.sum(), np.square(x).sum()
-        rows = []
-        for spec in payoffs:
-            y = _payoff_values(spec, spots, market)
-            rows.append((y.sum(), np.square(y).sum(), x_sum, x_sq, (x * y).sum()))
-        return np.array(rows)
-
-    blocks, diag = _run_blocks(market, config, [market.n_steps], block_sums)
-    total = np.zeros((len(payoffs), 5))
+    controls = _Controls(market, payoffs)
+    blocks, diag = _run_blocks(market, config, [market.n_steps], controls.moments)
+    total = np.zeros_like(blocks[0])
     for sums in blocks:
         total += sums
     n_paths = config.n_paths
-    my, myy, mx, mxx, mxy = (total / n_paths).T
-    var_x = mxx - mx * mx
-    cov = mxy - mx * my
-    beta = np.divide(cov, var_x, out=np.zeros_like(cov), where=var_x > 0.0)  # 0 at one path
-    mean = my - beta * mx
-    var = np.maximum(myy - my * my - beta * cov, 0.0)
     df = market.snapshot.discount_curve.discount(market.horizon)
     results = [
         PriceResult(
             payoff=spec,
-            price=float(df * mean[j]),
-            stderr=float(df * np.sqrt(var[j] / n_paths)),
+            price=float(df * mean),
+            stderr=float(df * np.sqrt(resid / n_paths)),
             n_paths=n_paths,
             df=float(df),
+            variance_ratio=float(resid / plain) if plain > 0.0 else 1.0,
         )
-        for j, spec in enumerate(payoffs)
+        for spec, (mean, resid, plain) in zip(payoffs, controls.estimate(total, n_paths))
     ]
     return results, diag
 

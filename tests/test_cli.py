@@ -195,7 +195,9 @@ def test_price_json_is_identical_across_worker_processes(snapshot_path, tmp_path
         assert multiprocessing.active_children() == []
         blobs.append((out / "price.json").read_bytes())
     assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
-    assert json.loads(blobs[0])["n_paths"] == 12000
+    payload = json.loads(blobs[0])
+    assert payload["n_paths"] == 12000
+    assert all(0.0 <= row["variance_ratio"] <= 1.0 for row in payload["results"])
 
 
 def test_strict_violation_in_a_worker_process_fails_through_the_error_contract(tmp_path):

@@ -266,6 +266,8 @@ def test_sampler_reproduces_family_exactly(seed, n, kappa, u):
     assert lin.shape == (n, m)
     mat = fam.evaluate(u, kappa)
     assert np.max(np.abs(lin @ lin.T - mat)) < 1e-12
+    # each asset's correlated normal is N(0, 1) whatever the state
+    assert np.max(np.abs(np.diag(lin @ lin.T) - 1.0)) < 1e-12
     level = fam.mean_correlation(lams[:1], kappas[:1])[0]
     expected = mat[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
     assert abs(level - expected) < 1e-12

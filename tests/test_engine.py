@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import multiprocessing
 import os
 import time
@@ -234,14 +235,59 @@ def _basket_forward(market):
     return float(np.dot(market.weights, fwds))
 
 
-def _cv_estimate(vals, cube, market, df):
-    """Control-variate price and stderr of payoff values on a cube, two-pass."""
-    x = cube.basket(-1) / _basket_forward(market) - 1.0
-    dx, dy = x - x.mean(), vals - vals.mean()
-    var_x, cov = np.mean(dx * dx), np.mean(dx * dy)
-    beta = cov / var_x
-    resid = np.mean(dy * dy) - beta * cov
-    return df * (vals.mean() - beta * x.mean()), df * np.sqrt(resid / vals.size)
+def _terminal_spots_and_drivers(market, cfg):
+    """Every path's terminal spots and drivers, recorded through the engine's block map."""
+    def record(spot_rec, _states, _levels, drivers):
+        return spot_rec[0], drivers
+
+    blocks, _ = engine._run_blocks(market, cfg, [market.n_steps], record)
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def _twins(market, drivers, assets, strike, call):
+    """Centered Black-Scholes twin vanillas at a performance strike, one column per asset.
+
+    Written from the definition: Z_i = drivers_i / sqrt(n_steps) is N(0, 1),
+    the twin is F_i(T) / S_i(0) exp(vol sqrt(T) Z_i - vol^2 T / 2) with the
+    snapshot's implied vol at the forward, and its mean is a quadrature price.
+    """
+    snap, horizon = market.snapshot, market.horizon
+    cols = []
+    for i in assets:
+        cs = snap.call_surface(market.asset_ids[i])
+        fwd, spot = cs.forward(horizon), snap.asset(market.asset_ids[i]).spot
+        vol = float(cs.implied_vol(horizon, fwd))
+        z = drivers[:, i] / np.sqrt(market.n_steps)
+        twin = fwd / spot * np.exp(vol * np.sqrt(horizon) * z - 0.5 * vol * vol * horizon)
+        mean = quad_black_call(fwd / spot, strike, horizon, vol)
+        if not call:
+            mean -= fwd / spot - strike
+        cols.append(np.maximum(twin - strike if call else strike - twin, 0.0) - mean)
+    return np.column_stack(cols)
+
+
+def _cv_estimate(vals, spots, drivers, market, df, twins):
+    """Regression-control price and stderr of payoff values, two-pass.
+
+    ``twins`` is (assets, performance strike, call) of the payoff's twin
+    vanillas; the basket control x = B_T / E[B_T] - 1 is always in.  The
+    residual variance is kept within [16 eps E[y^2], Var(y)], the engine's
+    resolution of it.
+    """
+    def mean(v):  # correctly rounded, so the oracle's own rounding stays far under the floor
+        return math.fsum(v) / v.size
+
+    x = spots @ market.weights / _basket_forward(market) - 1.0
+    c = np.column_stack([x, _twins(market, drivers, *twins)])
+    c_mean = np.array([mean(col) for col in c.T])
+    dc, dy = c - c_mean, vals - mean(vals)
+    cov_cy = np.array([mean(col * dy) for col in dc.T])
+    cov_cc = np.array([[mean(a * b) for b in dc.T] for a in dc.T])
+    beta = np.linalg.lstsq(cov_cc, cov_cy, rcond=None)[0]
+    var_y = mean(dy * dy)
+    floor = 16.0 * np.finfo(float).eps * mean(vals * vals)
+    resid = min(max(var_y - beta @ cov_cy, floor), var_y)
+    return df * (mean(vals) - beta @ c_mean), df * np.sqrt(resid / vals.size)
 
 
 def test_price_matches_cube_payoff_average():
@@ -249,10 +295,12 @@ def test_price_matches_cube_payoff_average():
     market = _two_asset_market(cfg)
     spec = PayoffSpec("index_call", 110.0)
     res, _ = price_european(market, [spec], cfg)
-    cube = simulate(market, cfg)
-    vals = np.maximum(cube.basket(-1) - 110.0, 0.0)
+    spots, drivers = _terminal_spots_and_drivers(market, cfg)
+    vals = np.maximum(spots @ market.weights - 110.0, 0.0)
     df = res[0].df
-    want_price, want_stderr = _cv_estimate(vals, cube, market, df)
+    basket0 = float(market.weights @ market.spots0)
+    want_price, want_stderr = _cv_estimate(vals, spots, drivers, market, df,
+                                           ([0, 1], 110.0 / basket0, True))
     assert res[0].price == pytest.approx(want_price, rel=1e-12)
     assert res[0].stderr == pytest.approx(want_stderr, rel=1e-10)
 
@@ -291,22 +339,22 @@ def test_control_variate_never_widens_the_plain_stderr():
     cfg = SimulationConfig(n_paths=6000, steps_per_year=25, seed=19)
     market = _two_asset_market(cfg)
     res, _ = price_european(market, _ALL_KINDS, cfg)
-    cube = simulate(market, cfg)
-    spots = cube.values[:, :, -1]
+    spots, drivers = _terminal_spots_and_drivers(market, cfg)
     perf = spots / market.spots0
-    basket = cube.basket(-1)
+    basket = spots @ market.weights
+    basket0 = float(market.weights @ market.spots0)
     plain_vals = [
-        np.maximum(basket - 110.0, 0.0),
-        np.maximum(105.0 - basket, 0.0),
-        np.maximum(spots[:, 1] - 125.0, 0.0),
-        np.maximum(95.0 - spots[:, 0], 0.0),
-        np.maximum(0.9 - perf.min(axis=1), 0.0),
-        np.maximum(perf.max(axis=1) - 1.1, 0.0),
+        (np.maximum(basket - 110.0, 0.0), ([0, 1], 110.0 / basket0, True)),
+        (np.maximum(105.0 - basket, 0.0), ([0, 1], 105.0 / basket0, False)),
+        (np.maximum(spots[:, 1] - 125.0, 0.0), ([1], 125.0 / 120.0, True)),
+        (np.maximum(95.0 - spots[:, 0], 0.0), ([0], 95.0 / 100.0, False)),
+        (np.maximum(0.9 - perf.min(axis=1), 0.0), ([0, 1], 0.9, False)),
+        (np.maximum(perf.max(axis=1) - 1.1, 0.0), ([0, 1], 1.1, True)),
     ]
-    for r, vals in zip(res, plain_vals):
+    for r, (vals, twins) in zip(res, plain_vals):
         plain = r.df * vals.std() / np.sqrt(cfg.n_paths)
         assert 0.0 < r.stderr <= plain, r.payoff.label()
-        want_price, want_stderr = _cv_estimate(vals, cube, market, r.df)
+        want_price, want_stderr = _cv_estimate(vals, spots, drivers, market, r.df, twins)
         assert r.price == pytest.approx(want_price, rel=1e-12)
         assert r.stderr == pytest.approx(want_stderr, rel=1e-10)
 
@@ -333,6 +381,40 @@ def test_control_variate_is_thread_invariant(n_paths):
     for res, diag in runs[1:]:
         assert [(r.price, r.stderr) for r in res] == first
         assert diag.as_dict() == runs[0][1].as_dict()
+
+
+_TWIN_BOOK = [
+    PayoffSpec("index_call", 100.0),
+    PayoffSpec("index_put", 90.0),
+    PayoffSpec("worst_of_put", 0.95),
+    PayoffSpec("best_of_call", 1.05),
+    PayoffSpec("asset_call", 105.0, asset_id="BBB"),
+]
+
+
+@pytest.mark.parametrize("center, mode", [
+    (flat_correlation(3, 0.5), None),
+    (np.array([[1.0, 0.7, 0.2], [0.7, 1.0, 0.4], [0.2, 0.4, 1.0]]), None),
+    (flat_correlation(3, 0.5), np.array([1.0, 1.5, 2.0])),
+], ids=["equicorrelated", "matrix", "mode"])
+def test_centered_twins_average_to_zero(center, mode):
+    """Every family member has a unit diagonal, so each asset's driver is exactly
+    Brownian whatever states its path takes, and each twin vanilla minus its Black
+    mean averages to 0 within 4 stderrs.  The horizon is not one year, so a twin
+    whose driver is scaled by T rather than sqrt(T) fails too."""
+    snap, _ = _skewed_index_snapshot()
+    cfg = SimulationConfig(n_paths=2**17, steps_per_year=8, seed=31)
+    market = calibrate_market(snap, CorrelationFamily(center, mode), 0.5, cfg)
+    controls = engine._Controls(market, _TWIN_BOOK)
+    blocks, diag = engine._run_blocks(market, cfg, [market.n_steps], controls.moments)
+    assert 0.0 < diag.kappa_up_fraction < 1.0  # the states move with the paths
+    moments = np.sum(blocks, axis=0) / cfg.n_paths
+    mean = moments[:, 0, 3:]
+    second = np.diagonal(moments[:, 3:, 3:], axis1=1, axis2=2)
+    live = second > 0.0  # a single-asset payoff's rows past its one twin are padding
+    assert np.count_nonzero(live) == 4 * 3 + 1
+    z = mean[live] / np.sqrt((second[live] - mean[live] ** 2) / cfg.n_paths)
+    assert np.all(np.abs(z) < 4.0), z
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +782,18 @@ def test_payoff_validation_and_labels():
     assert PayoffSpec("index_call", 105.0).label() == "index_call@105"
     assert PayoffSpec("asset_put", 95.5, asset_id="AAA").label() == "asset_put[AAA]@95.5"
     assert PayoffSpec("worst_of_put", 0.9).label() == "worst_of_put@0.9"
+
+
+def test_unknown_payoff_asset_raises_before_any_block_runs(monkeypatch):
+    def never(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(engine, "_run_block", never)
+    cfg = SimulationConfig(n_paths=500, steps_per_year=5, seed=2)
+    market = _two_asset_market(cfg)
+    book = [PayoffSpec("index_call", 100.0), PayoffSpec("asset_put", 90.0, asset_id="ZZZ")]
+    with pytest.raises(PricingError, match="unknown asset 'ZZZ'"):
+        price_european(market, book, cfg)
 
 
 def test_unknown_asset_and_empty_payoffs_raise():

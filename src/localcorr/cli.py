@@ -380,8 +380,8 @@ def dump_table(state: CliState, path, states, shift, center):
     m = states // 2
     # by default the end states reach the blend weight u^2 / (1 + u^2) = 0.999
     step = float(np.sqrt(0.999 / (1.0 - 0.999)) / m) if shift is None else shift
-    if step <= 0.0:
-        raise CorrelationError("shift must be positive")
+    if not (step > 0.0 and np.isfinite(m * step)):
+        raise CorrelationError(f"--shift must be positive with a finite top state, got {shift!r}")
     rows = []
     for l in range(-m, m + 1):
         kappa = 1 if l >= 0 else 0

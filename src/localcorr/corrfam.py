@@ -28,13 +28,13 @@ sum a_i^2 lowering.
 Other modes usually take few distinct values.  The assets sharing one
 mode xi_g form a mode group, and every S(u) entry in it is the same
 s_g = 1 / sqrt(1 + xi_g^2 v) at v = u^2 = lambda / (1 - lambda).  So a
-row's a'R a is a form in the G group scales: ``group_forms`` collects the
-per-row group cross-forms A_gh = a_g' C_gh a_h and the group sums of a_i
-and a_i^2 once, and ``group_form_slope`` evaluates the form and its
-lambda slope from them by elementwise work on (rows,) arrays, reading v
-with no square root, each row on its own branch.  The state solve's
-Newton runs on them for every non-flat family; ``quad_form_slope``
-evaluates the same form from the loadings at u.
+row's a'R a is the form s'As in the G group scales s: ``group_forms``
+builds the per-row group cross-forms A_gh = a_g' C_gh a_h as one
+(G, G, rows) array A, with the group sums of a_i and a_i^2, and
+``group_form_slope`` evaluates the form and its lambda slope from them by
+contractions of A per row at v with no square root, each row on its own
+branch.  The state solve's Newton runs on them for every non-flat family;
+``quad_form_slope`` evaluates the same form from the loadings at u.
 
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
@@ -241,15 +241,14 @@ class CorrelationFamily:
         # equicorrelation matrix, else None
         self._equi_rho = rho if self.flat_mode else None
         self._n_normals = n if n == 1 or self._equi_rho is not None else 2 * n
-        # mode groups: the distinct modes xi_g, the assets of each, the pairs
-        # g <= h, and the all-ones forms K_gh = 1_g' C_gh 1_h
+        # mode groups: the distinct modes xi_g, the (G, n) membership, the center
+        # with the columns off group h zeroed in row block h, and K_gh = 1_g' C_gh 1_h
         self._group_xi, group = np.unique(self.mode, return_inverse=True)
-        member = (group[:, None] == np.arange(self._group_xi.size)).astype(float)
-        self._group_index = [np.flatnonzero(col) for col in member.T]
-        self._group_sizes = member.sum(axis=0)
-        self._group_ones = member.T @ self.center @ member
-        size = self._group_xi.size
-        self._group_pairs = [(g, h) for g in range(size) for h in range(g, size)]
+        member = (np.arange(self._group_xi.size)[:, None] == group).astype(float)
+        self._group_member = member
+        self._group_center = (self.center * member[:, None, :]).reshape(-1, n)
+        self._group_sizes = member.sum(axis=1)
+        self._group_ones = member @ self.center @ member.T
 
     @property
     def n_normals(self) -> int:
@@ -324,52 +323,43 @@ class CorrelationFamily:
         b = a * scale
         return scale, b, b * self.mode[None, :]
 
-    def group_forms(self, a: np.ndarray) -> np.ndarray:
-        """Per-row mode-group forms of loadings ``a`` (p, n), stacked as (k, p).
+    def group_forms(self, a: np.ndarray):
+        """Per-row mode-group forms of loadings ``a`` (p, n) as ``(A, alpha, beta)``.
 
-        Every S(u) entry in group g is the same s_g, so a'R a needs only
-        A_gh = a_g' C_gh a_h for each pair g <= h (doubled for g < h), then
-        alpha_g = sum_{i in g} a_i and beta_g = sum_{i in g} a_i^2, in
-        that order.  ``group_form_slope`` reads them.
+        Every S(u) entry in group g is the same s_g, so a'R a needs only the
+        symmetric (G, G, p) cross-forms A_gh = a_g' C_gh a_h and the (G, p)
+        group sums alpha_g = sum_{i in g} a_i and beta_g = sum_{i in g} a_i^2.
+        Row block h of ``_group_center`` a' is C_{:, h} a_h; times a' and
+        summed over each group's assets it is A, in O(p n G) memory.
         """
-        parts = [a[:, index] for index in self._group_index]
-        forms = []
-        for g, h in self._group_pairs:
-            block = self.center[np.ix_(self._group_index[g], self._group_index[h])]
-            form = np.einsum("pi,pi->p", parts[g] @ block, parts[h])
-            forms.append(form if g == h else 2.0 * form)
-        forms += [_row_sum(part) for part in parts]
-        forms += [np.einsum("pi,pi->p", part, part) for part in parts]
-        return np.stack(forms)
+        at = a.T
+        cross = (self._group_center @ at).reshape(self._group_xi.size, *at.shape)
+        cross *= at
+        member = self._group_member
+        return member @ cross, member @ at, member @ np.square(at)
 
-    def group_form_slope(self, forms: np.ndarray, v: np.ndarray, kappa):
-        """``quad_form_slope`` from ``group_forms`` columns at v = u^2, on branch ``kappa``.
+    def group_form_slope(self, forms, v: np.ndarray, kappa):
+        """``quad_form_slope`` from ``group_forms`` at v = u^2, on branch ``kappa``.
 
         With s_g = 1 / sqrt(1 + xi_g^2 v) and q_g = xi_g^2 s_g^2 the form is
 
-            f = sum_{g<=h} s_g s_h A_gh + v L,
+            f = s'A s + v L,
             L = (sum_g xi_g s_g alpha_g)^2 raising, sum_g q_g beta_g lowering,
 
-        and since ds_g/dv = -q_g s_g / 2 and dv/dlambda = (1 + v)^2,
+        and since ds_g/dv = -q_g s_g / 2, dv/dlambda = (1 + v)^2 and A = A',
 
-            df/dlambda = [-sum_{g<=h} (q_g + q_h) s_g s_h A_gh / 2 + L + v dL/dv] (1 + v)^2
+            df/dlambda = [-(q s)'A s + L + v dL/dv] (1 + v)^2
 
         with dL/dv = -(sum xi s alpha)(sum xi s q alpha) raising and
-        -sum q^2 beta lowering.  Every term is elementwise on (p,) arrays.
-        ``kappa`` is a scalar or one flag per row: both branches' limit terms
-        are formed and each row takes its own.
+        -sum q^2 beta lowering.  s'A s and the bend (q s)'A s both read one
+        contraction A s per row.  ``kappa`` is a scalar or one flag per row:
+        both branches' limit terms are formed and each row takes its own.
         """
-        size = self._group_xi.size
-        pairs, alpha, beta = forms[: -2 * size], forms[-2 * size : -size], forms[-size:]
+        cross, alpha, beta = forms
         xi = self._group_xi[:, None]
         s = 1.0 / np.sqrt(1.0 + np.square(xi) * v)
         q = np.square(xi * s)
-        center = np.zeros(v.size)
-        bend = np.zeros(v.size)
-        for (g, h), form in zip(self._group_pairs, pairs):
-            term = s[g] * s[h] * form
-            center += term
-            bend -= 0.5 * (q[g] + q[h]) * term
+        cross_s = np.einsum("hgp,hp->gp", cross, s)
         xs, qb = xi * s * alpha, q * beta
         along = np.einsum("gp->p", xs)
         limit, limit_slope = np.where(
@@ -377,8 +367,9 @@ class CorrelationFamily:
             (np.square(along), -along * np.einsum("gp,gp->p", xs, q)),
             (np.einsum("gp->p", qb), -np.einsum("gp,gp->p", qb, q)),
         )
-        value = center + v * limit
-        return value, (bend + limit + v * limit_slope) * np.square(1.0 + v)
+        value = np.einsum("gp,gp->p", s, cross_s) + v * limit
+        bend = np.einsum("gp,gp->p", q * s, cross_s)
+        return value, (limit - bend + v * limit_slope) * np.square(1.0 + v)
 
     def mean_correlation(self, lam: np.ndarray, kappa) -> np.ndarray:
         """Mean off-diagonal entry of each row's member at lambda = u^2 / (1 + u^2).

@@ -22,8 +22,8 @@ flat family, equicorrelated or not.  For non-flat modes one safeguarded
 Newton iteration in lambda (rtsafe, Numerical Recipes 9.4) starts from
 that same ratio and runs every row of the step at once, each on its own
 branch; a row freezes once it has converged.  Each row's mode-group
-forms are taken once per call, and an iteration is elementwise work on
-them at v = lambda / (1 - lambda).
+forms are taken once per call by matrix products, whatever the group
+count, and an iteration contracts them at v = lambda / (1 - lambda).
 The reachable band is [diag, cov_up] from the two branch limits; targets
 outside it are clamped to the extreme state and flagged as dispersion
 bound violations rather than raised, so long simulations can report a
@@ -188,8 +188,8 @@ def _newton(a: np.ndarray, family: CorrelationFamily, kappa: np.ndarray, target:
     The rows' ``group_forms`` are taken once, and each iteration evaluates
     ``group_form_slope`` on every row at v = lambda / (1 - lambda).  Rows
     outside ``live`` start frozen, and a row freezes once its residual is
-    within ``_REL_EPS`` of ``c_lim``; the loop ends when none is live.  The
-    evaluation is elementwise per row, so a frozen row moves no other bits.
+    within ``_REL_EPS`` of ``c_lim``; the loop ends when none is live.  Each
+    row is evaluated from its own forms, so a frozen row moves no other bits.
 
     The sign bracket [lo, hi] keeps the residual below the target at lo and
     above it at hi (mirrored on the lowering branch), so it holds a root

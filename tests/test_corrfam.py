@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -231,6 +232,25 @@ def test_default_shift_covers_reach(two_asset_snapshot, tmp_path):
     # the top state pushes the blend weight u^2/(1+u^2) to the reach level
     top = states[-1]
     assert top ** 2 / (1.0 + top ** 2) > 0.998
+
+
+@pytest.mark.parametrize("args", [["--shift", "nan"], ["--shift", "inf"],
+                                  ["--shift", "1e308", "--states", "5"]],
+                         ids=["nan", "inf", "top-overflows"])
+def test_shift_without_finite_states_fails_naming_it(two_asset_snapshot, tmp_path, args):
+    """A shift whose top state is not finite fails naming --shift, not a state u."""
+    res = CliRunner().invoke(
+        main, ["--input", str(two_asset_snapshot), "--output-dir", str(tmp_path), "dump-table",
+               *args],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 1
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "CorrelationError"
+    assert "--shift" in err["message"] and "state u" not in err["message"]
+    assert not (tmp_path / "table.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -553,11 +553,13 @@ def test_simulate_and_price_report_one_set_of_diagnostics():
         assert 0.0 < value < 1.0
 
 
-def test_mode_group_solve_keeps_every_bit_across_workers():
-    """A family of two mode groups, solved by Newton on the group forms, prices and
-    simulates bit for bit alike at 1, 2 and 4 workers."""
+@pytest.mark.parametrize("mode", [(1.0, 1.5, 1.5), (1.0, 1.5, 0.8)],
+                         ids=["two_groups", "per_asset"])
+def test_mode_group_solve_keeps_every_bit_across_workers(mode):
+    """A family of two mode groups, or of a mode per asset, solved by Newton on the
+    group forms, prices and simulates bit for bit alike at 1, 2 and 4 workers."""
     snap, fam = _skewed_index_snapshot(amp=0.06, width=0.3)
-    fam = CorrelationFamily(fam.center, mode=np.array([1.0, 1.5, 1.5]))
+    fam = CorrelationFamily(fam.center, mode=np.array(mode))
     cfg = SimulationConfig(n_paths=1500, steps_per_year=20, seed=3, block_size=500)
     market = calibrate_market(snap, fam, 1.0, cfg)
     book = [PayoffSpec("index_call", 100.0), PayoffSpec("worst_of_put", 0.9)]

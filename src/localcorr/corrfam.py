@@ -20,10 +20,10 @@ weight of the branch limit: in flat mode (xi = 1) every member is
 
     R = (C + u^2 D) / (1 + u^2) = (1 - lambda) C + lambda D,
 
-linear in lambda.  ``state_u`` is the one conversion back to u, which
-``evaluate``, ``quad_form`` and ``quad_form_slope`` take.  A limit's
-quadratic form needs no matrix: a'Da is (sum a_i)^2 raising and
-sum a_i^2 lowering.
+linear in lambda.  ``state_u`` is the one conversion back to u:
+``evaluate`` takes u, and the non-flat ``draw`` converts each row's lambda
+with it.  A limit's quadratic form needs no matrix: a'Da is (sum a_i)^2
+raising and sum a_i^2 lowering.
 
 Other modes usually take few distinct values.  The assets sharing one
 mode xi_g form a mode group, and every S(u) entry in it is the same
@@ -33,8 +33,7 @@ builds the per-row group cross-forms A_gh = a_g' C_gh a_h as one
 (G, G, rows) array A, with the group sums of a_i and a_i^2, and
 ``group_form_slope`` evaluates the form and its lambda slope from them by
 contractions of A per row at v with no square root, each row on its own
-branch.  The state solve's Newton runs on them for every non-flat family;
-``quad_form_slope`` evaluates the same form from the loadings at u.
+branch.  The state solve's Newton runs on them for every non-flat family.
 
 Positive semidefiniteness is preserved across the family: the numerator
 adds a Schur product of PSD matrices to a PSD center, and the
@@ -180,12 +179,10 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return np.einsum("pi->p", a)
 
 
-def _limit_form(a: np.ndarray, kappa) -> np.ndarray:
-    """Per-row a_p' D a_p at the branch limit D of ``kappa`` (a scalar or one
-    flag per row): (sum_i a_pi)^2 raising, sum_i a_pi^2 lowering."""
-    if np.ndim(kappa) == 0:
-        return np.square(_row_sum(a)) if kappa else np.einsum("pi,pi->p", a, a)
-    return np.where(kappa > 0, _limit_form(a, 1), _limit_form(a, 0))
+def _limit_form(a: np.ndarray, kappa: int) -> np.ndarray:
+    """Per-row a_p' D a_p at the branch limit D of ``kappa``: (sum_i a_pi)^2
+    raising, sum_i a_pi^2 lowering."""
+    return np.square(_row_sum(a)) if kappa else np.einsum("pi,pi->p", a, a)
 
 
 # ----------------------------------------------------------------------
@@ -284,45 +281,6 @@ class CorrelationFamily:
         np.fill_diagonal(out, 1.0)
         return out
 
-    def quad_form(self, a: np.ndarray, u: np.ndarray, kappa) -> np.ndarray:
-        """Per-row a_p' R(u_p, kappa_p) a_p for loadings ``a`` of shape (p, n).
-
-        S(u) and the center term are shared by both branches; only the
-        limit term c'Dc, (sum c)^2 raising and sum c^2 lowering, depends on
-        ``kappa``, a scalar or one flag per row.
-        """
-        _, b, c = self._scaled(a, u)
-        return _form(b, self.center) + np.square(u) * _limit_form(c, kappa)
-
-    def quad_form_slope(self, a: np.ndarray, u: np.ndarray, kappa: int):
-        """``quad_form`` on one branch and its derivative in lambda = u^2 / (1 + u^2).
-
-        With s_i = 1 / sqrt(1 + xi_i^2 u^2), b = s a, c = xi b and
-        w = (xi s)^2 the form is f = b'Cb + u^2 c'Dc, and
-
-            df/dlambda = [-(Cb).(w b) + c'Dc - u^2 (Dc).(w c)] (1 + u^2)^2
-
-        since d(u^2)/dlambda = (1 + u^2)^2.  (Dc).(w c) is (sum c)(sum w c)
-        raising and sum w c^2 lowering, so the center product is the only
-        matrix product; the value has ``quad_form``'s bits.
-        """
-        scale, b, c = self._scaled(a, u)
-        cb = b @ self.center
-        along = _limit_form(c, kappa)
-        u2 = np.square(u)
-        value = np.einsum("pi,pi->p", cb, b) + u2 * along
-        w = np.square(self.mode[None, :] * scale)
-        wc = w * c
-        cross = _row_sum(c) * _row_sum(wc) if kappa else np.einsum("pi,pi->p", c, wc)
-        slope = along - np.einsum("pi,pi->p", cb, w * b) - u2 * cross
-        return value, slope * np.square(1.0 + u2)
-
-    def _scaled(self, a: np.ndarray, u: np.ndarray):
-        """S(u) per row, and the loadings b = S(u) a and c = Xi b."""
-        scale = 1.0 / np.sqrt(1.0 + np.square(self.mode)[None, :] * np.square(u)[:, None])
-        b = a * scale
-        return scale, b, b * self.mode[None, :]
-
     def group_forms(self, a: np.ndarray):
         """Per-row mode-group forms of loadings ``a`` (p, n) as ``(A, alpha, beta)``.
 
@@ -339,7 +297,7 @@ class CorrelationFamily:
         return member @ cross, member @ at, member @ np.square(at)
 
     def group_form_slope(self, forms, v: np.ndarray, kappa):
-        """``quad_form_slope`` from ``group_forms`` at v = u^2, on branch ``kappa``.
+        """a'R a and its lambda slope from ``group_forms`` at v = u^2, on branch ``kappa``.
 
         With s_g = 1 / sqrt(1 + xi_g^2 v) and q_g = xi_g^2 s_g^2 the form is
 

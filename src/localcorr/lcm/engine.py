@@ -67,6 +67,9 @@ __all__ = [
 
 THREADS_ENV = "LOCALCORR_THREADS"
 
+#: paths per block, the last one excepted; the block index keys each block's substream
+_BLOCK_SIZE = 4096
+
 _PAYOFF_KINDS = (
     "index_call",
     "index_put",
@@ -81,6 +84,8 @@ _PAYOFF_KINDS = (
 class SimulationConfig:
     """Knobs of one engine run; everything that affects the draw is here.
 
+    The paths run in blocks of a fixed ``_BLOCK_SIZE`` = 4,096, each on its
+    own substream, so ``n_paths`` and ``seed`` fix every draw.
     ``bounds_policy`` decides what a dispersion bound violation does:
     "clamp" pins the state at the cap ``state.U_MAX`` and counts it,
     "strict" aborts the run.  ``n_threads`` counts the worker processes
@@ -96,18 +101,17 @@ class SimulationConfig:
     n_paths: int = 100_000
     steps_per_year: int = 100
     seed: int = 0
-    block_size: int = 4096
     n_threads: int | None = None
     bounds_policy: str = "clamp"
     forced_state: tuple[float, int] | None = None
 
     def __post_init__(self):
-        for name in ("n_paths", "steps_per_year", "seed", "block_size", "n_threads"):
+        for name in ("n_paths", "steps_per_year", "seed", "n_threads"):
             value = getattr(self, name)
             if not is_integer(value) and not (value is None and name == "n_threads"):
                 raise EngineError(f"{name} must be an integer in the int64 range, got {value!r}")
-        if self.n_paths < 1 or self.block_size < 1:
-            raise EngineError("n_paths and block_size must be positive")
+        if self.n_paths < 1:
+            raise EngineError("n_paths must be positive")
         if self.n_threads is not None and self.n_threads < 1:
             raise EngineError(f"n_threads must be at least 1, got {self.n_threads!r}")
         if self.steps_per_year < 1:
@@ -458,18 +462,12 @@ def _run_blocks(market: CalibratedMarket, config: SimulationConfig, slice_steps:
     ``reduce`` runs in the worker, so a block's records are dropped once
     reduced.  The diagnostic sums add up in block order.
     """
-    size = config.block_size
-    n = market.n_assets
-    # the widest of a block's buffers: local-vol query, normals, records
-    width = max(n + 1, market.family.n_normals, len(slice_steps) * n)
-    check_describable((min(size, config.n_paths), width), f"block_size = {size}", EngineError)
-
     def worker(b: int):
-        n_block = min(size, config.n_paths - b * size)
+        n_block = min(_BLOCK_SIZE, config.n_paths - b * _BLOCK_SIZE)
         records, sums = _run_block(market, config, b, n_block, slice_steps)
         return reduce(*records), sums
 
-    n_blocks = -(-config.n_paths // size)
+    n_blocks = -(-config.n_paths // _BLOCK_SIZE)
     outcomes = _map_blocks(worker, n_blocks, config.resolve_threads())
     total = np.zeros_like(outcomes[0][1])
     for _, sums in outcomes:
@@ -556,8 +554,6 @@ def simulate(
 _RESOLUTION = 16.0
 #: paths per partial sum of a block's moments
 _CHUNK = 128
-#: values per batch of payoffs whose moments are summed together
-_BATCH = 1 << 16
 
 
 class _Controls:
@@ -571,7 +567,8 @@ class _Controls:
     the snapshot's implied vol at (T, F_i(T)).  Worst-of, best-of and
     index payoffs take a twin on every asset, a single-asset payoff one on
     its own asset.  ``moments`` is the reduce that ``_run_blocks`` runs
-    in the workers; ``estimate`` combines the block sums in the parent.
+    in the workers, one payoff at a time through one buffer per block;
+    ``estimate`` combines the block sums in the parent.
     """
 
     def __init__(self, market: CalibratedMarket, payoffs: list[PayoffSpec]):
@@ -585,8 +582,9 @@ class _Controls:
         self.shift = 0.5 * np.square(vols) * horizon
         basket0 = float(market.weights @ market.spots0)
         # per payoff: its underlier's row in a block's table (basket, worst and best
-        # performance, then each asset's spot), strike, call or put, twin assets and strike
-        plan = []
+        # performance, then each asset's spot), strike, call or put, twin assets, their
+        # strike and their Black means
+        self.plan = []
         for spec in payoffs:
             if spec.kind in ("asset_call", "asset_put"):
                 try:
@@ -594,23 +592,18 @@ class _Controls:
                 except ValueError:
                     raise PricingError(
                         f"payoff references unknown asset {spec.asset_id!r}") from None
-                row, assets, k = 3 + col, [col], spec.strike / market.spots0[col]
+                row, assets, k = 3 + col, slice(col, col + 1), spec.strike / market.spots0[col]
             elif spec.kind in ("index_call", "index_put"):
-                row, assets, k = 0, list(range(n)), spec.strike / basket0
+                row, assets, k = 0, slice(0, n), spec.strike / basket0
             else:
                 row = 1 if spec.kind == "worst_of_put" else 2
-                assets, k = list(range(n)), spec.strike
-            plan.append((row, spec.strike, spec.kind.endswith("call"), assets, k))
-        self.n_payoffs = len(plan)
-        #: moment rows of a payoff: 1, y, x, then its twins; zero-padded to the widest
-        self.width = 3 + max(len(p[3]) for p in plan)
-        self.groups = []  # the puts, then the calls, with m twins: vectorized together
-        for m, call in sorted({(len(p[3]), p[2]) for p in plan}):
-            pos = np.array([j for j, p in enumerate(plan) if (len(p[3]), p[2]) == (m, call)])
-            row, strike, _, assets, k = (np.array(v) for v in zip(*(plan[j] for j in pos)))
+                assets, k = slice(0, n), spec.strike
+            call = spec.kind.endswith("call")
             black = black_call if call else black_put
-            twin_mean = black(self.growth[assets], k[:, None], horizon, vols[assets])
-            self.groups.append((pos, call, row, strike, assets.T, k, twin_mean.T))
+            twin_mean = black(self.growth[assets], k, horizon, vols[assets])
+            self.plan.append((row, spec.strike, call, assets, k, twin_mean))
+        #: moment rows of a payoff: 1, y, x, then its twins; zero-padded to the widest
+        self.width = 3 + max(p[5].size for p in self.plan)
 
     def moments(self, spot_rec, state_rec, moff_sum, drivers) -> np.ndarray:
         """One block's sums of a a' per payoff, a = (1, y, x, twins), shape (payoffs, w, w).
@@ -629,32 +622,26 @@ class _Controls:
         perf = under[3:] / market.spots0[:, None]
         np.min(perf, axis=0, out=under[1])
         np.max(perf, axis=0, out=under[2])
-        x = under[0] / self.basket_mean - 1.0
         twin_under = (np.exp(drivers * self.scale - self.shift) * self.growth).T
-        out = np.zeros((self.n_payoffs, self.width, self.width))
-        for pos, call, row, strike, assets, k, twin_mean in self.groups:
-            w = 3 + assets.shape[0]
-            step = max(1, _BATCH // (w * n_pad))  # payoffs per batch, so a batch stays in cache
-            a = np.empty((min(step, pos.size), w, n_pad))  # rows 1, y, x, the twins
-            a[:, :, n_block:] = 0.0
-            a[:, 0, :n_block] = 1.0
-            a[:, 2, :n_block] = x
-            for sl in (slice(b, b + step) for b in range(0, pos.size, step)):
-                batch = a[:len(pos[sl])]
-                y, twins = batch[:, 1, :n_block], batch[:, 3:, :n_block].swapaxes(0, 1)
-                # the indices are in range; mode "clip" lets take write to out unbuffered
-                np.take(under, row[sl], axis=0, out=y, mode="clip")
-                np.take(twin_under, assets[:, sl], axis=0, out=twins, mode="clip")
-                for vals, at in ((y, strike[sl, None]), (twins, k[sl, None])):
-                    if call:
-                        vals -= at
-                    else:
-                        np.subtract(at, vals, out=vals)
-                    np.maximum(vals, 0.0, out=vals)
-                twins -= twin_mean[:, sl, None]
-                chunks = batch.reshape(len(batch), w, -1, _CHUNK).swapaxes(1, 2)
-                partial = np.moveaxis(chunks @ chunks.swapaxes(2, 3), 1, -1)
-                out[pos[sl], :w, :w] = np.ascontiguousarray(partial).sum(axis=-1)
+        a = np.zeros((self.width, n_pad))  # rows 1, y, x, then each payoff's twins in turn
+        a[0, :n_block] = 1.0
+        a[2, :n_block] = under[0] / self.basket_mean - 1.0
+        out = np.zeros((len(self.plan), self.width, self.width))
+        for j, (row, strike, call, assets, k, twin_mean) in enumerate(self.plan):
+            w = 3 + twin_mean.size
+            y, twins = a[1, :n_block], a[3:w, :n_block]
+            y[...] = under[row]
+            twins[...] = twin_under[assets]
+            for vals, at in ((y, strike), (twins, k)):
+                if call:
+                    vals -= at
+                else:
+                    np.subtract(at, vals, out=vals)
+                np.maximum(vals, 0.0, out=vals)
+            twins -= twin_mean[:, None]
+            chunks = a[:w].reshape(w, -1, _CHUNK).swapaxes(0, 1)
+            partial = np.moveaxis(chunks @ chunks.swapaxes(1, 2), 0, -1)
+            out[j, :w, :w] = np.ascontiguousarray(partial).sum(axis=-1)
         return out
 
     def estimate(self, total: np.ndarray, n_paths: int):

@@ -135,6 +135,18 @@ class SyntheticRecipe:
             raise RecipeError("maturities must be increasing, at least two")
         if len(self.moneyness) < 3 or any(np.diff(self.moneyness) <= 0):
             raise RecipeError("moneyness grid must be increasing, at least three points")
+        try:
+            _dt.date.fromisoformat(self.as_of)
+        except (TypeError, ValueError):
+            raise RecipeError(f"recipe field 'as_of' must be an ISO date, got {self.as_of!r}") from None
+        n = self.n_assets
+        try:
+            shape = np.asarray(self.correlation, dtype=float).shape
+        except (TypeError, ValueError):
+            shape = None
+        if shape not in ((), (n, n)):
+            raise RecipeError(f"recipe field 'correlation' must be a number or {n} rows of "
+                              f"{n} numbers, got {self.correlation!r}")
 
     @property
     def n_assets(self) -> int:

@@ -105,6 +105,62 @@ def random_correlation(rng, n, k=None):
 
 
 # ---------------------------------------------------------------------------
+# quadratic-form oracles of a correlation family, parametrised by the state u
+
+
+def _scaled(fam, a, u):
+    """S(u) per row, and the loadings b = S(u) a and c = Xi b."""
+    scale = 1.0 / np.sqrt(1.0 + np.square(fam.mode)[None, :] * np.square(u)[:, None])
+    b = a * scale
+    return scale, b, b * fam.mode[None, :]
+
+
+def _limit_form(c, kappa):
+    """Per-row c_p' D c_p at the branch limit D of ``kappa``, a scalar or one flag
+    per row: (sum_i c_pi)^2 raising, sum_i c_pi^2 lowering."""
+    if np.ndim(kappa) == 0:
+        return np.square(np.einsum("pi->p", c)) if kappa else np.einsum("pi,pi->p", c, c)
+    return np.where(kappa > 0, _limit_form(c, 1), _limit_form(c, 0))
+
+
+def quad_form(fam, a, u, kappa):
+    """Per-row a_p' R(u_p, kappa_p) a_p of family ``fam`` for loadings ``a`` (p, n).
+
+    S(u) and the center term are shared by both branches; only the limit
+    term c'Dc, (sum c)^2 raising and sum c^2 lowering, depends on
+    ``kappa``, a scalar or one flag per row.
+    """
+    _, b, c = _scaled(fam, a, u)
+    return np.einsum("pi,pi->p", b @ fam.center, b) + np.square(u) * _limit_form(c, kappa)
+
+
+def quad_form_slope(fam, a, u, kappa):
+    """``quad_form`` on one branch and its derivative in lambda = u^2 / (1 + u^2).
+
+    With s_i = 1 / sqrt(1 + xi_i^2 u^2), b = s a, c = xi b and
+    w = (xi s)^2 the form is f = b'Cb + u^2 c'Dc, and
+
+        df/dlambda = [-(Cb).(w b) + c'Dc - u^2 (Dc).(w c)] (1 + u^2)^2
+
+    since d(u^2)/dlambda = (1 + u^2)^2.  (Dc).(w c) is (sum c)(sum w c)
+    raising and sum w c^2 lowering; the value has ``quad_form``'s bits.
+    """
+    scale, b, c = _scaled(fam, a, u)
+    cb = b @ fam.center
+    along = _limit_form(c, kappa)
+    u2 = np.square(u)
+    value = np.einsum("pi,pi->p", cb, b) + u2 * along
+    w = np.square(fam.mode[None, :] * scale)
+    wc = w * c
+    if kappa:
+        cross = np.einsum("pi->p", c) * np.einsum("pi->p", wc)
+    else:
+        cross = np.einsum("pi,pi->p", c, wc)
+    slope = along - np.einsum("pi,pi->p", cb, w * b) - u2 * cross
+    return value, slope * np.square(1.0 + u2)
+
+
+# ---------------------------------------------------------------------------
 # snapshot builders
 
 _MONEYNESS = np.arange(0.5, 1.61, 0.05)

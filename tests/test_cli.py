@@ -498,14 +498,17 @@ def _set_asset(**fields):
     (_set_recipe(maturities="abc"), "'maturities'"),
     (_set_recipe(rate=True), "'rate'"),
     (_set_recipe(as_of=20240628), "'as_of'"),
+    (_set_recipe(as_of="not-a-date"), "'as_of'"),
+    (_set_recipe(correlation=[[1.0, 0.5], [0.5]]), "'correlation'"),
+    (_set_recipe(correlation=[[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]]), "'correlation'"),
     (_set_asset(spot=10**400), "'spot'"),  # no float value
     # counts past int64
     (_set_recipe(n_samples=10**400), "'n_samples'"),
     (_set_recipe(generator="lcm-ground-truth", generator_paths=10**400), "'generator_paths'"),
     (_set_recipe(generator="lcm-ground-truth", generator_steps=10**400), "'generator_steps'"),
 ], ids=["spot-str", "vol-bool", "id-int", "seed-str", "samples-float", "corr-str",
-        "corr-vector", "maturities-str", "rate-bool", "as-of-int", "spot-huge", "samples-huge",
-        "paths-huge", "steps-huge"])
+        "corr-vector", "maturities-str", "rate-bool", "as-of-int", "as-of-not-a-date",
+        "corr-ragged", "corr-2x3", "spot-huge", "samples-huge", "paths-huge", "steps-huge"])
 def test_recipe_fields_of_the_wrong_json_type_fail(tmp_path, corrupt, named):
     raw = _recipe_dict()
     corrupt(raw)

@@ -25,7 +25,7 @@ from localcorr.lcm.state import U_MAX
 from localcorr.marketdata.snapshot import save_snapshot
 from localcorr.synth import AssetRecipe, SyntheticRecipe, build_snapshot
 
-from helpers import random_correlation
+from helpers import quad_form, quad_form_slope, random_correlation
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +294,10 @@ def test_sampler_reproduces_family_exactly(seed, n, kappa, u):
     # quadratic forms of loading rows, one branch for all rows and mixed per row
     loads = gen.standard_normal((4, n))
     size = np.square(np.abs(loads).sum(axis=1))
-    one = fam.quad_form(loads, np.full(4, u), kappa)
+    one = quad_form(fam, loads, np.full(4, u), kappa)
     assert np.all(np.abs(one - np.einsum("pi,ij,pj->p", loads, mat, loads)) < 1e-12 * size)
     mixed = np.array([0, 1, 1, 0])
-    both = fam.quad_form(loads, np.full(4, u), mixed)
+    both = quad_form(fam, loads, np.full(4, u), mixed)
     for p, k in enumerate(mixed):
         assert abs(both[p] - loads[p] @ fam.evaluate(u, k) @ loads[p]) < 1e-12 * size[p]
     assert np.array_equal(both[mixed == kappa], one[mixed == kappa])
@@ -322,10 +322,10 @@ def test_quad_form_slope_is_the_lambda_derivative(seed, n, kappa, lam):
     def at(x):
         return np.full(4, np.sqrt(x / (1.0 - x)))
 
-    value, slope = fam.quad_form_slope(loads, at(lam), kappa)
-    assert np.array_equal(value, fam.quad_form(loads, at(lam), kappa))
+    value, slope = quad_form_slope(fam, loads, at(lam), kappa)
+    assert np.array_equal(value, quad_form(fam, loads, at(lam), kappa))
     h = 1e-6
-    central = (fam.quad_form(loads, at(lam + h), kappa) - fam.quad_form(loads, at(lam - h), kappa)) / (2 * h)
+    central = (quad_form(fam, loads, at(lam + h), kappa) - quad_form(fam, loads, at(lam - h), kappa)) / (2 * h)
     size = np.square(np.abs(loads).sum(axis=1))
     assert np.all(np.abs(slope - central) < 1e-6 * size)
 
@@ -360,7 +360,7 @@ def test_group_form_slope_is_quad_form_slope(seed, n, groups, u, mixed):
     scale = np.square(np.abs(loads).sum(axis=1))
     by_branch = []
     for kappa in (0, 1):
-        value, slope = fam.quad_form_slope(loads, state_u(lam), kappa)
+        value, slope = quad_form_slope(fam, loads, state_u(lam), kappa)
         group_value, group_slope = fam.group_form_slope(forms, v, kappa)
         assert np.all(np.abs(group_value - value) <= 1e-12 * scale)
         assert np.all(np.abs(group_slope - slope) <= 1e-12 * scale * np.square(1.0 + v))
@@ -390,7 +390,7 @@ def test_flat_mean_correlation_matches_quad_form(seed, n, per_row, us):
         if n == 1:
             assert np.array_equal(level, np.zeros(u.size))
             continue
-        oracle = (fam.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
+        oracle = (quad_form(fam, np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
         # a mean correlation lies in [-1, 1], so 1e-13 absolute is 1e-13 of its range
         assert np.all(np.abs(level - oracle) <= 1e-13)
 
@@ -412,7 +412,7 @@ def test_grouped_mean_correlation_matches_quad_form(seed, n, per_row, us, groups
     kappas = [gen.integers(0, 2, size=u.size)] if per_row else [0, 1]
     for kappa in kappas:
         level = fam.mean_correlation(_lam(u), kappa)
-        oracle = (fam.quad_form(np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
+        oracle = (quad_form(fam, np.ones((u.size, n)), u, kappa) - n) / (n * (n - 1))
         # a mean correlation lies in [-1, 1], so 1e-12 absolute is 1e-12 of its range
         assert np.all(np.abs(level - oracle) <= 1e-12)
 

@@ -139,10 +139,11 @@ def _hand_log_euler_cube(market, cfg, block_sizes):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_one_asset_stream_is_one_normal_per_step(threads):
+def test_one_asset_stream_is_one_normal_per_step(threads, monkeypatch):
     """A forced one-asset run is a plain log-Euler loop on one normal per path and step,
     read from each block's substream in order, bit for bit."""
-    cfg = SimulationConfig(n_paths=1000, steps_per_year=20, seed=23, block_size=300,
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 300)
+    cfg = SimulationConfig(n_paths=1000, steps_per_year=20, seed=23,
                            n_threads=threads, forced_state=(0.0, 1))
     snap = flat_snapshot([("AAA", 100.0, 0.2)], [1.0], 0.2)
     market = calibrate_market(snap, CorrelationFamily(np.eye(1)), 1.0, cfg)
@@ -154,12 +155,13 @@ def test_one_asset_stream_is_one_normal_per_step(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_identity_center_stream_keeps_every_normal_slot(threads):
+def test_identity_center_stream_keeps_every_normal_slot(threads, monkeypatch):
     """At the forced state (0, 1) an identity center draws x = z exactly, so a
     three-asset run is the plain log-Euler loop on the block's row-major
     (paths, assets) normals, bit for bit: every normal keeps its slot in the
     engine's column-major arrays, and distinct vols make a moved slot show."""
-    cfg = SimulationConfig(n_paths=1000, steps_per_year=20, seed=29, block_size=300,
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 300)
+    cfg = SimulationConfig(n_paths=1000, steps_per_year=20, seed=29,
                            n_threads=threads, forced_state=(0.0, 1))
     specs = [("AAA", 100.0, 0.2), ("BBB", 90.0, 0.3), ("CCC", 110.0, 0.45)]
     snap = flat_snapshot(specs, [0.3, 0.3, 0.4], 0.2)
@@ -170,10 +172,11 @@ def test_identity_center_stream_keeps_every_normal_slot(threads):
     assert np.all(cube.state == 0.0)
 
 
-def test_one_live_loading_prices_are_finite():
+def test_one_live_loading_prices_are_finite(monkeypatch):
     """Weights (1, 0) under flat:0.5 leave one live loading, so cov_up == diag
     on every path, where a ratio in rho' would be 0/0; prices stay finite."""
-    cfg = SimulationConfig(n_paths=2000, steps_per_year=20, seed=5, block_size=1000)
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 1000)
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=20, seed=5)
     snap = flat_snapshot([("AAA", 100.0, 0.2), ("BBB", 100.0, 0.25)], [1.0, 0.0], 0.2)
     market = calibrate_market(snap, CorrelationFamily(flat_correlation(2, 0.5)), 1.0, cfg)
     payoffs = [PayoffSpec("index_call", 100.0), PayoffSpec("worst_of_put", 0.9),
@@ -371,9 +374,10 @@ def test_control_variate_with_one_path():
 
 
 @pytest.mark.parametrize("n_paths", [4500, 1000])
-def test_control_variate_is_thread_invariant(n_paths):
+def test_control_variate_is_thread_invariant(n_paths, monkeypatch):
     """Three blocks, then one block, at 1, 2 and 4 threads: fewer blocks than threads."""
-    cfg = SimulationConfig(n_paths=n_paths, steps_per_year=20, seed=43, block_size=1500)
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 1500)
+    cfg = SimulationConfig(n_paths=n_paths, steps_per_year=20, seed=43)
     market = _two_asset_market(cfg)
     runs = [price_european(market, _ALL_KINDS, dataclasses.replace(cfg, n_threads=t))
             for t in (1, 2, 4)]
@@ -381,6 +385,22 @@ def test_control_variate_is_thread_invariant(n_paths):
     for res, diag in runs[1:]:
         assert [(r.price, r.stderr) for r in res] == first
         assert diag.as_dict() == runs[0][1].as_dict()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_payoff_depends_only_on_itself(threads):
+    """The book whole, reversed and one payoff at a time give every payoff the same
+    bits, over a full block and a padded partial one: the reduce shares one buffer
+    between payoffs of different widths, and nothing of one payoff reaches another."""
+    cfg = SimulationConfig(n_paths=6000, steps_per_year=20, seed=47, n_threads=threads)
+    market = _two_asset_market(cfg)
+
+    def bits(book):
+        return [(r.price, r.stderr, r.variance_ratio) for r in price_european(market, book, cfg)[0]]
+
+    whole = bits(_ALL_KINDS)
+    assert bits(_ALL_KINDS[::-1]) == whole[::-1]
+    assert [bits([spec])[0] for spec in _ALL_KINDS] == whole
 
 
 _TWIN_BOOK = [
@@ -521,19 +541,12 @@ def test_simulate_across_worker_processes_keeps_every_bit():
     assert one.diagnostics.n_solved == 10_000 * 20
 
 
-def test_block_size_numpy_cannot_describe_fails_naming_it():
-    """A block of 2**62 paths is refused by numpy at once; nothing is allocated."""
-    market = _two_asset_market(SimulationConfig(steps_per_year=10))
-    huge = SimulationConfig(n_paths=2**62, block_size=2**62, steps_per_year=10)
-    with pytest.raises(EngineError, match=f"block_size = {2**62} needs .* more than numpy"):
-        price_european(market, [PayoffSpec("index_call", 100.0)], huge)
-
-
-def test_simulate_and_price_report_one_set_of_diagnostics():
+def test_simulate_and_price_report_one_set_of_diagnostics(monkeypatch):
     """Both entry points reduce the same blocks, at every thread count."""
     snap, fam = _skewed_index_snapshot(amp=0.06, width=0.3)
     fam = CorrelationFamily(fam.center, mode=np.array([1.0, 1.5, 0.8]))
-    cfg = SimulationConfig(n_paths=2000, steps_per_year=20, seed=0, block_size=500)
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 500)
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=20, seed=0)
     market = calibrate_market(snap, fam, 1.0, cfg)
     cubes = []
     for threads in (1, 2, 4):
@@ -555,12 +568,13 @@ def test_simulate_and_price_report_one_set_of_diagnostics():
 
 @pytest.mark.parametrize("mode", [(1.0, 1.5, 1.5), (1.0, 1.5, 0.8)],
                          ids=["two_groups", "per_asset"])
-def test_mode_group_solve_keeps_every_bit_across_workers(mode):
+def test_mode_group_solve_keeps_every_bit_across_workers(mode, monkeypatch):
     """A family of two mode groups, or of a mode per asset, solved by Newton on the
     group forms, prices and simulates bit for bit alike at 1, 2 and 4 workers."""
     snap, fam = _skewed_index_snapshot(amp=0.06, width=0.3)
     fam = CorrelationFamily(fam.center, mode=np.array(mode))
-    cfg = SimulationConfig(n_paths=1500, steps_per_year=20, seed=3, block_size=500)
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 500)
+    cfg = SimulationConfig(n_paths=1500, steps_per_year=20, seed=3)
     market = calibrate_market(snap, fam, 1.0, cfg)
     book = [PayoffSpec("index_call", 100.0), PayoffSpec("worst_of_put", 0.9)]
     runs = []
@@ -578,8 +592,9 @@ def test_mode_group_solve_keeps_every_bit_across_workers(mode):
         assert np.array_equal(other_cube.path_mean_correlation, cube.path_mean_correlation)
 
 
-def test_partial_last_block():
-    cfg = SimulationConfig(n_paths=1000, steps_per_year=10, seed=21, block_size=300)
+def test_partial_last_block(monkeypatch):
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 300)
+    cfg = SimulationConfig(n_paths=1000, steps_per_year=10, seed=21)
     market = _two_asset_market(cfg)
     cube = simulate(market, cfg)
     assert cube.n_paths == 1000
@@ -661,9 +676,10 @@ def test_failing_block_cancels_the_blocks_not_started():
     assert multiprocessing.active_children() == []
 
 
-def test_strict_violation_in_a_worker_reraises_with_its_message():
+def test_strict_violation_in_a_worker_reraises_with_its_message(monkeypatch):
     """Four blocks on two worker processes: the parent raises the worker's error."""
-    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, block_size=500,
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 500)
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1,
                            n_threads=2, bounds_policy="strict")
     snap = flat_snapshot([("AAA", 100.0, 0.2), ("BBB", 100.0, 0.3)], [0.5, 0.5], 0.35)
     market = calibrate_market(snap, CorrelationFamily(np.array([[1.0, 0.5], [0.5, 1.0]])),
@@ -683,16 +699,18 @@ def test_dead_worker_raises_engine_error_naming_its_block(monkeypatch):
         return run_block(market, config, b, *args)
 
     monkeypatch.setattr(engine, "_run_block", dying)
-    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, block_size=500, n_threads=2)
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 500)
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, n_threads=2)
     market = _two_asset_market(cfg)
     with pytest.raises(EngineError, match=r"block 1 died \(exit code 3\)"):
         price_european(market, [PayoffSpec("index_call", 100.0)], cfg)
     assert multiprocessing.active_children() == []
 
 
-def test_daemonic_caller_runs_the_blocks_in_process():
+def test_daemonic_caller_runs_the_blocks_in_process(monkeypatch):
     """A daemonic process may not start processes, so its blocks run in-process."""
-    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, block_size=500, n_threads=2)
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 500)
+    cfg = SimulationConfig(n_paths=2000, steps_per_year=10, seed=1, n_threads=2)
     market = _two_asset_market(cfg)
     payoffs = [PayoffSpec("index_call", 100.0), PayoffSpec("worst_of_put", 0.9)]
     want = price_european(market, payoffs, cfg)
@@ -838,11 +856,11 @@ def test_thread_resolution(monkeypatch):
             SimulationConfig(n_threads=bad)
 
 
-_COUNTS = ["n_paths", "steps_per_year", "seed", "block_size", "n_threads"]
-#: every settable value of the engine; the local vol grid is not one of them
+_COUNTS = ["n_paths", "steps_per_year", "seed", "n_threads"]
+#: every settable value of the engine; the local vol grid and the block size are not
 _CONFIG_FIELDS = [*_COUNTS, "bounds_policy", "forced_state"]
-#: retired grid sizes, which the config must refuse whatever their value
-_RETIRED = ["lv_times", "lv_spots"]
+#: retired grid and block sizes, which the config must refuse whatever their value
+_RETIRED = ["lv_times", "lv_spots", "block_size"]
 
 
 def test_settable_surface_is_pinned():
@@ -911,9 +929,10 @@ def test_local_vol_row_is_np_interp_bit_for_bit():
 
 
 @pytest.mark.parametrize("grid", [{"n_spots": 1}, {"n_times": 1}])
-def test_single_node_local_vol_grids_price(grid):
+def test_single_node_local_vol_grids_price(grid, monkeypatch):
     """A hand-built market on one-node local vol grids prices through the gather's one-node rule."""
-    cfg1 = SimulationConfig(n_paths=2000, steps_per_year=20, seed=41, block_size=500)
+    monkeypatch.setattr(engine, "_BLOCK_SIZE", 500)
+    cfg1 = SimulationConfig(n_paths=2000, steps_per_year=20, seed=41)
     cfg2 = dataclasses.replace(cfg1, n_threads=2)
     market = _two_asset_market(cfg1)
     surfaces = [calibrate_local_vol(market.snapshot.call_surface(a), market.horizon, **grid)

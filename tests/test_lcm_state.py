@@ -20,7 +20,7 @@ from localcorr.lcm.state import (
     solve_state,
 )
 
-from helpers import random_correlation
+from helpers import quad_form, random_correlation
 
 
 def _two_equal_terms(index_vol):
@@ -112,7 +112,7 @@ def test_exact_root_reprices_target_flat_mode(rng):
         terms = _random_terms(rng, 4000, fam)
         sol = solve_state(terms, fam)
         assert sol.n_violations == 0
-        cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+        cov = quad_form(fam, terms.a, sol.u, sol.kappa)
         rel = np.abs(cov - terms.target) / terms.target
         assert np.max(rel) < 1e-10
         total += terms.target.size
@@ -123,7 +123,7 @@ def test_exact_root_reprices_target_structured_center(rng):
     fam = CorrelationFamily(center=random_correlation(rng, 6))
     terms = _random_terms(rng, 2000, fam)
     sol = solve_state(terms, fam)
-    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+    cov = quad_form(fam, terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - terms.target) / terms.target
     assert np.max(rel) < 1e-10
 
@@ -179,26 +179,21 @@ def test_non_flat_mode_roots_reprice(rng):
     )
     terms = _random_terms(rng, 800, fam)
     sol = solve_state(terms, fam)
-    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+    cov = quad_form(fam, terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - terms.target) / terms.target
     assert np.max(rel) < 1e-8
 
 
-def test_grouped_families_solve_on_the_group_forms(rng, monkeypatch):
-    """Newton runs on the mode-group forms and never calls quad_form_slope, and
-    every row of a two-group family reprices to 1e-12."""
+def test_grouped_families_solve_on_the_group_forms(rng):
+    """Every row of a two-group family, solved by Newton on the mode-group forms,
+    reprices to 1e-12."""
     fam = CorrelationFamily(
         center=random_correlation(rng, 4), mode=np.array([0.5, 2.0, 0.5, 2.0])
     )
     terms = _random_terms(rng, 800, fam)
-
-    def refuse(*args):
-        raise AssertionError("quad_form_slope called")
-
-    monkeypatch.setattr(CorrelationFamily, "quad_form_slope", refuse)
     sol = solve_state(terms, fam)
     assert sol.n_violations == 0
-    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+    cov = quad_form(fam, terms.a, sol.u, sol.kappa)
     assert np.max(np.abs(cov - terms.target) / terms.target) < 1e-12
 
 
@@ -229,7 +224,7 @@ def test_flagged_rows_stay_frozen(rng, monkeypatch):
     assert np.all(sol.lam[flagged] == _LAM_MAX)
     solved = ~flagged
     assert 0 < np.count_nonzero(sol.kappa[solved]) < np.count_nonzero(solved)
-    cov = fam.quad_form(terms.a[solved], sol.u[solved], sol.kappa[solved])
+    cov = quad_form(fam, terms.a[solved], sol.u[solved], sol.kappa[solved])
     assert np.max(np.abs(cov - target[solved]) / target[solved]) < 1e-12
     assert 0 < len(calls) <= 16  # far below _MAX_ITERS = 64
     assert calls == [600] * len(calls)
@@ -299,7 +294,7 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, kappa, groups):
     fam = _random_family(gen, n, False, groups)
     spots, vols, weights = _random_loadings(gen, 32, n)
     u_star = gen.uniform(0.0, 50.0, size=32)
-    target = fam.quad_form(spots * vols * weights[None, :], u_star, kappa)
+    target = quad_form(fam, spots * vols * weights[None, :], u_star, kappa)
     terms = covariance_terms(spots, vols, weights, np.sqrt(target) / (spots @ weights), fam)
     sol = solve_state(terms, fam)
     assert np.all((sol.u >= 0.0) & (sol.u <= U_MAX))
@@ -307,7 +302,7 @@ def test_non_flat_root_reprices_reachable_targets(seed, n, kappa, groups):
     c_lim = terms.cov_up if kappa else terms.diag
     between = (terms.target - terms.cov_center) * (c_lim - terms.target) >= 0.0
     reachable = (raising == bool(kappa)) & between & ~high & ~low
-    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+    cov = quad_form(fam, terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - terms.target) / terms.target
     assert np.all(rel[reachable] < 1e-12)
 
@@ -385,7 +380,7 @@ def test_every_row_is_repriced_or_flagged(seed, n, flat, identity_center, equi, 
     terms = dataclasses.replace(terms, target=target)
     sol = solve_state(terms, fam)
     flagged = sol.violated_high | sol.violated_low
-    cov = fam.quad_form(terms.a, sol.u, sol.kappa)
+    cov = quad_form(fam, terms.a, sol.u, sol.kappa)
     rel = np.abs(cov - target) / target
     assert np.all(flagged | (rel < 1e-12)), rel[~flagged].max()
     assert np.array_equal(sol.u[flagged], np.full(np.count_nonzero(flagged), U_MAX))
@@ -476,7 +471,7 @@ def test_a_negative_center_puts_the_lowering_limit_on_the_far_side():
     assert np.all(sol.violated_low[:4]) and np.all(sol.lam[:4] == _LAM_MAX)
     assert not np.any((sol.violated_high | sol.violated_low)[4:])
     assert np.array_equal(sol.kappa, np.repeat([0, 1], 4))
-    cov = fam.quad_form(terms.a[4:], sol.u[4:], sol.kappa[4:])
+    cov = quad_form(fam, terms.a[4:], sol.u[4:], sol.kappa[4:])
     assert np.all(np.abs(cov - target[4:]) <= 1e-12 * target[4:])
 
 
@@ -520,7 +515,7 @@ def test_u_from_the_level_is_the_closed_form_u(seed, n, frac):
     checked = flagged | wide
     assert np.count_nonzero(checked[12:]) >= 10
     assert np.all((capped | (np.abs(sol.u - closed) <= 1e-12 * closed))[checked])
-    member = (fam.quad_form(np.ones((64, n)), sol.u, sol.kappa) - n) / (n * (n - 1))
+    member = (quad_form(fam, np.ones((64, n)), sol.u, sol.kappa) - n) / (n * (n - 1))
     assert np.allclose(member, sol.level, rtol=0.0, atol=1e-12)
     if frac is None:
         assert np.all((sol.u[~raising] == 0.0) | (sol.u[~raising] == U_MAX))
@@ -536,8 +531,8 @@ def test_covariance_monotone_along_branches():
         family=fam,
     )
     us = np.linspace(0.0, 10.0, 50)
-    up_vals = [fam.quad_form(terms.a, np.array([u]), 1)[0] for u in us]
-    dn_vals = [fam.quad_form(terms.a, np.array([u]), 0)[0] for u in us]
+    up_vals = [quad_form(fam, terms.a, np.array([u]), 1)[0] for u in us]
+    dn_vals = [quad_form(fam, terms.a, np.array([u]), 0)[0] for u in us]
     assert np.all(np.diff(up_vals) > 0)
     assert np.all(np.diff(dn_vals) < 0)
 

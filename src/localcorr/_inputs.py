@@ -19,12 +19,15 @@ import numpy as np
 
 def read_json(path, error):
     """The JSON value in ``path``; malformed JSON (an integer literal past
-    Python's digit limit too) raises ``error`` naming the file."""
+    Python's digit limit too) and JSON nested past the recursion limit
+    raise ``error`` naming the file."""
     with open(path) as handle:
         try:
             return json.load(handle)
         except ValueError as exc:
             raise error(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply to read") from None
 
 
 _INT64 = np.iinfo(np.int64)

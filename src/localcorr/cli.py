@@ -158,11 +158,9 @@ def _fail(exc: Exception):
 def main(ctx, input_path, output_dir, seed, threads, log_format):
     """Local correlation pricing toolkit."""
     _setup_logging(log_format)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ctx.obj = CliState(
         input_path=Path(input_path) if input_path else None,
-        output_dir=out,
+        output_dir=Path(output_dir),
         seed=seed,
         threads=threads,
     )
@@ -171,10 +169,10 @@ def main(ctx, input_path, output_dir, seed, threads, log_format):
 def _command(name: str):
     """Register ``body(state, path, **options) -> (params, seed)`` as command ``name``.
 
-    The runner requires ``--input``, times the body and writes the
-    manifest from the returned config parameters and seed.  Domain, I/O
-    and out-of-memory errors print one JSON error object to stderr and
-    exit 1.
+    The runner makes the output directory, requires ``--input``, times
+    the body and writes the manifest from the returned config parameters
+    and seed.  Domain, I/O and out-of-memory errors print one JSON error
+    object to stderr and exit 1.
     """
 
     def register(body):
@@ -184,6 +182,7 @@ def _command(name: str):
         def run(state: CliState, **options):
             started = time.perf_counter()
             try:
+                state.output_dir.mkdir(parents=True, exist_ok=True)
                 if state.input_path is None:
                     raise RecipeError("this command needs --input")
                 params, seed = body(state, state.input_path, **options)

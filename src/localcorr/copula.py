@@ -23,6 +23,7 @@ from ._inputs import check_describable, is_integer
 from .corrfam import cholesky_lower, repair_psd, validate_correlation
 from .dupire import InverseCdfTable, inverse_cdf
 from .errors import CorrelationError, PricingError
+from .marketdata.black import implied_vol
 from .marketdata.snapshot import MarketSnapshot
 from .rng import sobol_seed
 
@@ -93,8 +94,6 @@ class CopulaPrice:
     counters: dict = field(default_factory=dict)
 
     def implied_vols(self) -> np.ndarray:
-        from .marketdata.black import implied_vol
-
         return np.array([
             implied_vol(p, self.basket_forward, k, self.expiry, self.df)
             for p, k in zip(self.prices, self.strikes)

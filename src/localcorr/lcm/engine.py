@@ -151,7 +151,9 @@ class PayoffSpec:
 
     Worst-of and best-of payoffs act on performances S_T / S_0, so their
     strikes are in performance units; index and single-asset payoffs use
-    price-level strikes.
+    price-level strikes.  Only the single-asset kinds take an
+    ``asset_id``: a missing one there, or one on any other kind, raises
+    ``PricingError``.
     """
 
     kind: str
@@ -161,8 +163,11 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in _PAYOFF_KINDS:
             raise PricingError(f"unknown payoff kind {self.kind!r}")
-        if self.kind in ("asset_call", "asset_put") and not self.asset_id:
-            raise PricingError("single-asset payoffs need an asset_id")
+        if self.kind in ("asset_call", "asset_put"):
+            if not self.asset_id:
+                raise PricingError("single-asset payoffs need an asset_id")
+        elif self.asset_id is not None:
+            raise PricingError(f"{self.kind} takes no asset_id, got {self.asset_id!r}")
         if not 0.0 < self.strike < np.inf:
             raise PricingError(f"strike must be positive and finite, got {self.strike!r}")
 
@@ -510,6 +515,8 @@ class PathCube:
 def _snap_slice_steps(market: CalibratedMarket, dates) -> tuple[list[int], list[float]]:
     if len(dates) == 0 or not np.all(np.isfinite(dates)):
         raise EngineError(f"record dates must be finite and at least one, got {list(dates)!r}")
+    if min(dates) < 0.0 or max(dates) > market.horizon:
+        raise EngineError(f"record dates must lie in [0, {market.horizon!r}], got {list(dates)!r}")
     steps = sorted({int(np.argmin(np.abs(market.times - t))) for t in dates})
     return steps, [float(market.times[k]) for k in steps]
 
@@ -523,10 +530,10 @@ def simulate(
     """Run all paths, recording the cross-section at the given dates.
 
     Dates snap to the nearest step boundary; the default records only
-    the horizon.  An empty list or a non-finite date raises
-    ``EngineError``.  Memory is paths x assets x dates, so keep the date
-    list short for large runs and use :func:`price_european` when only
-    terminal payoffs matter.
+    the horizon.  An empty list, a non-finite date and a date below 0 or
+    past ``market.horizon`` raise ``EngineError``.  Memory is paths x
+    assets x dates, so keep the date list short for large runs and use
+    :func:`price_european` when only terminal payoffs matter.
     """
     config = config or SimulationConfig()
     slice_steps, snapped = _snap_slice_steps(market, dates if dates is not None else [market.horizon])

@@ -622,6 +622,33 @@ def test_malformed_recipe_and_center_files_fail(snapshot_path, tmp_path, text, n
     assert "input.json" in message
 
 
+@pytest.mark.parametrize("role, error", [
+    ("recipe", "RecipeError"), ("snapshot", "SnapshotError"), ("center", "RecipeError"),
+])
+def test_deeply_nested_json_inputs_fail(snapshot_path, tmp_path, role, error):
+    """json.load raises RecursionError, not ValueError, on nesting this deep."""
+    bad = tmp_path / "input.json"
+    bad.write_text("[" * 200_000)
+    if role == "recipe":
+        res = _run(["--input", str(bad), "--output-dir", str(tmp_path), "synth"])
+        output = "snapshot.json"
+    else:
+        source, center = (bad, "identity") if role == "snapshot" else (snapshot_path, str(bad))
+        res = _run(["--input", str(source), "--output-dir", str(tmp_path), "price",
+                    "--maturity", "1.0", *_SMALL_RUN, "--center", center])
+        output = "price.json"
+    message = _assert_single_error(res, tmp_path, output, error)
+    assert "input.json: JSON nested too deeply" in message
+
+
+def test_output_dir_that_cannot_be_made_fails(tmp_path):
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(_recipe_dict()))
+    out = recipe / "sub"  # below a regular file
+    res = _run(["--input", str(recipe), "--output-dir", str(out), "synth"])
+    _assert_single_error(res, out, "snapshot.json", "NotADirectoryError")
+
+
 @pytest.fixture(scope="module")
 def one_asset_snapshot_path(tmp_path_factory):
     """Copula-consistent one asset snapshot generated through the CLI."""

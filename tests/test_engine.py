@@ -635,6 +635,15 @@ def test_empty_or_non_finite_record_dates_raise(dates):
         simulate(market, cfg, dates=dates)
 
 
+@pytest.mark.parametrize("dates", [[-5.0, 0.5], [0.5, 7.0], [-1e-9], [1.0 + 1e-9]])
+def test_record_dates_outside_the_horizon_raise(dates):
+    """Snapping would move such a date to t = 0 or to the horizon without a word."""
+    cfg = SimulationConfig(n_paths=64, steps_per_year=10, seed=31)
+    market = _two_asset_market(cfg)
+    with pytest.raises(EngineError, match=r"record dates must lie in \[0, 1.0\]"):
+        simulate(market, cfg, dates=dates)
+
+
 # ---------------------------------------------------------------------------
 # dispersion bounds
 
@@ -802,6 +811,12 @@ def test_payoff_validation_and_labels():
     assert PayoffSpec("index_call", 105.0).label() == "index_call@105"
     assert PayoffSpec("asset_put", 95.5, asset_id="AAA").label() == "asset_put[AAA]@95.5"
     assert PayoffSpec("worst_of_put", 0.9).label() == "worst_of_put@0.9"
+
+
+@pytest.mark.parametrize("kind", ["index_call", "index_put", "worst_of_put", "best_of_call"])
+def test_payoff_without_an_asset_rejects_an_asset_id(kind):
+    with pytest.raises(PricingError, match=f"{kind} takes no asset_id, got 'AAA'"):
+        PayoffSpec(kind, 0.9, asset_id="AAA")
 
 
 def test_unknown_payoff_asset_raises_before_any_block_runs(monkeypatch):

@@ -5,6 +5,7 @@ A name deleted from its module but left in an ``__all__`` (or in an
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import localcorr
@@ -25,3 +26,12 @@ def test_every_all_entry_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
             checked += 1
     assert checked > 50
+
+
+def test_packages_re_export_nothing():
+    """Each public name has one import path, the module that defines it."""
+    for package in ("localcorr", "localcorr.lcm", "localcorr.marketdata"):
+        module = importlib.import_module(package)
+        public = {name for name, value in vars(module).items()  # __version__ starts with _
+                  if not name.startswith("_") and not inspect.ismodule(value)}
+        assert not public, f"{package} re-exports {sorted(public)}"

@@ -120,13 +120,6 @@ def marginal_tables(snapshot: MarketSnapshot, expiry: float) -> list[InverseCdfT
     ]
 
 
-def _basket_forward(snapshot: MarketSnapshot, expiry: float) -> float:
-    return float(
-        sum(w * snapshot.forward_curve(a).forward(expiry)
-            for w, a in zip(snapshot.weights, snapshot.composition.ids))
-    )
-
-
 def _normal_cube(spec: CopulaSpec, dim: int) -> np.ndarray:
     """Independent standard normals, shaped (partitions, block, dim)."""
     from scipy.stats import qmc  # slow to load, and only copula builds need it
@@ -196,26 +189,27 @@ def _baskets(u: np.ndarray, order: np.ndarray, tables: list[InverseCdfTable],
     return baskets.reshape(u.shape[:2])
 
 
-def _prices_from_baskets(
-    baskets: np.ndarray,
-    strikes: np.ndarray,
-    basket_forward: float,
-    df: float,
-):
-    n_part = baskets.shape[0]
-    prices = np.empty(strikes.size)
-    errs = np.empty(strikes.size)
+def _otm_call_prices(baskets: np.ndarray, strikes, forward: float, df: float) -> np.ndarray:
+    """Discounted call prices of basket samples, one row per strike.
+
+    Each price averages over the last axis of ``baskets``.  A strike at
+    or below the forward is priced on the put side and carried across by
+    parity against the exact forward, which keeps the Monte Carlo error
+    on the small put leg instead of the dominant forward leg.
+    """
+    out = np.empty((len(strikes), *baskets.shape[:-1]))
     for j, k in enumerate(strikes):
-        if k <= basket_forward:
-            # put side, carried across by parity against the exact forward
-            leg = np.maximum(k - baskets, 0.0).mean(axis=1)
-            per_part = df * (basket_forward - k + leg)
+        if k <= forward:
+            out[j] = df * (forward - k + np.maximum(k - baskets, 0.0).mean(axis=-1))
         else:
-            leg = np.maximum(baskets - k, 0.0).mean(axis=1)
-            per_part = df * leg
-        prices[j] = per_part.mean()
-        errs[j] = per_part.std(ddof=1) / np.sqrt(n_part)
-    return prices, errs
+            out[j] = df * np.maximum(baskets - k, 0.0).mean(axis=-1)
+    return out
+
+
+def _prices_from_baskets(baskets, strikes, basket_forward, df):
+    """Prices and standard errors from the spread of the per-partition prices."""
+    per_part = _otm_call_prices(baskets, strikes, basket_forward, df)
+    return per_part.mean(axis=1), per_part.std(axis=1, ddof=1) / np.sqrt(baskets.shape[0])
 
 
 def copula_basket_call(
@@ -241,7 +235,7 @@ def copula_basket_call(
         raise CorrelationError("correlation size does not match the basket")
     tables = marginal_tables(snapshot, expiry)
     baskets = _baskets(*_spec_uniforms(spec), tables, weights)
-    fwd = _basket_forward(snapshot, expiry)
+    fwd = float(snapshot.forward_curve(snapshot.index.asset_id).forward(expiry))
     df = snapshot.discount_curve.discount(expiry)
     prices, errs = _prices_from_baskets(baskets, strikes, fwd, df)
     counters = {"clamped": int(sum(t.counters.get("clamped", 0) for t in tables))}
@@ -283,7 +277,7 @@ def fit_flat_correlation(
     tables = marginal_tables(snapshot, expiry)
     cube = _normal_cube(spec, n)
     u = np.empty_like(cube)
-    fwd = _basket_forward(snapshot, expiry)
+    fwd = float(snapshot.forward_curve(snapshot.index.asset_id).forward(expiry))
     df = snapshot.discount_curve.discount(expiry)
     k_arr = np.array([float(strike)])
 

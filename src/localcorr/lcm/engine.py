@@ -236,7 +236,8 @@ def calibrate_market(
 
     Every constituent and the index is tabulated on the default grid of
     :func:`~localcorr.dupire.calibrate_local_vol`; ``config`` sets only
-    the steps per year.
+    the steps per year.  A forward, the index's included, that is not
+    finite and positive on the step grid raises ``EngineError``.
     """
     config = config or SimulationConfig()
     if not 0.0 < horizon < np.inf:
@@ -248,11 +249,15 @@ def calibrate_market(
     check_describable((n_steps + 1, len(ids)),
                       f"steps_per_year = {config.steps_per_year} at horizon {horizon!r}", EngineError)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    fwds = np.stack([snapshot.forward_curve(a).forward(times) for a in ids], axis=1)
-    local_vols = [  # the constituents, then the index
-        calibrate_local_vol(snapshot.call_surface(a), horizon)
-        for a in (*ids, snapshot.index.asset_id)
-    ]
+    all_ids = (*ids, snapshot.index.asset_id)  # the constituents, then the index
+    with np.errstate(all="ignore"):  # reported below, not warned about
+        fwds = np.stack([snapshot.forward_curve(a).forward(times) for a in all_ids], axis=1)
+    bad = ~((fwds > 0.0) & (fwds < np.inf))
+    if bad.any():
+        step, col = np.argwhere(bad)[0]
+        raise EngineError(f"horizon {horizon!r}: the forward of {all_ids[col]} at "
+                          f"t = {float(times[step])!r} is not finite and positive")
+    local_vols = [calibrate_local_vol(snapshot.call_surface(a), horizon) for a in all_ids]
     return CalibratedMarket(
         snapshot=snapshot,
         family=family,
@@ -261,7 +266,7 @@ def calibrate_market(
         asset_ids=ids,
         weights=snapshot.weights,
         spots0=np.array([snapshot.asset(a).spot for a in ids]),
-        dlog_fwd=np.diff(np.log(fwds), axis=0),
+        dlog_fwd=np.diff(np.log(fwds[:, :-1]), axis=0),
         local_vols=local_vols[:-1],
         index_local_vol=local_vols[-1],
     )
@@ -729,7 +734,8 @@ def average_correlation(cube: PathCube, strike: float | None = None) -> float:
     Unconditional when ``strike`` is None.  With a strike (in terms of
     the initial basket level), paths are weighted by the indicator of
     finishing in the money: below the strike for a strike at or below 1
-    (a put), above it otherwise (a call).
+    (a put), above it otherwise (a call).  When no path finishes in the
+    money the conditioning set is empty and the result is ``nan``.
     """
     per_path = cube.path_mean_correlation
     if strike is None:

@@ -3,7 +3,8 @@
 A curve is piecewise linear in the instantaneous rate between its knots and
 flat outside them.  Discount factors and forwards are exact closed-form
 integrals of that interpolated rate, so drift terms queried at a time ``t``
-are always consistent with the discount factors used elsewhere.
+are always consistent with the discount factors used elsewhere.  A basket
+forward curve sums the forwards of its components.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from ..errors import CurveError
 __all__ = [
     "RateCurve",
     "ForwardCurve",
-    "BlendedYieldCurve",
+    "BasketForwardCurve",
 ]
 
 
@@ -97,65 +98,12 @@ class RateCurve:
 
 
 @dataclass(frozen=True, eq=False)
-class BlendedYieldCurve:
-    """Dividend yield implied by a weighted basket of forward curves.
-
-    The yield is defined so that the basket forward equals the weighted sum of
-    the component forwards at every maturity:
-
-        q(t) = r(t) - sum_i w_i F_i(t) (r(t) - q_i(t)) / sum_i w_i F_i(t)
-
-    with the integral written through the basket forward itself, which makes
-    the identity exact rather than quadrature based.
-    """
-
-    weights: np.ndarray
-    components: tuple
-    rate_curve: RateCurve
-
-    def __post_init__(self):
-        weights = _as_array(self.weights, "basket weights")
-        if len(self.components) != weights.size:
-            raise CurveError("weights and component forwards disagree in length")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "components", tuple(self.components))
-
-    def _basket_forward(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t_arr, dtype=float)
-        for w, fc in zip(self.weights, self.components):
-            acc = acc + w * fc.forward(t_arr)
-        return acc
-
-    def rate(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        fwd = np.zeros_like(t_arr, dtype=float)
-        drift = np.zeros_like(t_arr, dtype=float)
-        r = self.rate_curve.rate(t_arr)
-        for w, fc in zip(self.weights, self.components):
-            f = w * fc.forward(t_arr)
-            fwd = fwd + f
-            drift = drift + f * (r - fc.yield_curve.rate(t_arr))
-        out = r - drift / fwd
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
-
-    def integral(self, t):
-        spot0 = self._basket_forward(0.0)
-        out = self.rate_curve.integral(t) - np.log(self._basket_forward(t) / spot0)
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class ForwardCurve:
     """Forward curve ``F(t) = spot * exp(integral(r - q))`` of one asset."""
 
     spot: float
     rate_curve: RateCurve
-    yield_curve: object  # RateCurve or BlendedYieldCurve
+    yield_curve: RateCurve
 
     def __post_init__(self):
         if not np.isfinite(self.spot) or self.spot <= 0.0:
@@ -167,6 +115,37 @@ class ForwardCurve:
     def drift(self, t):
         """Instantaneous forward drift r(t) - q(t)."""
         return self.rate_curve.rate(t) - self.yield_curve.rate(t)
+
+    def discount(self, t):
+        return self.rate_curve.discount(t)
+
+
+@dataclass(frozen=True, eq=False)
+class BasketForwardCurve:
+    """Forward of a weighted basket of forward curves, ``F(t) = sum_i w_i F_i(t)``.
+
+    The basket is the index, so its forward is that sum exactly.  Its drift
+    is the forward-weighted drift of the components,
+    ``sum_i w_i F_i(t) mu_i(t) / F(t)``, the log-derivative of ``F``.
+    """
+
+    weights: np.ndarray
+    components: tuple  # tuple[ForwardCurve], one per weight
+    rate_curve: RateCurve
+
+    def forward(self, t):
+        out = 0.0
+        for w, fc in zip(self.weights, self.components, strict=True):
+            out = out + w * fc.forward(t)
+        return out
+
+    def drift(self, t):
+        fwd = drift = 0.0
+        for w, fc in zip(self.weights, self.components, strict=True):
+            f = w * fc.forward(t)
+            fwd = fwd + f
+            drift = drift + f * fc.drift(t)
+        return drift / fwd
 
     def discount(self, t):
         return self.rate_curve.discount(t)

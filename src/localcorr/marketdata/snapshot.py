@@ -21,11 +21,12 @@ Every key but ``generator`` is required.  Loading checks the JSON type of
 each field it reads, and the first missing or ill-typed one raises
 ``SnapshotError`` naming its path, e.g. ``assets[0].spot``.
 
-The index dividend yield is never read from the file; it is derived from the
-constituent forwards so that the index forward equals the weighted sum of
-constituent forwards at every maturity.  If the quoted index spot differs
-from the weighted sum of constituent spots by at most 1e-4 relative, the
-weights are rescaled proportionally; a larger gap is an error.
+The index has no dividend curve in the file.  The index is the basket, so
+its forward is the weighted sum of the constituent forwards at every
+maturity.  If the quoted index spot differs from the weighted sum of
+constituent spots by at most 1e-4 relative, the weights are rescaled
+proportionally; a larger gap is an error.  So is a forward, the index's
+included, that is not finite and positive at a quoted maturity of its asset.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .._inputs import NUMBER, OBJECT, TEXT, is_number_rows, is_numbers, read_field, read_json
 from ..errors import SnapshotError
-from .curves import BlendedYieldCurve, ForwardCurve, RateCurve
+from .curves import BasketForwardCurve, ForwardCurve, RateCurve
 from .surfaces import CallSurface, VolSurface
 
 __all__ = [
@@ -97,9 +98,9 @@ class IndexComposition:
 class MarketSnapshot:
     """One observation date of the whole market.
 
-    Weights are reconciled against the index spot at construction; forward
-    curves and the derived index yield are built once, and every call
-    surface shares its asset's forward curve.
+    Weights are reconciled against the index spot at construction; the
+    forward curves, the index's basket forward among them, are built and
+    checked once, and every call surface shares its asset's forward curve.
     """
 
     as_of: _dt.date
@@ -140,15 +141,21 @@ class MarketSnapshot:
             q.asset_id: ForwardCurve(q.spot, self.discount_curve, q.dividend_curve)
             for q in self.assets
         }
-        components = tuple(self._forwards[i] for i in self.composition.ids)
-        index_yield = BlendedYieldCurve(
-            weights=self.composition.weights,
-            components=components,
-            rate_curve=self.discount_curve,
+        self._forwards[self.index.asset_id] = BasketForwardCurve(
+            self.composition.weights,
+            tuple(self._forwards[i] for i in self.composition.ids),
+            self.discount_curve,
         )
-        self._forwards[self.index.asset_id] = ForwardCurve(
-            self.index.spot, self.discount_curve, index_yield
-        )
+        for quote in (*self.assets, self.index):
+            mats = quote.vol_surface.maturities
+            with np.errstate(all="ignore"):  # reported below, not warned about
+                fwd = self._forwards[quote.asset_id].forward(mats)
+            bad = ~((fwd > 0.0) & (fwd < np.inf))
+            if bad.any():
+                raise SnapshotError(
+                    f"asset {quote.asset_id}: forward {float(fwd[bad][0])!r} at maturity "
+                    f"{float(mats[bad][0])!r} is not finite and positive"
+                )
         self._call_surfaces: dict[str, CallSurface] = {}
 
     # ------------------------------------------------------------------
@@ -169,7 +176,7 @@ class MarketSnapshot:
         except KeyError:
             raise SnapshotError(f"unknown asset id {asset_id}") from None
 
-    def forward_curve(self, asset_id: str) -> ForwardCurve:
+    def forward_curve(self, asset_id: str) -> ForwardCurve | BasketForwardCurve:
         try:
             return self._forwards[asset_id]
         except KeyError:
@@ -245,7 +252,7 @@ def snapshot_from_dict(raw: dict) -> MarketSnapshot:
             AssetQuote(asset_id, float(spot), RateCurve.from_pairs(dividends), VolSurface(*vols))
             for asset_id, spot, dividends, vols in assets
         ),
-        # the index dividend curve is a placeholder; its yield is derived
+        # the index dividend curve is a placeholder; its forward is the basket's
         index=AssetQuote(index_id, float(index_spot), RateCurve.flat(0.0), VolSurface(*index_vols)),
         composition=IndexComposition(
             tuple(i for i, _ in comp), np.array([w for _, w in comp], float)

@@ -34,7 +34,7 @@ from scipy.special import ndtr
 
 from ..errors import SurfaceError
 from .black import norm_pdf
-from .curves import ForwardCurve
+from .curves import BasketForwardCurve, ForwardCurve
 
 __all__ = ["VolSurface", "CallEval", "CallSurface"]
 
@@ -68,6 +68,10 @@ class VolSurface:
                 raise SurfaceError(f"strikes at maturity {t} must be strictly increasing")
             if np.any(~np.isfinite(v_row)) or np.any(v_row <= 0.0):
                 raise SurfaceError(f"vols at maturity {t} must be positive")
+            with np.errstate(over="ignore"):  # reported below, not warned about
+                total_variance = np.square(v_row) * t
+            if not np.all(np.isfinite(total_variance)):
+                raise SurfaceError(f"total variance vol^2 * T at maturity {t} is not finite")
         object.__setattr__(self, "maturities", mats)
         object.__setattr__(self, "strikes", strikes)
         object.__setattr__(self, "vols", vols)
@@ -164,11 +168,13 @@ class CallSurface:
     """Smooth call-price surface of one asset with analytic derivatives.
 
     Construction needs the quoted :class:`VolSurface` and the asset's
-    :class:`ForwardCurve` (which carries funding and dividend curves).  All
+    forward curve: a :class:`ForwardCurve` (which carries funding and
+    dividend curves), or the index's :class:`BasketForwardCurve`.  All
     queries accept scalar or array strikes at a fixed expiry.
     """
 
-    def __init__(self, surface: VolSurface, forward_curve: ForwardCurve, asset_id: str = ""):
+    def __init__(self, surface: VolSurface, forward_curve: ForwardCurve | BasketForwardCurve,
+                 asset_id: str = ""):
         self.surface = surface
         self.forward_curve = forward_curve
         self.asset_id = asset_id

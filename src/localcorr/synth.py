@@ -26,7 +26,7 @@ import datetime as _dt
 import numpy as np
 
 from ._inputs import INTEGER, NUMBER, NUMBERS, TEXT, is_number, is_number_rows, is_numbers
-from .copula import CopulaSpec, copula_basket_call, flat_correlation
+from .copula import CopulaSpec, _otm_call_prices, copula_basket_call, flat_correlation
 from .corrfam import CorrelationFamily, validate_correlation
 from .errors import PricingError, RecipeError
 from .lcm.engine import SimulationConfig, calibrate_market, probe_bounds, simulate
@@ -221,9 +221,10 @@ def _assemble(recipe: SyntheticRecipe, prov: MarketSnapshot, index_vols,
 def _provisional(recipe: SyntheticRecipe, discount, quotes, weights) -> MarketSnapshot:
     """Snapshot with a flat placeholder index surface.
 
-    Good enough to expose constituent surfaces, forwards and the derived
-    index yield to the generators; the placeholder index vols are never
-    read by them, and ``_assemble`` swaps in the generated ones.
+    Good enough to expose constituent surfaces and forwards, and the index
+    forward, their weighted sum, to the generators; the placeholder index
+    vols are never read by them, and ``_assemble`` swaps in the generated
+    ones.
     """
     spots = np.array([q.spot for q in quotes])
     level = float(np.average([a.base_vol for a in recipe.assets], weights=weights))
@@ -292,14 +293,7 @@ def _ground_truth_index_vols(recipe: SyntheticRecipe, prov: MarketSnapshot) -> l
         fwd = fc.forward(float(t))
         df = discount.discount(float(t))
         strikes = m * fwd
-        # price the out-of-the-money side and apply parity with the exact
-        # forward, keeping the Monte Carlo error off the forward leg
-        prices = np.empty(strikes.size)
-        for i, k in enumerate(strikes):
-            if k <= fwd:
-                prices[i] = df * (fwd - k) + df * float(np.mean(np.maximum(k - basket, 0.0)))
-            else:
-                prices[i] = df * float(np.mean(np.maximum(basket - k, 0.0)))
+        prices = _otm_call_prices(basket, strikes, fwd, df)
         rows.append(_invert_row(prices, fwd, strikes, float(t), df, f"T={t:g}"))
     return rows
 

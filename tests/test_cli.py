@@ -594,6 +594,41 @@ def test_snapshot_fields_of_the_wrong_json_type_fail(snapshot_path, tmp_path, co
     assert named in _assert_single_error(res, tmp_path, "price.json", "SnapshotError")
 
 
+@pytest.mark.parametrize("corrupt, error, named", [
+    (_put("discount_curve", 0, "r", value=1e6), "SnapshotError",
+     "AAA: forward inf at maturity 0.5"),
+    (_put("assets", 0, "dividend_curve", 0, "q", value=1e6), "SnapshotError",
+     "AAA: forward 0.0 at maturity 0.5"),
+    (_put("assets", 1, "vols", "maturities", 2, value=1e6), "SnapshotError",
+     "BBB: forward inf at maturity 1000000.0"),
+    (_put("index", "vols", "maturities", 2, value=1e6), "SnapshotError",
+     "IDX: forward inf at maturity 1000000.0"),
+    (_put("assets", 1, "vols", "values", 0, 2, value=1e300), "SurfaceError", "maturity 0.5"),
+    (_put("index", "vols", "values", 2, 0, value=1e300), "SurfaceError", "maturity 1.5"),
+], ids=["rate-huge", "dividend-huge", "asset-maturity-huge", "index-maturity-huge",
+        "asset-vol-huge", "index-vol-huge"])
+def test_overflowing_forwards_and_variances_fail_at_load(snapshot_path, tmp_path, corrupt, error,
+                                                         named):
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(json.dumps(corrupt(json.loads(snapshot_path.read_text()))))
+    res = _run(["--input", str(bad), "--output-dir", str(tmp_path), "calibrate",
+                "--times", "4", "--spots", "5"])
+    assert named in _assert_single_error(res, tmp_path, "localvol_AAA.csv", error)
+
+
+@pytest.mark.parametrize("command, output", [("price", "price.json"),
+                                             ("diagnose", "diagnose.csv")])
+def test_forwards_that_overflow_past_the_quotes_fail_at_the_horizon(snapshot_path, tmp_path,
+                                                                    command, output):
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(json.dumps(_put("discount_curve", 0, "r", value=50.0)(
+        json.loads(snapshot_path.read_text()))))
+    res = _run(["--input", str(bad), "--output-dir", str(tmp_path), command,
+                "--maturity", "20", *_SMALL_RUN])
+    message = _assert_single_error(res, tmp_path, output, "EngineError")
+    assert "horizon 20.0: the forward of BBB at t = 14.1" in message
+
+
 @pytest.mark.parametrize("text, named", [
     ('{"assets": [{"asset_id": "AAA"', "not valid JSON"),  # truncated recipe
     ('{"matrix": [[1.0, 0.3], [0.3', "not valid JSON"),  # truncated center file

@@ -27,6 +27,7 @@ from localcorr.errors import CorrelationError, PricingError
 from localcorr.marketdata.black import implied_vol
 from localcorr.marketdata.curves import RateCurve
 from localcorr.marketdata.snapshot import IndexComposition, MarketSnapshot
+from localcorr.synth import AssetRecipe, SyntheticRecipe, build_snapshot
 
 from helpers import (
     AS_OF,
@@ -362,6 +363,20 @@ def test_basket_prices_are_the_per_partition_draw_bit_for_bit(n, rho, seed, n_sa
         assert prices.tobytes() == got.prices.tobytes()
         assert errs.tobytes() == got.stderrs.tobytes()
         assert got.counters == {"clamped": clamped}
+
+
+def test_basket_forward_is_the_index_forward_bit_for_bit():
+    """The copula prices against the snapshot's index forward, the one synth strikes off."""
+    assets = (AssetRecipe("AAA", base_vol=0.2, skew=0.05, dividend=0.01),
+              AssetRecipe("BBB", spot=80.0, base_vol=0.26, skew=0.06, dividend=0.03),
+              AssetRecipe("CCC", spot=120.0, base_vol=0.23, skew=0.04))
+    snap = build_snapshot(SyntheticRecipe(
+        assets=assets, correlation=0.45, weights=(0.5, 0.3, 0.2), generator="steepened",
+        steepen=0.06, n_samples=4096))
+    spec = CopulaSpec(correlation=flat_correlation(3, 0.45), n_samples=2000)
+    for expiry in (0.15, 0.4, 0.75, 1.0, 1.3, 2.5):
+        got = copula_basket_call(snap, spec, expiry, [100.0])
+        assert got.basket_forward == snap.forward_curve("IDX").forward(expiry)
 
 
 @pytest.mark.parametrize("sampler", ["sobol"])

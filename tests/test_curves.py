@@ -1,15 +1,11 @@
-"""Tests for rate curves, forward curves, and the blended basket yield."""
+"""Tests for rate curves, forward curves, and the basket forward curve."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from localcorr.errors import CurveError
-from localcorr.marketdata.curves import (
-    BlendedYieldCurve,
-    ForwardCurve,
-    RateCurve,
-)
+from localcorr.marketdata.curves import BasketForwardCurve, ForwardCurve, RateCurve
 
 
 def test_flat_curve_closed_forms():
@@ -66,26 +62,25 @@ def test_forward_curve_requires_positive_spot():
         ForwardCurve(-5.0, RateCurve.flat(0.02), RateCurve.flat(0.0))
 
 
-def test_blended_yield_reproduces_basket_forward():
-    """Index forward through the blended yield equals sum of weighted forwards."""
+def _basket():
     rc = RateCurve.flat(0.02)
     fc1 = ForwardCurve(100.0, rc, RateCurve.flat(0.01))
     fc2 = ForwardCurve(80.0, rc, RateCurve.from_pairs([(1.0, 0.0), (2.0, 0.03)]))
-    weights = np.array([0.6, 0.4])
-    blend = BlendedYieldCurve(weights, (fc1, fc2), rc)
-    level = 0.6 * 100.0 + 0.4 * 80.0
-    index_fc = ForwardCurve(level, rc, blend)
-    for t in (0.1, 0.5, 1.0, 1.7, 2.5, 4.0):
-        target = 0.6 * fc1.forward(t) + 0.4 * fc2.forward(t)
-        assert abs(index_fc.forward(t) - target) < 1e-10 * target
+    return BasketForwardCurve(np.array([0.6, 0.4]), (fc1, fc2), rc), fc1, fc2
 
 
-def test_blended_yield_rate_is_integral_derivative():
-    rc = RateCurve.flat(0.02)
-    fc1 = ForwardCurve(100.0, rc, RateCurve.flat(0.015))
-    fc2 = ForwardCurve(50.0, rc, RateCurve.flat(0.0))
-    blend = BlendedYieldCurve(np.array([0.5, 0.5]), (fc1, fc2), rc)
+def test_basket_forward_is_the_weighted_sum_exactly():
+    """At the spot, between the dividend knots and past the last one."""
+    basket, fc1, fc2 = _basket()
+    ts = np.array([0.0, 1.5, 4.0])
+    assert np.array_equal(basket.forward(ts), 0.6 * fc1.forward(ts) + 0.4 * fc2.forward(ts))
+    for t in ts:
+        assert basket.forward(t) == 0.6 * fc1.forward(t) + 0.4 * fc2.forward(t)
+
+
+def test_basket_drift_is_the_log_derivative_of_its_forward():
+    basket, *_ = _basket()
     h = 1e-6
-    for t in (0.4, 1.1, 2.3):
-        fd = (blend.integral(t + h) - blend.integral(t - h)) / (2 * h)
-        assert abs(blend.rate(t) - fd) < 1e-7
+    for t in (0.4, 1.1, 1.7, 2.3, 4.0):
+        fd = (np.log(basket.forward(t + h)) - np.log(basket.forward(t - h))) / (2 * h)
+        assert abs(basket.drift(t) - fd) < 1e-7

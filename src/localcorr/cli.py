@@ -57,15 +57,18 @@ class _JsonLogHandler(logging.StreamHandler):
 
 
 def _setup_logging(fmt: str):
-    root = logging.getLogger("localcorr")
-    root.setLevel(logging.INFO)
-    root.handlers.clear()
+    """Send the package's log records and Python warnings to stderr in one format."""
     if fmt == "json":
-        root.addHandler(_JsonLogHandler(sys.stderr))
+        handler = _JsonLogHandler(sys.stderr)
     else:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        root.addHandler(handler)
+    logging.captureWarnings(True)
+    for name in ("localcorr", "py.warnings"):
+        logger = logging.getLogger(name)
+        logger.handlers.clear()
+        logger.addHandler(handler)
+    logging.getLogger("localcorr").setLevel(logging.INFO)
 
 
 def _write_manifest(out_dir, command, params, seed, input_path, started):

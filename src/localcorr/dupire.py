@@ -18,9 +18,10 @@ numerator.  Floors and caps below keep the division usable in the far wings,
 and every floored evaluation is counted.
 
 Pointwise queries (:func:`local_vol`) and the tabulated grid
-(:func:`calibrate_local_vol`) share one floored ratio; the grid reads the
-variance terms of all its times from one surface call, so a grid row equals
-the pointwise vols at its time bit for bit.
+(:func:`calibrate_local_vol`) read the variance terms through one surface
+query, ``CallSurface.variance_view``, and share one floored ratio: the
+pointwise query reads a one-row grid, so a grid row equals the pointwise vols
+at its time bit for bit.
 """
 from __future__ import annotations
 
@@ -136,14 +137,16 @@ def local_vol(cs: CallSurface, t: float, spot):
     and the butterfly denominator carries the same prefactor times the
     convexity factor, leaving variance = (dw/dT) / convexity.  The
     cancelled form is exact for flat surfaces at any moneyness, where
-    the raw ratio of near-zero Greeks loses every digit.
+    the raw ratio of near-zero Greeks loses every digit.  Both terms are
+    the one row at ``t`` of ``cs.variance_view``, which is not cached.
 
     ``spot`` may be an array.  Floored numerators (calendar spread below
     zero), floored denominators (butterfly factor below its floor) and
-    clipped variances are counted on ``cs.counters``.
+    clipped variances are counted on ``cs.counters``, and so is a time
+    past the last quote, on every call.
     """
-    view = cs.variance_view(t, spot)
-    out = _floored_vol(cs.counters, view.w_t, view.convexity)
+    w_t, convexity = cs.variance_view([t], spot)
+    out = _floored_vol(cs.counters, w_t[0], convexity[0])
     return float(out[0]) if np.ndim(spot) == 0 else out
 
 
@@ -307,7 +310,7 @@ def calibrate_local_vol(
     times = np.linspace(FIRST_GRID_TIME, horizon, n_times)
     log_spots = np.log(f0) + np.linspace(-half_width, half_width, n_spots)
     before = dict(cs.counters)
-    w_t, convexity = cs._variance_grid(times, np.exp(log_spots))
+    w_t, convexity = cs.variance_view(times, np.exp(log_spots))
     grid = _floored_vol(cs.counters, w_t, convexity)
     lv = LocalVolSurface(
         asset_id=cs.asset_id,

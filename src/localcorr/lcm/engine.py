@@ -697,13 +697,20 @@ def price_european(
     Methods in Financial Engineering*, 4.1); ``variance_ratio`` is that
     residual variance over Var(y).  Per-block sums of c, y and their
     products are reduced in block order, so results do not depend on the
-    worker count.  A payoff on an unknown asset raises ``PricingError``
-    before any path is drawn.
+    worker count.  A payoff on an unknown asset, or a put whose moment
+    sums n_paths K^2 overflow, raises ``PricingError`` before any path is
+    drawn.
     """
     config = config or SimulationConfig()
     if not payoffs:
         raise PricingError("no payoffs given")
     controls = _Controls(market, payoffs)
+    for spec, (_, strike, call, _, k, _) in zip(payoffs, controls.plan):
+        # a put and its twins are bounded by their strikes, so each moment sum is at most N K^2
+        bound = max(strike, float(k))
+        if not call and not config.n_paths * bound * bound < np.inf:
+            raise PricingError(f"{spec.label()}: the moment sums of a put struck this high "
+                               f"overflow over {config.n_paths} paths")
     blocks, diag = _run_blocks(market, config, [market.n_steps], controls.moments)
     total = np.zeros_like(blocks[0])
     for sums in blocks:

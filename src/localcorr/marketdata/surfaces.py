@@ -15,9 +15,11 @@ of forward log-moneyness ``x = log(K / F(T))``:
 One evaluator serves every query.  The slices of any set of maturities come
 from one interpolation across maturity and one natural spline solve each for
 w and dw/dT, and their coefficients are read at (maturity, strike) points in
-scipy's ``PPoly`` operation order.  A single-expiry query is a grid of one
-row, cached per expiry; the local vol calibration asks for its whole time
-grid at once, and every value is the same bit for bit either way.
+scipy's ``PPoly`` operation order.  Prices, vols and total variance read a
+one-row slice cached per expiry.  ``CallSurface.variance_view`` is the one
+query for the two terms of local variance, dw/dT and the butterfly convexity
+factor, on a (times, strikes) grid; a row of it is the same bit for bit
+whether it is asked for alone or with the rest of a grid.
 
 Outside the quoted strike range the implied vol is flat, which makes the tails
 exact lognormal closed forms.  Extrapolated queries and negative densities are
@@ -98,28 +100,6 @@ class CallEval:
     extrapolated: np.ndarray  # strike outside the quoted moneyness span
 
 
-@dataclass(frozen=True, eq=False)
-class VarianceView:
-    """Total variance and its derivatives at one expiry.
-
-    ``convexity`` is the dimensionless factor multiplying the Gaussian
-    density in d2C/dK2; it is positive iff the smile is free of
-    butterfly arbitrage at these strikes.
-    """
-
-    expiry: float
-    strike: np.ndarray
-    log_moneyness: np.ndarray
-    w: np.ndarray
-    w_x: np.ndarray
-    w_xx: np.ndarray
-    w_t: np.ndarray
-    convexity: np.ndarray
-    forward: float
-    df: float
-    extrapolated: np.ndarray
-
-
 def _convexity(x, w, wx, wxx):
     """Convexity factor g with d2C/dK2 = DF·n(d2)·g/(K·sqrt(w))."""
     return (
@@ -169,8 +149,9 @@ class CallSurface:
 
     Construction needs the quoted :class:`VolSurface` and the asset's
     forward curve: a :class:`ForwardCurve` (which carries funding and
-    dividend curves), or the index's :class:`BasketForwardCurve`.  All
-    queries accept scalar or array strikes at a fixed expiry.
+    dividend curves), or the index's :class:`BasketForwardCurve`.  Queries
+    accept scalar or array strikes at a fixed expiry, except
+    :meth:`variance_view`, which reads a grid of times.
     """
 
     def __init__(self, surface: VolSurface, forward_curve: ForwardCurve | BasketForwardCurve,
@@ -229,6 +210,7 @@ class CallSurface:
         if not valid.all():
             bad = float(times[~valid][0])
             raise SurfaceError(f"surface query needs a positive expiry, got {bad!r}")
+        forward = self._forwards(times)
         past = times > self.expiry_max
         n_past = int(np.count_nonzero(past))
         if n_past:
@@ -240,7 +222,17 @@ class CallSurface:
         w_vals = np.maximum(np.where(past[:, None], extended, w_vals), 1e-12)
         w_coef = CubicSpline(self.x_grid, w_vals.T, bc_type="natural").c
         wt_coef = CubicSpline(self.x_grid, wt_vals.T, bc_type="natural").c
-        return self.forward_curve.forward(times), w_coef, wt_coef
+        return forward, w_coef, wt_coef
+
+    def _forwards(self, times: np.ndarray) -> np.ndarray:
+        """Forwards at ``times``; one that is not finite and positive raises ``SurfaceError``."""
+        with np.errstate(all="ignore"):  # reported below, not warned about
+            forward = self.forward_curve.forward(times)
+        bad = ~((forward > 0.0) & (forward < np.inf))
+        if bad.any():
+            raise SurfaceError(f"{self.asset_id}: forward {float(forward[bad][0])!r} at "
+                               f"t = {float(times[bad][0])!r} is not finite and positive")
+        return forward
 
     def _profile(self, expiry: float) -> _Profile:
         expiry = float(expiry)
@@ -306,19 +298,6 @@ class CallSurface:
         x, w, wx, wxx, wt, extrap = self._terms(prof.forward, prof.w_coef, prof.wt_coef, k[None, :])
         return prof, k, x[0], w[0], wx[0], wxx[0], wt[0], extrap[0]
 
-    def _variance_grid(self, times, strikes):
-        """dw/dT and the convexity factor at every (time, strike) pair, (times, strikes).
-
-        Row i equals ``variance_view(times[i], strikes)``'s ``w_t`` and
-        ``convexity`` bit for bit, and the surface counters add up as if
-        each row were queried alone on a fresh surface.  Nothing is cached.
-        """
-        times = np.asarray(times, dtype=float)
-        k = self._strikes(strikes)
-        forward, w_coef, wt_coef = self._slices(times)
-        x, w, wx, wxx, wt, _ = self._terms(forward[:, None], w_coef, wt_coef, k[None, :])
-        return wt, _convexity(x, w, wx, wxx)
-
     # ------------------------------------------------------------------
     # queries
 
@@ -356,29 +335,21 @@ class CallSurface:
             extrapolated=extrap,
         )
 
-    def variance_view(self, expiry: float, strike) -> VarianceView:
-        """Total variance, its derivatives and the convexity factor.
+    def variance_view(self, times, strikes):
+        """dw/dT and the convexity factor g at every (time, strike) pair, (times, strikes).
 
-        The convexity factor g satisfies d2C/dK2 = DF·n(d2)·g/(K·sqrt(w)),
-        so ratios of the call derivatives reduce to ratios of these terms
-        with the Gaussian prefactor cancelled, which stays well behaved
-        arbitrarily far from the money.
+        The convexity factor satisfies d2C/dK2 = DF·n(d2)·g/(K·sqrt(w)), so
+        ratios of the call derivatives reduce to ratios of these terms with
+        the Gaussian prefactor cancelled, which stays well behaved
+        arbitrarily far from the money; g is positive iff the smile is free
+        of butterfly arbitrage there.  The surface counters add up as if
+        each row were queried alone on a fresh surface.  Nothing is cached.
         """
-        prof, k, x, w, wx, wxx, wt, extrap = self._query(expiry, strike)
-        g = _convexity(x, w, wx, wxx)
-        return VarianceView(
-            expiry=prof.expiry,
-            strike=k,
-            log_moneyness=x,
-            w=w,
-            w_x=wx,
-            w_xx=wxx,
-            w_t=wt,
-            convexity=g,
-            forward=prof.forward,
-            df=prof.df,
-            extrapolated=extrap,
-        )
+        times = np.asarray(times, dtype=float)
+        k = self._strikes(strikes)
+        forward, w_coef, wt_coef = self._slices(times)
+        x, w, wx, wxx, wt, _ = self._terms(forward[:, None], w_coef, wt_coef, k[None, :])
+        return wt, _convexity(x, w, wx, wxx)
 
     def price(self, expiry: float, strike):
         out = self.evaluate(expiry, strike).price
@@ -394,4 +365,4 @@ class CallSurface:
         return float(w[0]) if np.ndim(strike) == 0 else w
 
     def forward(self, expiry: float) -> float:
-        return self._profile(expiry).forward
+        return float(self._forwards(np.array([float(expiry)]))[0])

@@ -12,13 +12,17 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from localcorr import synth
 from localcorr.corrfam import CorrelationFamily
 from localcorr.errors import PricingError
-from localcorr.lcm.engine import CalibratedMarket
+from localcorr.lcm.engine import CalibratedMarket, SimulationConfig, calibrate_market
 from localcorr.marketdata import black
+from localcorr.marketdata.surfaces import CallSurface
+
+from helpers import flat_snapshot
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,6 +78,22 @@ def test_synth_prices_the_copula_once_per_maturity(monkeypatch):
     )
     synth.build_snapshot(recipe)
     assert calls == [float(t) for t in recipe.maturities]
+
+
+def test_calibration_reads_each_surface_once(monkeypatch):
+    """``marketdata.variance_view.calls`` counts one grid query per calibrated surface."""
+    calls = []
+    view = CallSurface.variance_view
+
+    def counted(cs, times, strikes):
+        calls.append(cs.asset_id)
+        return view(cs, times, strikes)
+
+    monkeypatch.setattr(CallSurface, "variance_view", counted)
+    snapshot = flat_snapshot([("AAA", 100.0, 0.2), ("BBB", 80.0, 0.3)], [0.5, 0.5], 0.22)
+    calibrate_market(snapshot, CorrelationFamily(center=np.eye(2)), 0.5,
+                     SimulationConfig(steps_per_year=10))
+    assert calls == ["AAA", "BBB", snapshot.index.asset_id]
 
 
 def test_implied_vol_validates_once_per_call(monkeypatch):

@@ -3,10 +3,12 @@
 import csv
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import localcorr
-from localcorr.cli import main
+from localcorr.cli import _setup_logging, main
 from localcorr.marketdata.snapshot import load_snapshot, save_snapshot
 from localcorr.synth import AssetRecipe, SyntheticRecipe, recipe_to_dict
 
@@ -87,6 +89,32 @@ def test_json_log_lines(tmp_path):
         assert set(record) == {"level", "name", "message"}
     assert record == {"level": "info", "name": "localcorr",
                       "message": f"wrote {tmp_path / 'snapshot.json'}"}
+
+
+@pytest.fixture
+def warnings_logged():
+    """Start without the capture of Python warnings, and turn it off again afterwards.
+
+    Earlier runner tests turned it on inside warning contexts that have
+    since been restored, which leaves ``logging``'s saved state stale.
+    """
+    logging.captureWarnings(False)
+    yield
+    logging.captureWarnings(False)
+    for name in ("localcorr", "py.warnings"):
+        logging.getLogger(name).handlers.clear()
+
+
+def test_python_warnings_are_json_log_lines(capsys, warnings_logged):
+    _setup_logging("json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.warn("overflow in a test", UserWarning)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["level"] == "warning" and record["name"] == "py.warnings"
+    assert "UserWarning: overflow in a test" in record["message"]
 
 
 def test_synth_outputs_and_manifest(snapshot_path):
@@ -627,6 +655,32 @@ def test_forwards_that_overflow_past_the_quotes_fail_at_the_horizon(snapshot_pat
                 "--maturity", "20", *_SMALL_RUN])
     message = _assert_single_error(res, tmp_path, output, "EngineError")
     assert "horizon 20.0: the forward of BBB at t = 14.1" in message
+
+
+@pytest.mark.parametrize("command, options, output, named", [
+    ("calibrate", ["--horizon", "20", "--times", "4", "--spots", "5"], "localvol_AAA.csv",
+     "AAA: forward inf at t = 20.0"),
+    ("decode", ["--maturity", "20", "--samples", "2000"], "decode.csv",
+     "IDX: forward inf at t = 20.0"),
+])
+def test_surface_forwards_that_overflow_past_the_quotes_fail(snapshot_path, tmp_path, command,
+                                                             options, output, named):
+    """Neither command calibrates a market first: the surface rejects the forward itself."""
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(json.dumps(_put("discount_curve", 0, "r", value=50.0)(
+        json.loads(snapshot_path.read_text()))))
+    res = _run(["--input", str(bad), "--output-dir", str(tmp_path), command, *options])
+    message = _assert_single_error(res, tmp_path, output, "SurfaceError")
+    assert message == f"{named} is not finite and positive"
+
+
+@pytest.mark.parametrize("payoff, label", [("worst-of-put", "worst_of_put@1e+300"),
+                                           ("index-put", "index_put@")])
+def test_puts_whose_moment_sums_overflow_fail(snapshot_path, tmp_path, payoff, label):
+    res = _run(["--input", str(snapshot_path), "--output-dir", str(tmp_path), "price",
+                "--payoff", payoff, "--strikes", "0.9,1e300", "--maturity", "1.0", *_SMALL_RUN])
+    message = _assert_single_error(res, tmp_path, "price.json", "PricingError")
+    assert message.startswith(label) and "overflow over 500 paths" in message
 
 
 @pytest.mark.parametrize("text, named", [

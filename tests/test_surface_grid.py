@@ -158,10 +158,12 @@ def test_every_query_is_the_per_expiry_oracle_bit_for_bit(seed, n_mats, n_strike
         expiry = float(expiry)
         k = cs.forward_curve.forward(expiry) * np.exp(rng.uniform(-2.5, 2.5, 7))
         want = _oracle_call(cs, expiry, k)
-        view = cs.variance_view(expiry, k)
-        for field in ("log_moneyness", "w", "w_x", "w_xx", "w_t", "convexity", "extrapolated",
-                      "forward", "df"):
-            assert _same(getattr(view, field), want[field]), field
+        w_t, convexity = cs.variance_view([expiry], k)
+        assert _same(w_t[0], want["w_t"]) and _same(convexity[0], want["convexity"])
+        _, _, *terms = cs._query(expiry, k)
+        for field, got in zip(("log_moneyness", "w", "w_x", "w_xx", "w_t", "extrapolated"),
+                              terms):
+            assert _same(got, want[field]), field
         ev = cs.evaluate(expiry, k)
         for field in ("price", "d_expiry", "d_strike", "d2_strike", "implied_vol",
                       "extrapolated", "forward", "df"):

@@ -82,13 +82,14 @@ def test_variance_view_consistent_with_evaluate():
     t = 1.1
     f = cs.forward(t)
     strikes = np.array([0.8 * f, 0.95 * f, f, 1.15 * f])
-    view = cs.variance_view(t, strikes)
+    _, _, x, w, *_ = cs._query(t, strikes)
+    _, convexity = cs.variance_view([t], strikes)
     ev = cs.evaluate(t, strikes)
-    assert np.allclose(view.w, ev.total_variance, rtol=0, atol=1e-14)
+    assert np.allclose(w, ev.total_variance, rtol=0, atol=1e-14)
     # d2C/dK2 = df n(d2) g / (K sqrt(w)) with the same convexity factor g
-    s = np.sqrt(view.w)
-    d2 = -view.log_moneyness / s - 0.5 * s
-    expected = view.df * norm_pdf(d2) * view.convexity / (strikes * s)
+    s = np.sqrt(w)
+    d2 = -x / s - 0.5 * s
+    expected = ev.df * norm_pdf(d2) * convexity[0] / (strikes * s)
     assert np.allclose(ev.d2_strike, expected, rtol=1e-9, atol=0)
 
 
@@ -99,12 +100,12 @@ def test_variance_view_x_derivatives_match_finite_differences():
     k = 0.92 * f
     x = np.log(k / f)
     h = 1e-5
-    view = cs.variance_view(t, k)
+    _, _, _, _, w_x, w_xx, *_ = cs._query(t, k)
     w_up = cs.total_variance(t, f * np.exp(x + h))
     w_dn = cs.total_variance(t, f * np.exp(x - h))
     w_0 = cs.total_variance(t, k)
-    assert abs(view.w_x[0] - (w_up - w_dn) / (2 * h)) < 1e-8
-    assert abs(view.w_xx[0] - (w_up - 2 * w_0 + w_dn) / (h * h)) < 1e-5
+    assert abs(w_x[0] - (w_up - w_dn) / (2 * h)) < 1e-8
+    assert abs(w_xx[0] - (w_up - 2 * w_0 + w_dn) / (h * h)) < 1e-5
 
 
 def test_total_variance_increasing_in_expiry():
@@ -133,9 +134,9 @@ def test_flat_tails_beyond_quoted_span():
     cs, fc = _surface()
     t = 1.0
     f = cs.forward(t)
-    view = cs.variance_view(t, np.array([0.1 * f, 5.0 * f]))
-    assert np.allclose(view.w_x, 0.0, atol=1e-14)
-    assert np.allclose(view.w_xx, 0.0, atol=1e-14)
+    _, _, _, _, w_x, w_xx, *_ = cs._query(t, np.array([0.1 * f, 5.0 * f]))
+    assert np.allclose(w_x, 0.0, atol=1e-14)
+    assert np.allclose(w_xx, 0.0, atol=1e-14)
 
 
 def test_surface_rejects_bad_quotes():
@@ -158,14 +159,15 @@ def test_every_query_rejects_bad_strikes():
     """Price, variance, vol and derivative queries share one strike check."""
     cs, fc = _surface()
     f = fc.forward(1.0)
-    queries = (cs.evaluate, cs.variance_view, cs.price, cs.implied_vol, cs.total_variance)
+    queries = (cs.evaluate, lambda t, k: cs.variance_view([t], k), cs.price, cs.implied_vol,
+               cs.total_variance)
     for query in queries:
         for bad in (-5.0, 0.0, np.nan, np.inf, np.array([f, -f]), np.array([f, np.nan])):
             with pytest.raises(SurfaceError, match="strikes"):
                 query(1.0, bad)
     assert not cs.counters
     assert cs.implied_vol(1.0, f) == cs.evaluate(1.0, f).implied_vol[0]
-    assert cs.total_variance(1.0, f) == cs.variance_view(1.0, f).w[0]
+    assert cs.total_variance(1.0, f) == cs._query(1.0, f)[3][0]
 
 
 def test_quote_helper_round_trip():
